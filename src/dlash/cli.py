@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import os
-import sys
 
 import click
 
@@ -58,7 +57,18 @@ def _series_json(series) -> dict:
     }
 
 
-@click.group()
+class _Main(click.Group):
+    """Turns window and parse errors into a one-line ``Error: ...`` with
+    exit status 1, however the group is entered."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (LaurentError, ParseError, steenrod.WindowTooSmallError) as e:
+            raise click.ClickException(str(e)) from e
+
+
+@click.group(cls=_Main)
 @click.option("--json", "json_out", is_flag=True, help="emit JSON with a schema field")
 @click.option(
     "--degree-bound",
@@ -80,8 +90,8 @@ def main(ctx, json_out, degree_bound, quiet):
 
 
 @main.command()
-@click.argument("i", type=int)
-@click.argument("j", type=int)
+@click.argument("i", type=click.IntRange(min=0))
+@click.argument("j", type=click.IntRange(min=0))
 @click.pass_context
 def adem(ctx, i, j):
     """Print the Adem relation for a non-admissible pair Q^I Q^J."""
@@ -112,11 +122,7 @@ def adem(ctx, i, j):
 @click.pass_context
 def reduce(ctx, expr):
     """Rewrite EXPR (e.g. 'Q^6 Q^2 x[2]') to admissible normal form."""
-    try:
-        s = parse_sum(expr)
-    except ParseError as e:
-        raise click.ClickException(str(e))
-    out = reduce_to_admissible(s)
+    out = reduce_to_admissible(parse_sum(expr))
     _emit(
         ctx,
         {
@@ -156,15 +162,11 @@ def symmetry(ctx, degree, bound):
 
 
 @main.command("zeta-action")
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=0))
 @click.pass_context
 def zeta_action(ctx, n):
     """The total operation Q(t) applied to the Milnor generator z_N."""
-    bound = ctx.obj["bound"]
-    try:
-        series = steenrod.q_total_on_zeta(n, bound)
-    except LaurentError as e:
-        raise click.ClickException(str(e))
+    series = steenrod.q_total_on_zeta(n, ctx.obj["bound"])
     _emit(
         ctx,
         {"command": "zeta-action", "n": n, "series": _series_json(series)},
@@ -176,14 +178,11 @@ def zeta_action(ctx, n):
 
 
 @main.command()
-@click.argument("max_i", type=int)
+@click.argument("max_i", type=click.IntRange(min=1))
 @click.pass_context
 def conjugate(ctx, max_i):
     """Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators."""
-    try:
-        zbars = steenrod.conjugate_zeta(max_i)
-    except steenrod.WindowTooSmallError as e:
-        raise click.ClickException(str(e))
+    zbars = steenrod.conjugate_zeta(max_i)
     _emit(
         ctx,
         {
@@ -210,7 +209,7 @@ def _report_command(ctx, name: str, report: dict, extra: dict | None = None):
 
 
 @main.command()
-@click.argument("max_i", type=int)
+@click.argument("max_i", type=click.IntRange(min=2))
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""
@@ -253,13 +252,5 @@ def verify_all(ctx):
         ctx.exit(1)
 
 
-def entry() -> None:
-    try:
-        main(standalone_mode=True)
-    except (LaurentError, ParseError) as e:  # pragma: no cover - safety net
-        print(f"error: {e}", file=sys.stderr)
-        sys.exit(1)
-
-
 if __name__ == "__main__":
-    entry()
+    main()

@@ -138,6 +138,8 @@ def adem_relation(i: int, j: int) -> AdemRelation:
     the leading index nonnegative; instability trims further at
     application time, not here.
     """
+    if i < 0 or j < 0:
+        raise ValueError(f"Q^{i} Q^{j}: indices must be >= 0")
     if i <= 2 * j:
         raise AlreadyAdmissibleError(f"Q^{i} Q^{j} is already admissible")
     lo = (i + 1) // 2

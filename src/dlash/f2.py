@@ -1,22 +1,21 @@
 """Scalar and polynomial arithmetic over GF(2).
 
 Binomial parities (including generalized binomials with negative top
-argument) and sparse multigraded polynomials.  These polynomials are the
-coefficient ring for everything else in the package: generators are either
-the graded generators z1, z2, ... (with deg z_i = 2^i - 1) or free symbols
-carrying a declared integer degree.
+argument) and sparse polynomials in the dual Steenrod algebra
+F2[z1, z2, ...], graded by deg z_i = 2^i - 1.  These polynomials are the
+coefficient ring for everything else in the package.
 """
 
 from __future__ import annotations
 
 from functools import reduce
 from math import comb, factorial
+from operator import add
 from typing import Iterable
 
-# A generator is either ("z", i) for the i-th graded generator, or
-# ("sym", name, degree) for a free symbol.  Exponent maps are stored as
-# sorted tuples of (generator, exponent) pairs so monomials hash.
-Generator = tuple
+# A monomial z1^e1 z2^e2 ... zn^en is Milnor's exponent vector
+# (e1, ..., en) with en != 0; the empty tuple is 1.  Only this module
+# looks inside one: other code reads it through ``factors``.
 Monomial = tuple
 
 
@@ -49,55 +48,25 @@ def binom_exact_parity(top: int, bottom: int) -> int:
     return (num // factorial(bottom)) & 1
 
 
-def zeta_gen(i: int) -> Generator:
-    if i < 1:
-        raise ValueError(f"zeta index must be >= 1, got {i}")
-    return ("z", i)
-
-
-def symbol_gen(name: str, degree: int) -> Generator:
-    return ("sym", name, degree)
-
-
-def generator_degree(g: Generator) -> int:
-    if g[0] == "z":
-        return 2 ** g[1] - 1
-    return g[2]
-
-
-def _gen_sort_key(g: Generator):
-    # graded generators first, by index, then free symbols by name
-    if g[0] == "z":
-        return (0, g[1], "")
-    return (1, 0, g[1])
-
-
-def generator_name(g: Generator) -> str:
-    if g[0] == "z":
-        return f"z{g[1]}"
-    return g[1]
+def factors(m: Monomial) -> tuple:
+    """The pairs (i, e) with z_i^e in m and e > 0, by increasing i."""
+    return tuple((i, e) for i, e in enumerate(m, 1) if e)
 
 
 def monomial_degree(m: Monomial) -> int:
-    return sum(generator_degree(g) * e for g, e in m)
+    return sum(((1 << i) - 1) * e for i, e in enumerate(m, 1))
 
 
 def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    exps: dict = {}
-    for g, e in a:
-        exps[g] = exps.get(g, 0) + e
-    for g, e in b:
-        exps[g] = exps.get(g, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: _gen_sort_key(p[0])))
+    if len(a) < len(b):
+        a, b = b, a
+    return tuple(map(add, a, b)) + a[len(b):]
 
 
 def _monomial_str(m: Monomial) -> str:
     if not m:
         return "1"
-    parts = []
-    for g, e in m:
-        parts.append(generator_name(g) if e == 1 else f"{generator_name(g)}^{e}")
-    return " ".join(parts)
+    return " ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in factors(m))
 
 
 class F2Poly:
@@ -127,15 +96,11 @@ class F2Poly:
 
     @staticmethod
     def zeta(i: int, exp: int = 1) -> "F2Poly":
+        if i < 1 or exp < 0:
+            raise ValueError(f"z{i}^{exp}: need index >= 1, exponent >= 0")
         if exp == 0:
             return _ONE
-        return F2Poly([((zeta_gen(i), exp),)])
-
-    @staticmethod
-    def symbol(name: str, degree: int, exp: int = 1) -> "F2Poly":
-        if exp == 0:
-            return _ONE
-        return F2Poly([((symbol_gen(name, degree), exp),)])
+        return F2Poly([(0,) * (i - 1) + (exp,)])
 
     # -- ring structure -------------------------------------------------
 
@@ -151,9 +116,7 @@ class F2Poly:
 
     def square(self) -> "F2Poly":
         # Frobenius: (sum m)^2 = sum m^2 in characteristic 2
-        return F2Poly(
-            tuple((g, 2 * e) for g, e in m) for m in self.monomials
-        )
+        return F2Poly(tuple(2 * e for e in m) for m in self.monomials)
 
     def __pow__(self, k: int) -> "F2Poly":
         if k < 0:
@@ -186,13 +149,8 @@ class F2Poly:
         return len(self.degree_parts()) <= 1
 
     def augment(self) -> "F2Poly":
-        """Kill every monomial containing a graded generator (z_i -> 0)."""
-        return F2Poly(
-            m for m in self.monomials if all(g[0] != "z" for g, _ in m)
-        )
-
-    def generators(self) -> set:
-        return {g for m in self.monomials for g, _ in m}
+        """The constant term: every z_i goes to 0."""
+        return _ONE if () in self.monomials else _ZERO
 
     # -- canonical form -------------------------------------------------
 
@@ -208,11 +166,7 @@ class F2Poly:
         if not self.monomials:
             return "0"
         ms = sorted(
-            self.monomials,
-            key=lambda m: (
-                monomial_degree(m),
-                tuple((_gen_sort_key(g), e) for g, e in m),
-            ),
+            self.monomials, key=lambda m: (monomial_degree(m), factors(m))
         )
         return " + ".join(_monomial_str(m) for m in ms)
 

@@ -691,7 +691,3 @@ def residue(a: LaurentSeries, var: str) -> LaurentSeries:
         return LaurentSeries(new_w, coeffs, honest_s=True, honest_t=a.honest_t)
     new_w = Window(w.min_s, 0, max_total)
     return LaurentSeries(new_w, coeffs, honest_s=a.honest_s, honest_t=True)
-
-
-def coefficient(a: LaurentSeries, es: int, et: int) -> F2Poly:
-    return a.coefficient(es, et)

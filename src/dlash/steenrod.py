@@ -15,7 +15,7 @@ identities, the bivariate total-operation identity, and its conjugate
 
 from __future__ import annotations
 
-from .f2 import F2Poly
+from .f2 import F2Poly, factors
 from .laurent import (
     LaurentSeries,
     Window,
@@ -25,9 +25,6 @@ from .laurent import (
     series_pow,
     series_reversion,
 )
-
-# MilnorElement: an F2Poly supported on the z-generators
-MilnorElement = F2Poly
 
 
 class WindowTooSmallError(Exception):
@@ -95,7 +92,7 @@ _q_total_cache: dict = {}
 
 
 def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
-    """Q(t) z_n as a series in t with MilnorElement coefficients."""
+    """Q(t) z_n as a series in t with coefficients in F2[z1, z2, ...]."""
     if n < 0:
         raise ValueError("n must be >= 0")
     key = (n, max_total)
@@ -135,22 +132,20 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
     return result
 
 
-def q_total_on_element(a: MilnorElement, max_total: int) -> LaurentSeries:
+def q_total_on_element(a: F2Poly, max_total: int) -> LaurentSeries:
     """Q(t) a for a polynomial a, by multiplicativity (the Cartan formula
     in generating-series form): Q(t)(xy) = (Q(t)x)(Q(t)y)."""
     result = None
     for monomial in a.monomials:
         term = LaurentSeries.one()
-        for gen, exp in monomial:
-            if gen[0] != "z":
-                raise ValueError(f"not a dual Steenrod algebra element: {gen}")
-            factor = series_pow(q_total_on_zeta(gen[1], max_total), exp)
+        for n, exp in factors(monomial):
+            factor = series_pow(q_total_on_zeta(n, max_total), exp)
             term = series_mul(term, factor)
         result = term if result is None else result + term
     return LaurentSeries.zero() if result is None else result
 
 
-def q_op(i: int, a: MilnorElement, max_total: int | None = None) -> MilnorElement:
+def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
     """Q^i(a): the t^i coefficient of the total operation on a."""
     if a.is_zero():
         return F2Poly.zero()

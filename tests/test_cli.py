@@ -54,6 +54,35 @@ def test_reduce_parse_error_exits_1(runner):
     assert "syntax error" in r.output
 
 
+@pytest.mark.parametrize(
+    "args", [["--degree-bound", "-5", "nishida"], ["symmetry", "1", "--", "-3"]]
+)
+def test_window_error_exits_1(runner, args):
+    r = invoke(runner, *args)
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("Error: empty window")
+    assert len(r.stderr.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["adem", "--", "3", "-1"],
+        ["conjugate", "0"],
+        ["steinberger", "1"],
+        ["zeta-action", "--", "-1"],
+    ],
+)
+def test_out_of_range_argument_exits_2(runner, args):
+    r = invoke(runner, *args)
+    assert r.exit_code == 2
+    assert r.stdout == ""
+    errors = [l for l in r.stderr.splitlines() if l.startswith("Error")]
+    assert len(errors) == 1
+    assert "not in the range" in errors[0]
+
+
 def test_usage_error_exits_2(runner):
     r = invoke(runner, "adem", "six", "2")
     assert r.exit_code == 2

@@ -39,6 +39,12 @@ def test_adem_rejects_admissible_pair():
         adem_relation(4, 2)
 
 
+@pytest.mark.parametrize("i, j", [(3, -1), (-1, 0)])
+def test_adem_rejects_negative_index(i, j):
+    with pytest.raises(ValueError):
+        adem_relation(i, j)
+
+
 def test_monomial_admissibility_and_degree():
     m = DLMonomial((5, 3), X2)
     assert m.is_admissible()

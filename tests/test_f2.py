@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2, poly_sum
+from dlash.steenrod import conjugate_zeta
 
 
 class TestBinomMod2:
@@ -73,6 +74,12 @@ class TestF2Poly:
     def test_commutativity(self, a, b):
         assert a * b == b * a
 
+    def test_zeta_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            F2Poly.zeta(0)
+        with pytest.raises(ValueError):
+            F2Poly.zeta(1, -1)
+
     def test_pow(self):
         z1 = F2Poly.zeta(1)
         assert z1**0 == F2Poly.one()
@@ -84,11 +91,21 @@ class TestF2Poly:
         assert m.degree_parts() == {9: m}
         assert m.is_homogeneous()
 
+    @given(zeta_monomials, zeta_monomials)
+    def test_degree_of_product_is_sum(self, a, b):
+        (da,), (db,) = a.degree_parts(), b.degree_parts()
+        assert list((a * b).degree_parts()) == [da + db]
+
     def test_str_canonical(self):
         a = F2Poly.zeta(2) + F2Poly.zeta(1, 3)
         assert str(a) == "z1^3 + z2"
         assert str(F2Poly.zero()) == "0"
         assert str(F2Poly.one()) == "1"
+        # by degree, then by the (index, exponent) pairs
+        assert str(conjugate_zeta(4)[3]) == (
+            "z1 z3^2 + z1^3 z2^4 + z1^8 z3 + z1^9 z2^2 + z1^12 z2 + z1^15"
+            " + z2^5 + z4"
+        )
 
     def test_augmentation(self):
         assert (F2Poly.one() + F2Poly.zeta(1)).augment() == F2Poly.one()
