@@ -16,6 +16,7 @@ from . import steenrod, verify
 from .dyer_lashof import (
     AlreadyAdmissibleError,
     GradedClass,
+    RewriteLimitError,
     adem_relation,
     reduce_to_admissible,
     symmetry_extract_relations,
@@ -58,13 +59,13 @@ def _series_json(series) -> dict:
 
 
 class _Main(click.Group):
-    """Turns window and parse errors into a one-line ``Error: ...`` with
-    exit status 1, however the group is entered."""
+    """Turns window, parse and rewrite-limit errors into a one-line
+    ``Error: ...`` with exit status 1, however the group is entered."""
 
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (LaurentError, ParseError, steenrod.WindowTooSmallError) as e:
+        except (LaurentError, ParseError, RewriteLimitError, steenrod.WindowTooSmallError) as e:
             raise click.ClickException(str(e)) from e
 
 
@@ -178,7 +179,7 @@ def zeta_action(ctx, n):
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=1))
+@click.argument("max_i", type=click.IntRange(min=1, max=8))
 @click.pass_context
 def conjugate(ctx, max_i):
     """Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators."""
@@ -209,7 +210,7 @@ def _report_command(ctx, name: str, report: dict, extra: dict | None = None):
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=2))
+@click.argument("max_i", type=click.IntRange(min=2, max=6))
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""

@@ -24,6 +24,10 @@ class RewriteLimitError(Exception):
     pass
 
 
+# largest i + j for which adem_relation scans its l-range (about 0.1 s)
+ADEM_INDEX_BOUND = 1 << 20
+
+
 @dataclass(frozen=True, order=True)
 class GradedClass:
     name: str
@@ -136,12 +140,17 @@ def adem_relation(i: int, j: int) -> AdemRelation:
 
     The l-range comes from requiring both binomial arguments sensible and
     the leading index nonnegative; instability trims further at
-    application time, not here.
+    application time, not here.  A pair with i + j past ADEM_INDEX_BOUND
+    raises RewriteLimitError rather than scan that range.
     """
     if i < 0 or j < 0:
         raise ValueError(f"Q^{i} Q^{j}: indices must be >= 0")
     if i <= 2 * j:
         raise AlreadyAdmissibleError(f"Q^{i} Q^{j} is already admissible")
+    if i + j > ADEM_INDEX_BOUND:
+        raise RewriteLimitError(
+            f"Q^{i} Q^{j}: i + j exceeds the Adem index bound {ADEM_INDEX_BOUND}"
+        )
     lo = (i + 1) // 2
     rhs = frozenset(
         (i + j - l, l)

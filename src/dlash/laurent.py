@@ -15,6 +15,10 @@ describing where its coefficients are guaranteed exact:
     t; window propagation accounts for the difference.
 
 max_total = None means the series is exact (known in full).
+
+Every product goes through one kernel: _product multiplies two coefficient
+maps at the exponents that pass a keep(e_s, e_t) test, and _add_into is the
+one add-and-cancel step, also used by series_add and series_reversion.
 """
 
 from __future__ import annotations
@@ -318,14 +322,31 @@ class LaurentSeries:
         ]
 
 
+def _add_into(acc: dict, e, p: F2Poly) -> None:
+    """acc[e] += p, dropping the entry when it cancels."""
+    q = acc.get(e)
+    q = p if q is None else q + p
+    if q.is_zero():
+        acc.pop(e, None)
+    else:
+        acc[e] = q
+
+
+def _product(a_coeffs: dict, b_coeffs: dict, keep) -> dict:
+    """Product of two coefficient maps, at the exponents where keep(es, et)."""
+    out: dict = {}
+    for (es1, et1), p1 in a_coeffs.items():
+        for (es2, et2), p2 in b_coeffs.items():
+            es, et = es1 + es2, et1 + et2
+            if keep(es, et):
+                _add_into(out, (es, et), p1 * p2)
+    return out
+
+
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     coeffs = dict(a.coeffs)
     for e, p in b.coeffs.items():
-        q = coeffs.get(e, F2Poly.zero()) + p
-        if q.is_zero():
-            coeffs.pop(e, None)
-        else:
-            coeffs[e] = q
+        _add_into(coeffs, e, p)
     # per axis: if both summands vanish below their bounds the union
     # quadrant is sound; otherwise only the intersection is exact
     if a.honest_s and b.honest_s:
@@ -363,18 +384,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         _add_total(wb.max_total, a.certified_min_total()),
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    coeffs: dict = {}
-    for (es1, et1), p1 in a.coeffs.items():
-        for (es2, et2), p2 in b.coeffs.items():
-            e = (es1 + es2, et1 + et2)
-            if not w.contains(*e):
-                continue
-            q = coeffs.get(e, F2Poly.zero()) + p1 * p2
-            if q.is_zero():
-                coeffs.pop(e, None)
-            else:
-                coeffs[e] = q
-    return LaurentSeries(w, coeffs)
+    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -447,17 +457,22 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     bs = box.max_total - box.min_t  # largest reachable e_s
     neg_drop = max((-et for _, et in r.coeffs if et < 0), default=0)
 
+    lost_s = lost_t = False
+
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
         # multiplications by r (e_s never decreases; e_t drops at most
-        # neg_drop per unit of e_s growth)
-        if es > bs:
-            return False
-        return et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
+        # neg_drop per unit of e_s growth); a dropped position below the
+        # box costs honesty in that axis
+        nonlocal lost_s, lost_t
+        if es <= bs and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop:
+            return True
+        lost_s = lost_s or es < box.min_s
+        lost_t = lost_t or et < box.min_t
+        return False
 
     mt_r = r.certified_min_total()  # None only if r is exactly zero
     r_max = r.window.max_total
-    lost_s = lost_t = False
     acc = {(0, 0): F2Poly.one()}
     term = {(0, 0): F2Poly.one()}
     term_max_acc = None  # running min over term windows
@@ -466,29 +481,11 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
         steps += 1
         if steps > 100000:
             raise LaurentError("inverse iteration failed to terminate")
-        new_term: dict = {}
-        for (es1, et1), p1 in term.items():
-            for (es2, et2), p2 in r.coeffs.items():
-                es, et = es1 + es2, et1 + et2
-                if not keep(es, et):
-                    lost_s = lost_s or es < box.min_s
-                    lost_t = lost_t or et < box.min_t
-                    continue
-                e = (es, et)
-                q = new_term.get(e, F2Poly.zero()) + p1 * p2
-                if q.is_zero():
-                    new_term.pop(e, None)
-                else:
-                    new_term[e] = q
-        term = new_term
+        term = _product(term, r.coeffs, keep)
         if not term:
             break
         for e, p in term.items():
-            q = acc.get(e, F2Poly.zero()) + p
-            if q.is_zero():
-                acc.pop(e, None)
-            else:
-                acc[e] = q
+            _add_into(acc, e, p)
         if r_max is not None:
             # the k-th power of r is exact out to r_max + (k-1)*min(mt_r, 0)
             t_max = r_max + (steps - 1) * min(mt_r, 0)
@@ -599,10 +596,7 @@ def series_compose(
     def power(i: int) -> LaurentSeries:
         if i in pows:
             return pows[i]
-        if i > 0:
-            p = series_mul(power(i - 1), u)
-        else:
-            p = series_inverse(series_pow(u, -i), window=window)
+        p = series_mul(power(i - 1), u) if i > 0 else series_pow(u, i, window)
         if window is not None and p.honest:
             p = p.restricted(window)
         pows[i] = p
@@ -632,7 +626,13 @@ def series_compose(
 def series_reversion(
     a: LaurentSeries, var: str = "t", max_total: int | None = None
 ) -> LaurentSeries:
-    """Compositional inverse of a = v + (higher order), solved degree by degree."""
+    """Compositional inverse b of a = v + (higher order), with a(b) = v.
+
+    pows[j][n] is the v^n coefficient of b^j (pows[1] is b); for j >= 2 it
+    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power, one
+    product per term of b.  As a starts with v and a(b) has no v^d term,
+    b_d = sum_{j>=2} a_j pows[j][d].
+    """
     if not a.is_univariate(var):
         raise BadValuationError(f"series is not univariate in {var}")
     coeffs = a.univariate_coeffs(var)
@@ -644,32 +644,18 @@ def series_reversion(
     if m is None:
         raise BadValuationError("reversion of an exact series needs an explicit max_total")
 
-    a_uni = {e: p for e, p in coeffs.items() if e <= m}
     b = {1: F2Poly.one()}
+    pows = [None, b]
     for d in range(2, m + 1):
-        # coefficient of v^d in a(b) with the unknown b_d omitted; since
-        # a starts with v, that coefficient is exactly the needed b_d
-        comp_d = F2Poly.zero()
-        bpow = dict(b)  # b^j truncated at degree d
-        for j in range(1, d + 1):
-            if j > 1:
-                nxt: dict = {}
-                for e1, p1 in bpow.items():
-                    for e2, p2 in b.items():
-                        e = e1 + e2
-                        if e > d:
-                            continue
-                        q = nxt.get(e, F2Poly.zero()) + p1 * p2
-                        if q.is_zero():
-                            nxt.pop(e, None)
-                        else:
-                            nxt[e] = q
-                bpow = nxt
-            aj = a_uni.get(j)
-            if aj is not None and d in bpow:
-                comp_d = comp_d + aj * bpow[d]
-        if not comp_d.is_zero():
-            b[d] = comp_d
+        pows.append({})
+        for j in range(2, d + 1):
+            for k, bk in b.items():
+                p = pows[j - 1].get(d - k)
+                if p is not None:
+                    _add_into(pows[j], d, p * bk)
+        for j in range(2, d + 1):
+            if j in coeffs and d in pows[j]:
+                _add_into(b, d, coeffs[j] * pows[j][d])
 
     terms = {((e, 0) if var == "s" else (0, e)): p for e, p in b.items()}
     w = Window(1 if var == "s" else 0, 1 if var == "t" else 0, m)

@@ -1,5 +1,6 @@
 import json
 import pathlib
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -72,6 +73,8 @@ def test_window_error_exits_1(runner, args):
         ["conjugate", "0"],
         ["steinberger", "1"],
         ["zeta-action", "--", "-1"],
+        ["conjugate", "9"],
+        ["steinberger", "7"],
     ],
 )
 def test_out_of_range_argument_exits_2(runner, args):
@@ -81,6 +84,20 @@ def test_out_of_range_argument_exits_2(runner, args):
     errors = [l for l in r.stderr.splitlines() if l.startswith("Error")]
     assert len(errors) == 1
     assert "not in the range" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["reduce", "Q^99999999999999999999 Q^1 x[0]"], ["adem", "99999999999999999999", "1"]],
+)
+def test_adem_index_past_bound_exits_1(runner, args):
+    start = time.perf_counter()
+    r = invoke(runner, *args)
+    assert time.perf_counter() - start < 5
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr.startswith("Error: Q^99999999999999999999 Q^1: i + j exceeds")
+    assert len(r.stderr.splitlines()) == 1
 
 
 def test_usage_error_exits_2(runner):

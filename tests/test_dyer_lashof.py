@@ -3,10 +3,12 @@ import random
 import pytest
 
 from dlash.dyer_lashof import (
+    ADEM_INDEX_BOUND,
     AlreadyAdmissibleError,
     DLMonomial,
     DLSum,
     GradedClass,
+    RewriteLimitError,
     adem_relation,
     cartan_expand,
     derive_relations_by_elimination,
@@ -43,6 +45,15 @@ def test_adem_rejects_admissible_pair():
 def test_adem_rejects_negative_index(i, j):
     with pytest.raises(ValueError):
         adem_relation(i, j)
+
+
+@pytest.mark.parametrize("i, j", [(ADEM_INDEX_BOUND, 1), (10**20, 1)])
+def test_adem_refuses_indices_past_bound(i, j):
+    with pytest.raises(RewriteLimitError):
+        adem_relation(i, j)
+    # an admissible pair needs no scan, so it is still answered
+    with pytest.raises(AlreadyAdmissibleError):
+        adem_relation(j, i)
 
 
 def test_monomial_admissibility_and_degree():

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlash.f2 import F2Poly
 from dlash.laurent import (
@@ -80,6 +81,36 @@ def test_inverse_with_negative_lead():
     assert inv.honest_s and not inv.honest_t
 
 
+T_PLUS_S = exact((0, 1), (1, 0))
+
+
+@pytest.mark.parametrize(
+    "u, window, want_window, honest_s, honest_t",
+    [
+        (T_PLUS_S, Window(0, -8, 6), Window(0, -8, 6), True, False),
+        (T_PLUS_S, Window(-1, -20, 12), Window(-1, -20, 12), True, False),
+        (exact((0, 0), (1, -1)), Window(0, -8, 6), Window(0, -8, 6), True, False),
+        (exact((0, 0), (1, -1)), Window(-1, -20, 12), Window(-1, -20, 12), True, False),
+        (exact((0, 0), (0, 1)), Window(0, -8, 6), Window(0, -8, 6), True, True),
+        (T_PLUS_S.restricted(Window(0, 0, 5)), None, Window(0, -2, 3), True, False),
+        (T_PLUS_S.restricted(Window(0, 0, 5)), Window(0, -8, 6), Window(0, -8, 3), True, False),
+        (
+            LaurentSeries.exact(
+                {(0, 0): ONE, (1, 0): ONE, (0, 1): F2Poly.zeta(1)}
+            ).restricted(Window(0, 0, 5)),
+            Window(-1, -20, 12),
+            Window(-1, -20, 5),
+            True,
+            True,
+        ),
+    ],
+)
+def test_inverse_window_and_honesty(u, window, want_window, honest_s, honest_t):
+    inv = series_inverse(u, window=window)
+    assert inv.window == want_window
+    assert (inv.honest_s, inv.honest_t) == (honest_s, honest_t)
+
+
 def test_inverse_requires_unit_lead():
     s = LaurentSeries.exact({(0, 1): F2Poly.zeta(1)})
     with pytest.raises(NotInvertibleError):
@@ -103,6 +134,26 @@ def test_reversion_simple():
     a = exact((0, 1), (0, 2))
     b = series_reversion(a, var="t", max_total=12)
     back = series_compose(a, b, var="t", window=Window(0, 0, 12))
+    assert back.agrees_with(exact((0, 1)))
+
+
+REVERSION_COEFFS = [
+    F2Poly.zero(),
+    ONE,
+    F2Poly.zeta(1),
+    F2Poly.zeta(2),
+    F2Poly.zeta(1) + F2Poly.zeta(2),
+]
+
+
+@settings(deadline=None)
+@given(st.data(), st.integers(1, 16))
+def test_reversion_round_trip(data, m):
+    cs = data.draw(st.lists(st.sampled_from(REVERSION_COEFFS), min_size=m - 1, max_size=m - 1))
+    a = LaurentSeries.exact({(0, 1): ONE, **{(0, j): c for j, c in enumerate(cs, 2)}})
+    b = series_reversion(a, var="t", max_total=m)
+    back = series_compose(a, b, var="t", window=Window(0, 0, m))
+    assert back.window == Window(0, 1, m)
     assert back.agrees_with(exact((0, 1)))
 
 
