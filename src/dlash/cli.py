@@ -24,7 +24,7 @@ from .dyer_lashof import (
 from .laurent import DEFAULT_DEGREE_BOUND, LaurentError, Window
 from .parser import ParseError, parse_sum
 
-SCHEMA = 1
+SCHEMA = 2
 
 
 def _default_bound() -> int:
@@ -195,17 +195,22 @@ def conjugate(ctx, max_i):
     )
 
 
-def _report_command(ctx, name: str, report: dict, extra: dict | None = None):
-    lines = []
-    for c in report["checks"]:
-        status = "ok" if c["ok"] else "FAIL"
-        lines.append(f"{status:4}  {c['identity']}")
-    lines.append("passed" if report["passed"] else "FAILED")
-    payload = {"command": name, "report": report}
-    if extra:
-        payload.update(extra)
-    _emit(ctx, payload, lines)
-    if not report["passed"]:
+def _report_command(ctx, command: str, extra: dict, records: list, suites: bool = False):
+    """Render verification records, checks or whole suites; exit 1 if any failed."""
+    passed = all(r["passed"] for r in records)
+    if suites:
+        lines = [
+            f"{'PASS' if r['passed'] else 'FAIL'}  {r['name']}: {r['detail']}"
+            for r in records
+        ]
+        lines.append("all suites passed" if passed else "some suites FAILED")
+        payload = {"suites": records}
+    else:
+        lines = [f"{'ok' if r['passed'] else 'FAIL':4}  {r['name']}" for r in records]
+        lines.append("passed" if passed else "FAILED")
+        payload = {"report": {"passed": passed, "checks": records}}
+    _emit(ctx, {"command": command, **extra, **payload}, lines)
+    if not passed:
         ctx.exit(1)
 
 
@@ -214,13 +219,9 @@ def _report_command(ctx, name: str, report: dict, extra: dict | None = None):
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""
-    rep1 = steenrod.verify_steinberger_conjugate(max_i)
-    rep2 = steenrod.verify_steinberger_successor(max_i)
-    merged = {
-        "passed": rep1["passed"] and rep2["passed"],
-        "checks": rep1["checks"] + rep2["checks"],
-    }
-    _report_command(ctx, "steinberger", merged, {"max_i": max_i})
+    records = verify.verify_steinberger_conjugate(max_i)
+    records += verify.verify_steinberger_successor(max_i)
+    _report_command(ctx, "steinberger", {"max_i": max_i}, records)
 
 
 @main.command()
@@ -228,29 +229,17 @@ def steinberger(ctx, max_i):
 def nishida(ctx):
     """Check the conjugate form of the coaction compatibility."""
     bound = ctx.obj["bound"]
-    rep = steenrod.verify_nishida_conjugate_form(bound)
-    _report_command(ctx, "nishida", rep, {"degree_bound": bound})
+    records = verify.verify_nishida_conjugate_form(bound)
+    _report_command(ctx, "nishida", {"degree_bound": bound}, records)
 
 
 @main.command("verify-all")
 @click.pass_context
 def verify_all(ctx):
-    """Run every acceptance suite; nonzero exit if any check fails."""
+    """Run every acceptance suite; exit status 1 if any check fails."""
     bound = ctx.obj["bound"]
     reports = verify.run_all(bound)
-    lines = []
-    for r in reports:
-        status = "PASS" if r["passed"] else "FAIL"
-        lines.append(f"{status}  {r['name']}: {r['detail']}")
-    ok = all(r["passed"] for r in reports)
-    lines.append("all suites passed" if ok else "some suites FAILED")
-    _emit(
-        ctx,
-        {"command": "verify-all", "degree_bound": bound, "suites": reports},
-        lines,
-    )
-    if not ok:
-        ctx.exit(1)
+    _report_command(ctx, "verify-all", {"degree_bound": bound}, reports, suites=True)
 
 
 if __name__ == "__main__":

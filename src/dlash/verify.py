@@ -1,7 +1,15 @@
-"""Acceptance suites: every check the `dlash verify-all` command runs.
+"""Verification: the paper's identities and the acceptance suites that
+`dlash verify-all` runs.
 
-Each suite returns {"name", "passed", "detail"} and is deterministic
-(randomized suites use a fixed seed).
+Every check and every suite yields the same record,
+
+    {"name": str, "passed": bool, "detail": str, "first_mismatch": ...}
+
+where first_mismatch is None on a pass and otherwise the first failure:
+the exponent (e_s, e_t) of the first disagreeing coefficient for an
+identity check, the first failing case for a suite.  Identity checks
+return lists of records and the suites fold them.  Everything is
+deterministic (randomized suites use a fixed seed).
 """
 
 from __future__ import annotations
@@ -26,15 +34,177 @@ from .dyer_lashof import (
     reduce_to_admissible,
     symmetry_extract_relations,
 )
-from . import steenrod
+from .steenrod import (
+    conjugate_zeta,
+    q_op,
+    q_total_on_zeta,
+    zeta_inverse,
+    zeta_series,
+)
 
 
-def _suite(name: str, failures: list, detail: str) -> dict:
+def _record(name: str, failures: list, detail: str) -> dict:
     return {
         "name": name,
         "passed": not failures,
         "detail": detail if not failures else f"{detail}; failures: {failures[:5]}",
+        "first_mismatch": failures[0] if failures else None,
     }
+
+
+def _check(name: str, detail: str, lhs: LaurentSeries, *rhs: LaurentSeries) -> dict:
+    """The record of lhs = rhs[0] = rhs[1] = ... on the common guaranteed
+    windows; its failures are the first disagreement with each side."""
+    mismatches = [lhs.first_disagreement(r) for r in rhs]
+    return _record(name, [m for m in mismatches if m is not None], detail)
+
+
+def _fold(name: str, records: list, detail: str) -> dict:
+    failures = [(r["name"], r["first_mismatch"]) for r in records if not r["passed"]]
+    return _record(name, failures, f"{len(records)} checks {detail}")
+
+
+# -- the paper's identities ---------------------------------------------
+
+
+def verify_steinberger_conjugate(i_max: int, max_total: int | None = None) -> list:
+    """Q^{2^i - 2} z_1 = zbar_i for 2 <= i <= i_max, via both the total
+    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt."""
+    if i_max < 2:
+        raise ValueError("i_max must be >= 2")
+    if max_total is None:
+        max_total = 2**i_max
+    zbars = conjugate_zeta(i_max, max_total=max(max_total, 2**i_max))
+    qz1 = q_total_on_zeta(1, max_total)
+    zinv = zeta_inverse(max_total)
+    records = []
+    for i in range(2, i_max + 1):
+        k = 2**i - 2
+        # res(t^{-2^i+1} z(t)^{-1} dt) is the t^{2^i - 2} coefficient of z(t)^{-1}
+        records.append(
+            _check(
+                f"Q^(2^{i}-2) z1 = zbar_{i}",
+                f"i = {i}",
+                LaurentSeries.monomial(0, k, qz1.coefficient(0, k)),
+                LaurentSeries.monomial(0, k, zbars[i - 1]),
+                LaurentSeries.monomial(0, k, zinv.coefficient(0, k)),
+            )
+        )
+    return records
+
+
+def verify_steinberger_successor(i_max: int, max_total: int | None = None) -> list:
+    """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1}."""
+    if i_max < 0:
+        raise ValueError("i_max must be >= 0")
+    if max_total is None:
+        max_total = 2 ** (i_max + 1) + 2
+    zbars = [F2Poly.one()] + conjugate_zeta(i_max + 1)
+    records = []
+    for i in range(0, i_max + 1):
+        k = 2**i
+        if i >= 1:
+            lhs = q_op(k, F2Poly.zeta(i), max_total)
+            rhs = F2Poly.zeta(i + 1) + F2Poly.zeta(i).square() * F2Poly.zeta(1)
+        else:
+            # Q^1(1) = 0 and z1 + z0^2 z1 = z1 + z1 = 0: both sides vanish
+            lhs = q_op(k, F2Poly.one(), max_total)
+            rhs = F2Poly.zero()
+        records.append(
+            _check(
+                f"Q^(2^{i}) z{i} = z{i+1} + z{i}^2 z1",
+                f"i = {i}",
+                LaurentSeries.monomial(0, k, lhs),
+                LaurentSeries.monomial(0, k, rhs),
+            )
+        )
+        if i >= 1:
+            # i = 0 degenerates: Q^1 kills the unit, while zbar_1 = z1
+            records.append(
+                _check(
+                    f"Q^(2^{i}) zbar_{i} = zbar_{i+1}",
+                    f"i = {i}",
+                    LaurentSeries.monomial(0, k, q_op(k, zbars[i], max_total)),
+                    LaurentSeries.monomial(0, k, zbars[i + 1]),
+                )
+            )
+    return records
+
+
+def _identity1_rhs(work: int) -> LaurentSeries:
+    """sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})."""
+    rhs = None
+    i = 0
+    while 2**i <= work:
+        term = series_mul(
+            q_total_on_zeta(i, work).shift(2**i, 0),
+            LaurentSeries.exact(
+                {(0, 0): F2Poly.one(), (2**i, -(2**i)): F2Poly.one()}
+            ),
+        )
+        rhs = term if rhs is None else rhs + term
+        i += 1
+    return rhs
+
+
+def _augmentation_collapse(series: LaurentSeries, box: Window, detail: str) -> dict:
+    """Under z_i -> 0 both sides of identity (1) collapse to s + s^2 t^-1."""
+    expected = LaurentSeries.exact({(1, 0): F2Poly.one(), (2, -1): F2Poly.one()})
+    return _check(
+        "augmentation collapse to s + s^2 t^-1",
+        detail,
+        series.map_coeffs(F2Poly.augment),
+        expected.restricted(box),
+    )
+
+
+def verify_bisson_joyal_identity1(max_total: int) -> list:
+    """z(s) + z(s)^2 z(t)^{-1} = sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})
+    on the guaranteed window, plus its augmentation collapse to s + s^2 t^{-1}."""
+    d = max_total
+    work = 2 * d + 4
+    zs = zeta_series(work, var="s")
+    lhs = zs + series_mul(zs.square(), zeta_inverse(work))
+    box = Window(1, -d, d)
+    lhs_r = lhs.restricted(box)
+    detail = f"degree bound {d}"
+    return [
+        _check("bisson-joyal identity (1)", detail, lhs_r,
+               _identity1_rhs(work).restricted(box)),
+        _augmentation_collapse(lhs_r, box, detail),
+    ]
+
+
+def verify_nishida_conjugate_form(max_total: int) -> list:
+    """The conjugate (Nishida) form of the total-operation identity for
+    x = s: Q(zbar(t)) applied to psi_R(s) = z(s) must equal
+    sum_i psi_R(Q^i s) t^i = z(s) + z(s)^2 t^{-1}, since z(zbar(t)) = t."""
+    d = max_total
+    work = 2 * d + 4
+    zbar = series_reversion(zeta_series(work))
+    box = Window(1, -d, d)
+    tbox = Window(0, -(d + 1), work)
+
+    # right side: Q(t) z(s) (which is identity (1)) with t -> zbar(t),
+    # substituted stratum by stratum in s
+    rhs = series_compose(_identity1_rhs(work), zbar, var="t", window=tbox)
+
+    # left side: Q^0 s = s and Q^{-1} s = s^2 are the only operations on s
+    zs = zeta_series(work, var="s")
+    lhs = zs + zs.square().shift(0, -1)
+
+    rhs_r = rhs.restricted(box)
+    z_of_zbar = series_compose(zeta_series(work), zbar, var="t", window=tbox)
+    detail = f"degree bound {d}"
+    return [
+        _check("z(zbar(t)) = t", detail, z_of_zbar,
+               LaurentSeries.monomial(0, 1).restricted(tbox)),
+        _check("nishida conjugate form (x = s)", detail, lhs.restricted(box), rhs_r),
+        _augmentation_collapse(rhs_r, box, detail),
+    ]
+
+
+# -- acceptance suites ----------------------------------------------------
 
 
 def check_adem_soundness(bound: int = 20) -> dict:
@@ -48,7 +218,7 @@ def check_adem_soundness(bound: int = 20) -> dict:
             count += 1
             if not reduce_to_admissible(rel).is_zero():
                 failures.append((n, str(rel)))
-    return _suite(
+    return _record(
         "adem-soundness",
         failures,
         f"{count} relations over degrees 0..3, i+j <= {bound}",
@@ -81,7 +251,7 @@ def check_adem_completeness(bound: int = 16) -> dict:
         missing = expected_pairs - set(solved)
         if missing:
             failures.append((n, "missing", sorted(missing)[:5]))
-    return _suite(
+    return _record(
         "adem-completeness",
         failures,
         f"{count} non-admissible pairs re-derived by elimination, i+j <= {bound}",
@@ -115,40 +285,32 @@ def check_residue_replay(bound: int = 16) -> dict:
                 )
                 if not got.agrees_with(want):
                     failures.append((i, j, l))
-    return _suite(
+    return _record(
         "residue-replay", failures, f"{count} (i, j, l) triples with i+j <= {bound}"
     )
 
 
 def check_bisson_joyal(degree_bound: int = 16) -> dict:
-    rep = steenrod.verify_bisson_joyal_identity1(degree_bound)
-    failures = [c["identity"] for c in rep["checks"] if not c["ok"]]
-    return _suite(
+    return _fold(
         "bisson-joyal-identity",
-        failures,
-        f"{len(rep['checks'])} checks at degree bound {degree_bound}",
+        verify_bisson_joyal_identity1(degree_bound),
+        f"at degree bound {degree_bound}",
     )
 
 
 def check_nishida(degree_bound: int = 16) -> dict:
-    rep = steenrod.verify_nishida_conjugate_form(degree_bound)
-    failures = [c["identity"] for c in rep["checks"] if not c["ok"]]
-    return _suite(
+    return _fold(
         "nishida-conjugate-form",
-        failures,
-        f"{len(rep['checks'])} checks at degree bound {degree_bound}",
+        verify_nishida_conjugate_form(degree_bound),
+        f"at degree bound {degree_bound}",
     )
 
 
 def check_steinberger() -> dict:
-    rep1 = steenrod.verify_steinberger_conjugate(5)
-    rep2 = steenrod.verify_steinberger_successor(4)
-    checks = rep1["checks"] + rep2["checks"]
-    failures = [c["identity"] for c in checks if not c["ok"]]
-    return _suite(
+    return _fold(
         "steinberger-identities",
-        failures,
-        f"{len(checks)} checks (conjugates through index 5, successors through 4)",
+        verify_steinberger_conjugate(5) + verify_steinberger_successor(4),
+        "(conjugates through index 5, successors through 4)",
     )
 
 
@@ -170,7 +332,7 @@ def check_binomial_oracle() -> dict:
             bit = 0 if inv.coefficient(0, k).is_zero() else 1
             if bit != binom_mod2(top, k):
                 failures.append((top, k))
-    return _suite(
+    return _record(
         "binomial-oracle", failures, f"{count} binomial parities cross-checked"
     )
 
@@ -215,7 +377,7 @@ def check_series_kernel(instances: int = 500, seed: int = 2026) -> dict:
         back = series_compose(a, b, var="t", window=Window(0, 0, 9))
         if not back.agrees_with(ident):
             failures.append(("reversion", trial))
-    return _suite(
+    return _record(
         "series-kernel", failures, f"{instances} randomized round-trip instances"
     )
 
@@ -245,7 +407,7 @@ def check_property_laws(seed: int = 7, samples: int = 24) -> dict:
     count = 0
     # instability: Q^i z_n = 0 for 0 < i < 2^n - 1
     for n in range(1, 6):
-        total = steenrod.q_total_on_zeta(n, 2**n + 2)
+        total = q_total_on_zeta(n, 2**n + 2)
         for i in range(1, 2**n - 1):
             count += 1
             w = total.window
@@ -261,34 +423,21 @@ def check_property_laws(seed: int = 7, samples: int = 24) -> dict:
         m = _random_milnor_monomial(rng)
         d = _poly_degree(m)
         count += 1
-        if steenrod.q_op(d, m, 2 * d + 2) != m.square():
+        if q_op(d, m, 2 * d + 2) != m.square():
             failures.append(("square", trial, str(m)))
     # Cartan: Q^n(ab) = sum_i Q^i(a) Q^{n-i}(b)
     for trial in range(samples):
         a = _random_milnor_monomial(rng, 8)
         b = _random_milnor_monomial(rng, 8)
         n = rng.randint(0, _poly_degree(a * b) + 2)
-        lhs = steenrod.q_op(n, a * b, n + 1)
+        lhs = q_op(n, a * b, n + 1)
         rhs = F2Poly.zero()
         for i in range(0, n + 1):
-            rhs = rhs + steenrod.q_op(i, a, n + 1) * steenrod.q_op(n - i, b, n + 1)
+            rhs = rhs + q_op(i, a, n + 1) * q_op(n - i, b, n + 1)
         count += 1
         if lhs != rhs:
             failures.append(("cartan", trial, str(a), str(b), n))
-    return _suite("property-laws", failures, f"{count} identities checked")
-
-
-ALL_SUITES = (
-    check_adem_soundness,
-    check_adem_completeness,
-    check_residue_replay,
-    check_bisson_joyal,
-    check_nishida,
-    check_steinberger,
-    check_binomial_oracle,
-    check_series_kernel,
-    check_property_laws,
-)
+    return _record("property-laws", failures, f"{count} identities checked")
 
 
 def run_all(degree_bound: int = 16) -> list:

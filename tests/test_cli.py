@@ -5,6 +5,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
+from dlash import verify
 from dlash.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -39,7 +40,7 @@ def test_adem_admissible_pair(runner):
 def test_adem_json(runner):
     r = invoke(runner, "--json", "adem", "6", "2")
     payload = json.loads(r.output)
-    assert payload["schema"] == 1
+    assert payload["schema"] == 2
     assert payload["rhs"] == [[5, 3]]
 
 
@@ -141,6 +142,14 @@ def test_zeta_action_golden(runner, n):
     assert r.output == golden
 
 
+def test_zeta_action_past_instability_line_is_fast(runner):
+    start = time.perf_counter()
+    r = invoke(runner, "zeta-action", "40")
+    assert time.perf_counter() - start < 5
+    assert r.exit_code == 0
+    assert r.output.splitlines()[-1] == "0"
+
+
 def test_conjugate(runner):
     r = invoke(runner, "conjugate", "2")
     assert "zbar2 = z1^3 + z2" in r.output
@@ -165,3 +174,45 @@ def test_verify_all_small_bound(runner):
     r = invoke(runner, "--degree-bound", "8", "verify-all")
     assert r.exit_code == 0
     assert "all suites passed" in r.output
+
+
+RECORD_KEYS = {"name", "passed", "detail", "first_mismatch"}
+
+
+def _planted_failure(max_total):
+    return [
+        {
+            "name": "planted failure",
+            "passed": False,
+            "detail": f"degree bound {max_total}",
+            "first_mismatch": (1, 2),
+        }
+    ]
+
+
+def test_failed_report_exits_1(runner, monkeypatch):
+    monkeypatch.setattr(verify, "verify_nishida_conjugate_form", _planted_failure)
+    r = invoke(runner, "--degree-bound", "8", "nishida")
+    assert r.exit_code == 1
+    lines = r.stdout.splitlines()
+    assert "FAIL  planted failure" in lines
+    assert lines[-1] == "FAILED"
+    r = invoke(runner, "--json", "--degree-bound", "8", "nishida")
+    assert r.exit_code == 1
+    report = json.loads(r.stdout)["report"]
+    assert report["passed"] is False
+    assert report["checks"][0]["first_mismatch"] == [1, 2]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [["--degree-bound", "8", "nishida"], ["steinberger", "3"], ["--degree-bound", "8", "verify-all"]],
+)
+def test_json_records_have_the_record_keys(runner, args):
+    r = invoke(runner, "--json", *args)
+    assert r.exit_code == 0
+    payload = json.loads(r.stdout)
+    records = payload["suites"] if "suites" in payload else payload["report"]["checks"]
+    assert records
+    for record in records:
+        assert set(record) == RECORD_KEYS

@@ -1,18 +1,21 @@
 import pytest
 
+from dlash import steenrod, verify
 from dlash.f2 import F2Poly, factors
-from dlash.laurent import series_mul
+from dlash.laurent import LaurentSeries, series_mul
 from dlash.steenrod import (
     WindowTooSmallError,
     conjugate_zeta,
     q_op,
     q_total_on_zeta,
+    zeta_inverse,
+    zeta_series,
+)
+from dlash.verify import (
     verify_bisson_joyal_identity1,
     verify_nishida_conjugate_form,
     verify_steinberger_conjugate,
     verify_steinberger_successor,
-    zeta_inverse,
-    zeta_series,
 )
 
 
@@ -79,6 +82,19 @@ def test_q_total_on_z1_head():
     assert total.coefficient(0, 2) == F2Poly.zeta(1, 3) + F2Poly.zeta(2)
 
 
+def test_q_total_below_instability_line_matches_closed_form():
+    """For 2^n - 1 > max_total the answer is known without the closed form;
+    it must equal the closed form, window and honesty flags included.
+    Every n <= 5, and the ends of the range for n = 6, 7."""
+    cases = [(n, m) for n in range(1, 6) for m in range(0, 2**n - 1)]
+    cases += [(6, 0), (6, 61), (7, 0), (7, 125)]
+    for n, m in cases:
+        fast = q_total_on_zeta(n, m)
+        full = steenrod._q_total_closed_form(n, m)
+        assert fast == full, (n, m)
+        assert (fast.honest_s, fast.honest_t) == (full.honest_s, full.honest_t), (n, m)
+
+
 def test_q_op_squaring():
     # Q^{deg a}(a) = a^2
     z2 = F2Poly.zeta(2)
@@ -117,24 +133,38 @@ def test_cartan_on_a_product():
 
 
 def test_steinberger_conjugate_report():
-    rep = verify_steinberger_conjugate(5)
-    assert rep["passed"]
-    assert len(rep["checks"]) == 4
+    records = verify_steinberger_conjugate(5)
+    assert all(r["passed"] for r in records)
+    assert len(records) == 4
 
 
 def test_steinberger_successor_report():
-    rep = verify_steinberger_successor(4)
-    assert rep["passed"]
+    records = verify_steinberger_successor(4)
+    assert all(r["passed"] for r in records)
 
 
 def test_bisson_joyal_report():
-    rep = verify_bisson_joyal_identity1(12)
-    assert rep["passed"]
+    records = verify_bisson_joyal_identity1(12)
+    assert all(r["passed"] for r in records)
 
 
 def test_nishida_report():
-    rep = verify_nishida_conjugate_form(10)
-    assert rep["passed"]
+    records = verify_nishida_conjugate_form(10)
+    assert all(r["passed"] for r in records)
+
+
+def test_nishida_report_locates_first_mismatch(monkeypatch):
+    # a zbar(t) off by t^3 makes z(zbar(t)) = t fail first at t^3
+    reversion = verify.series_reversion
+    monkeypatch.setattr(
+        verify,
+        "series_reversion",
+        lambda a: reversion(a) + LaurentSeries.monomial(0, 3),
+    )
+    record = verify_nishida_conjugate_form(6)[0]
+    assert record["name"] == "z(zbar(t)) = t"
+    assert record["passed"] is False
+    assert record["first_mismatch"] == (0, 3)
 
 
 def test_conjugate_window_too_small():
