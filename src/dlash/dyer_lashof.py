@@ -319,16 +319,3 @@ def derive_relations_by_elimination(x: GradedClass, degree_bound: int) -> dict:
             )
             solved[p] = rest
     return solved
-
-
-def cartan_expand(n: int, x: GradedClass, y: GradedClass) -> frozenset:
-    """Terms of Q^n(x (x) y) = sum over i+j=n of Q^i x (x) Q^j y.
-
-    Returns pairs of formal monomials; summands killed by instability are
-    dropped, but squaring is left formal (classes here generate a free
-    module, so collapsing Q^{|x|}x to x^2 would lose relations).
-    """
-    return frozenset(
-        (DLMonomial((i,), x), DLMonomial((n - i,), y))
-        for i in range(x.degree, n - y.degree + 1)
-    )

@@ -8,7 +8,6 @@ coefficient ring for everything else in the package.
 
 from __future__ import annotations
 
-from functools import reduce
 from math import comb, factorial
 from operator import add
 from typing import Iterable
@@ -145,9 +144,6 @@ class F2Poly:
             parts.setdefault(monomial_degree(m), set()).add(m)
         return {d: F2Poly(ms) for d, ms in sorted(parts.items())}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degree_parts()) <= 1
-
     def augment(self) -> "F2Poly":
         """The constant term: every z_i goes to 0."""
         return _ONE if () in self.monomials else _ZERO
@@ -176,7 +172,3 @@ class F2Poly:
 
 _ZERO = F2Poly()
 _ONE = F2Poly([()])
-
-
-def poly_sum(polys: Iterable[F2Poly]) -> F2Poly:
-    return reduce(lambda a, b: a + b, polys, _ZERO)

@@ -19,6 +19,8 @@ max_total = None means the series is exact (known in full).
 Every product goes through one kernel: _product multiplies two coefficient
 maps at the exponents that pass a keep(e_s, e_t) test, and _add_into is the
 one add-and-cancel step, also used by series_add and series_reversion.
+_known builds the derived windows of sums, inverses, restrictions and
+composites, and keeps an honest axis' zeros when nothing else is left.
 """
 
 from __future__ import annotations
@@ -179,9 +181,6 @@ class LaurentSeries:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def support(self):
-        return self.coeffs.keys()
-
     def certified_min_total(self):
         """A lower bound for the total degree of the true series.
 
@@ -212,13 +211,6 @@ class LaurentSeries:
         other = 1 if var == "s" else 0
         return all(e[other] == 0 for e in self.coeffs)
 
-    def univariate_coeffs(self, var: str) -> dict:
-        """Exponent -> coefficient map for a series supported in one variable."""
-        if not self.is_univariate(var):
-            raise ValueError(f"series is not univariate in {var}")
-        idx = 0 if var == "s" else 1
-        return {e[idx]: p for e, p in self.coeffs.items()}
-
     # -- arithmetic -----------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -226,13 +218,6 @@ class LaurentSeries:
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_mul(self, other)
-
-    def scale(self, poly: F2Poly) -> "LaurentSeries":
-        return LaurentSeries(
-            self.window,
-            {e: p * poly for e, p in self.coeffs.items()},
-            **self._flags(),
-        )
 
     def shift(self, ds: int, dt: int, poly: F2Poly | None = None) -> "LaurentSeries":
         """Multiply by an exact monomial poly * s^ds t^dt."""
@@ -253,13 +238,16 @@ class LaurentSeries:
 
     def restricted(self, window: Window) -> "LaurentSeries":
         """Forget knowledge outside the given window."""
-        w = self.window.intersect(window)
         # an honest axis keeps its quadrant bound: coefficients between
         # the bounds are known zero, so only max_total truly restricts
-        min_s = min(w.min_s, self.window.min_s) if self.honest_s else w.min_s
-        min_t = min(w.min_t, self.window.min_t) if self.honest_t else w.min_t
-        w = Window(min_s, min_t, w.max_total)
-        return LaurentSeries.truncated(self.coeffs, w, **self._flags())
+        w = self.window
+        return _known(
+            self.coeffs,
+            w.min_s if self.honest_s else max(w.min_s, window.min_s),
+            w.min_t if self.honest_t else max(w.min_t, window.min_t),
+            _min_total(w.max_total, window.max_total),
+            **self._flags(),
+        )
 
     def map_coeffs(self, fn) -> "LaurentSeries":
         return LaurentSeries(
@@ -322,6 +310,26 @@ class LaurentSeries:
         ]
 
 
+def _known(
+    coeffs: dict, min_s: int, min_t: int, max_total: int | None,
+    honest_s: bool = True, honest_t: bool = True,
+) -> LaurentSeries:
+    """The series known to be coeffs on the window [min_s, min_t, max_total].
+
+    When that window is empty but an axis is honest, the axis is lowered
+    until the window holds one position: every coefficient below an
+    honest axis is a known zero, so this claims nothing new.
+    """
+    if max_total is not None and min_s + min_t > max_total:
+        if honest_s:
+            min_s = max_total - min_t
+        elif honest_t:
+            min_t = max_total - min_s
+    return LaurentSeries.truncated(
+        coeffs, Window(min_s, min_t, max_total), honest_s=honest_s, honest_t=honest_t
+    )
+
+
 def _add_into(acc: dict, e, p: F2Poly) -> None:
     """acc[e] += p, dropping the entry when it cancels."""
     q = acc.get(e)
@@ -357,8 +365,8 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         min_t, ht = min(a.window.min_t, b.window.min_t), True
     else:
         min_t, ht = max(a.window.min_t, b.window.min_t), False
-    w = Window(min_s, min_t, _min_total(a.window.max_total, b.window.max_total))
-    return LaurentSeries.truncated(coeffs, w, honest_s=hs, honest_t=ht)
+    max_total = _min_total(a.window.max_total, b.window.max_total)
+    return _known(coeffs, min_s, min_t, max_total, honest_s=hs, honest_t=ht)
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -482,23 +490,61 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
         if steps > 100000:
             raise LaurentError("inverse iteration failed to terminate")
         term = _product(term, r.coeffs, keep)
-        if not term:
-            break
         for e, p in term.items():
             _add_into(acc, e, p)
         if r_max is not None:
-            # the k-th power of r is exact out to r_max + (k-1)*min(mt_r, 0)
+            # the k-th power of r is exact out to r_max + (k-1)*min(mt_r, 0),
+            # also when none of it is left to keep
             t_max = r_max + (steps - 1) * min(mt_r, 0)
             term_max_acc = _min_total(term_max_acc, t_max)
 
     for es, et in acc:
         lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
-    c_window = Window(box.min_s, box.min_t, _min_total(box.max_total, term_max_acc))
-    c = LaurentSeries.truncated(
-        acc, c_window, honest_s=not lost_s, honest_t=not lost_t
+    c = _known(
+        acc, box.min_s, box.min_t, _min_total(box.max_total, term_max_acc),
+        honest_s=not lost_s, honest_t=not lost_t,
     )
     return c.shift(-lead[0], -lead[1]).restricted(window)
+
+
+def _cap_unknown_tail(
+    result: LaurentSeries, a: LaurentSeries, u: LaurentSeries, var: str
+) -> LaurentSeries:
+    """Cut the composite down to where a's unknown tail cannot reach.
+
+    A tail term other^k var^i of a has k + i > M = a's max_total and
+    i >= v_min, a's least exponent of var, and adds other^k u^i.  As
+    val(u) >= 1, an i >= 0 lands at totals > M.  An i < 0 only occurs for
+    v_min < 0; there u^i = lead^i (1 + r)^i, with lead = s^ls t^lt of total
+    L the leading term of u, and every term of r has total >= delta =
+    min(0, val(u) - L) and e_s >= 0.
+      - delta = 0: the tail lands at totals > M + v_min (L - 1).
+      - delta < 0: a term of r with negative total has e_s >= 1, so a
+        product of terms of r with e_s summing to E has total >= delta E,
+        and its e_t is unbounded below: the composite loses honesty in t,
+        and every e_s it then claims is at most cap - min_t.  Bounding E
+        by that, the tail lands above cap once cap (1 - delta) < n - delta
+        min_t, with n as below (k >= M + 1 - i, at the worst i = v_min).
+    """
+    w = result.window
+    m = a.window.max_total
+    v_min = a.window.min_s if var == "s" else a.window.min_t
+    cap, honest_t = m, result.honest_t
+    if v_min < 0 and u.coeffs:
+        ls, lt = _lex_lead(u)
+        L = ls + lt
+        delta = min(0, u.certified_min_total() - L)
+        if var == "t":
+            n = (m + 1) * (1 - delta) + v_min * (L - 1 + delta * (1 - ls))
+        else:
+            n = m + 1 + v_min * (L - 1 - delta * ls)
+        cap = min(m, (n - delta * w.min_t - 1) // (1 - delta))
+        honest_t = honest_t and delta == 0
+    return _known(
+        result.coeffs, w.min_s, w.min_t, _min_total(w.max_total, cap),
+        honest_s=result.honest_s, honest_t=honest_t,
+    )
 
 
 def series_compose(
@@ -511,8 +557,10 @@ def series_compose(
 
     u must be quadrant honest with certified total valuation >= 1, so
     that its powers eventually leave every window and all per-bidegree
-    sums are finite.  A bivariate a is handled stratum by stratum in the
-    untouched variable.
+    sums are finite.  Row i of a, its coefficients at var^i, is an exact
+    polynomial in the other variable: the result sums u^i times row i,
+    with each power of u formed once, and is then cut to what a's unknown
+    tail cannot reach and to the window.
     """
     if not u.honest:
         raise NonComposableError("substituted series must be quadrant honest")
@@ -522,68 +570,15 @@ def series_compose(
             f"substituted series has total valuation {mt_u} < 1; "
             "powers would not be summable"
         )
-    if not a.is_univariate(var):
-        if not a.honest:
-            raise NonComposableError(
-                "bivariate composition needs a quadrant-honest left series"
-            )
-        other = "t" if var == "s" else "s"
-        oidx = 0 if other == "s" else 1
-        vidx = 1 - oidx
-        strata: dict = {}
-        for e, p in a.coeffs.items():
-            strata.setdefault(e[oidx], {})[e[vidx]] = p
-        result = None
-        for oe in sorted(strata):
-            s_max = _add_total(a.window.max_total, -oe)
-            v_min = a.window.min_s if var == "s" else a.window.min_t
-            if s_max is not None and v_min > s_max:
-                continue  # no guaranteed coefficients in this stratum
-            w = Window(
-                v_min if var == "s" else 0,
-                v_min if var == "t" else 0,
-                s_max,
-            )
-            stratum = LaurentSeries(
-                w,
-                {
-                    ((ve, 0) if var == "s" else (0, ve)): p
-                    for ve, p in strata[oe].items()
-                },
-                honest_s=a.honest_s if var == "s" else True,
-                honest_t=a.honest_t if var == "t" else True,
-            )
-            part = series_compose(stratum, u, var=var, window=window)
-            part = part.shift(*((oe, 0) if other == "s" else (0, oe)))
-            result = part if result is None else series_add(result, part)
-        if result is None:
-            result = LaurentSeries.zero() if window is None else LaurentSeries.truncated({}, window)
-        # unknown strata and stratum tails: with val(u) >= 1 and lead total
-        # L, everything unknown lands above a.max + min(0, v_min*(L-1))
-        if a.window.max_total is not None:
-            lead_total = 0
-            if u.coeffs:
-                le = _lex_lead(u)
-                lead_total = le[0] + le[1]
-            v_min = a.window.min_s if var == "s" else a.window.min_t
-            cap = a.window.max_total + min(0, v_min * (lead_total - 1))
-            w = Window(
-                result.window.min_s,
-                result.window.min_t,
-                _min_total(result.window.max_total, cap),
-            )
-            result = LaurentSeries.truncated(result.coeffs, w, **result._flags())
-        if window is not None:
-            result = result.restricted(window)
-        return result
-
-    exps = a.univariate_coeffs(var)
-    if not exps:
-        if a.window.max_total is None:
-            return LaurentSeries.zero()
-        base = LaurentSeries.truncated({}, Window(0, 0, a.window.max_total * max(mt_u or 1, 1)))
-        return base if window is None else base.restricted(window)
-    if window is None and min(exps) < 0:
+    if not (a.honest or a.is_univariate(var)):
+        raise NonComposableError(
+            "bivariate composition needs a quadrant-honest left series"
+        )
+    vidx = 0 if var == "s" else 1
+    rows: dict = {}
+    for e, p in a.coeffs.items():
+        rows.setdefault(e[vidx], {})[(0, e[1]) if var == "s" else (e[0], 0)] = p
+    if window is None and min(rows, default=0) < 0:
         if u.window.max_total is None:
             raise NonComposableError(
                 "negative exponents with an exact substituted series need "
@@ -591,33 +586,32 @@ def series_compose(
             )
         window = u.window
 
+    ls = _lex_lead(u)[0] if u.coeffs else 0
     pows: dict = {0: LaurentSeries.one()}
 
     def power(i: int) -> LaurentSeries:
         if i in pows:
             return pows[i]
-        p = series_mul(power(i - 1), u) if i > 0 else series_pow(u, i, window)
+        if i > 0:
+            p = series_mul(power(i - 1), u)
+        else:
+            # u^i has no e_s below i * ls; formed from there, it stays
+            # honest in s
+            reach = Window(min(window.min_s, i * ls), window.min_t, window.max_total)
+            p = series_pow(u, i, reach)
         if window is not None and p.honest:
             p = p.restricted(window)
         pows[i] = p
         return p
 
     result = None
-    for i in sorted(exps):
-        term = power(i).scale(exps[i])
+    for i in sorted(rows):
+        term = series_mul(power(i), LaurentSeries.exact(rows[i]))
         result = term if result is None else series_add(result, term)
-
-    # the unknown tail of a (exponents above its max_total) contributes
-    # only at totals >= (max+1) * val(u)
-    a_max = a.window.max_total
-    if a_max is not None:
-        cap = (a_max + 1) * (mt_u if mt_u is not None else 1) - 1
-        w = Window(
-            result.window.min_s,
-            result.window.min_t,
-            _min_total(result.window.max_total, cap),
-        )
-        result = LaurentSeries.truncated(result.coeffs, w, **result._flags())
+    if result is None:  # no coefficient of a is known
+        result = LaurentSeries.zero()
+    if a.window.max_total is not None:
+        result = _cap_unknown_tail(result, a, u, var)
     if window is not None:
         result = result.restricted(window)
     return result
@@ -635,7 +629,7 @@ def series_reversion(
     """
     if not a.is_univariate(var):
         raise BadValuationError(f"series is not univariate in {var}")
-    coeffs = a.univariate_coeffs(var)
+    coeffs = {e[0 if var == "s" else 1]: p for e, p in a.coeffs.items()}
     if min(coeffs, default=0) < 1 or coeffs.get(1) != F2Poly.one():
         raise BadValuationError(
             "reversion needs a = v + higher terms with leading coefficient 1"

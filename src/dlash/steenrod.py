@@ -18,6 +18,7 @@ from .f2 import F2Poly, factors
 from .laurent import (
     LaurentSeries,
     Window,
+    WindowMissError,
     series_inverse,
     series_mul,
     series_pow,
@@ -157,15 +158,10 @@ def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
     if max_total is None:
         max_total = max(i, 0) + 1
     total = q_total_on_element(a, max_total)
-    w = total.window
-    if not w.contains(0, i):
-        below_axis = (total.honest_t and i < w.min_t) or (
-            total.honest_s and 0 < w.min_s
-        )
-        if below_axis and (w.max_total is None or i <= w.max_total):
-            return F2Poly.zero()
+    try:
+        return total.coefficient(0, i)
+    except WindowMissError:
         raise WindowTooSmallError(
-            f"t^{i} outside the guaranteed window {w.describe()}"
-        )
-    return total.coefficient(0, i)
+            f"t^{i} outside the guaranteed window {total.window.describe()}"
+        ) from None
 

@@ -265,18 +265,19 @@ def check_residue_replay(bound: int = 16) -> dict:
     count = 0
     box = Window(-2 * bound - 4, -2 * bound - 4, 2 * bound + 4)
     t_plus_s = LaurentSeries.exact({(1, 0): F2Poly.one(), (0, 1): F2Poly.one()})
+    cores: dict = {}  # (t + s)^k depends on k = l - j - 1 alone
     for i in range(0, bound + 1):
         for j in range(0, bound + 1 - i):
             for l in range((i + 1) // 2, i + j + 1):
                 count += 1
                 k = l - j - 1
-                if k >= 0:
-                    core = series_pow(t_plus_s, k)
-                else:
-                    core = series_inverse(
-                        series_pow(t_plus_s, -k), window=box
+                if k not in cores:
+                    cores[k] = (
+                        series_pow(t_plus_s, k)
+                        if k >= 0
+                        else series_inverse(series_pow(t_plus_s, -k), window=box)
                     )
-                expr = core.shift(i - 2 * l - 1, l + j + 1)
+                expr = cores[k].shift(i - 2 * l - 1, l + j + 1)
                 got = residue(expr, "s")
                 want = (
                     LaurentSeries.monomial(0, i)

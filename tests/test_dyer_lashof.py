@@ -10,7 +10,6 @@ from dlash.dyer_lashof import (
     GradedClass,
     RewriteLimitError,
     adem_relation,
-    cartan_expand,
     derive_relations_by_elimination,
     reduce_to_admissible,
     symmetry_extract_relations,
@@ -125,15 +124,6 @@ def test_elimination_matches_adem():
                 if b >= n and a >= n + b
             )
             assert rhs == expected
-
-
-def test_cartan_expansion_range():
-    x = GradedClass("x", 1)
-    y = GradedClass("y", 2)
-    pairs = cartan_expand(5, x, y)
-    for qa, qb in pairs:
-        assert qa.word[0] + qb.word[0] == 5
-        assert qa.word[0] >= 1 and qb.word[0] >= 2
 
 
 def test_str_round_shapes():

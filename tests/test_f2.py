@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2, poly_sum
+from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2
 from dlash.steenrod import conjugate_zeta
 
 
@@ -89,7 +89,6 @@ class TestF2Poly:
         # deg zeta_i = 2^i - 1
         m = F2Poly.zeta(1, 2) * F2Poly.zeta(3)
         assert m.degree_parts() == {9: m}
-        assert m.is_homogeneous()
 
     @given(zeta_monomials, zeta_monomials)
     def test_degree_of_product_is_sum(self, a, b):
@@ -110,10 +109,6 @@ class TestF2Poly:
     def test_augmentation(self):
         assert (F2Poly.one() + F2Poly.zeta(1)).augment() == F2Poly.one()
         assert F2Poly.zeta(2).augment().is_zero()
-
-    def test_poly_sum(self):
-        z1 = F2Poly.zeta(1)
-        assert poly_sum([z1, z1, z1]) == z1
 
     def test_hashable(self):
         s = {F2Poly.zeta(1), F2Poly.zeta(1), F2Poly.zero()}

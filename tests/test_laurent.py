@@ -20,6 +20,8 @@ from dlash.laurent import (
     series_pow,
     series_reversion,
 )
+from dlash.steenrod import zeta_series
+from dlash.verify import _identity1_rhs
 
 ONE = F2Poly.one()
 
@@ -186,6 +188,23 @@ def test_truncated_add_window_honesty():
     assert c.coefficient(0, -5) == ONE
 
 
+def test_restricted_past_an_honest_axis_keeps_its_zeros():
+    # s^3 is known up to total 4 and vanishes below e_s = 3; cut to total
+    # 2, nothing of its window is left, but its zeros below the axis are
+    s = exact((3, 0)).restricted(Window(3, 0, 4))
+    r = s.restricted(Window(0, 0, 2))
+    assert r.window.max_total == 2 and r.honest
+    assert r.coefficient(1, 0).is_zero()
+
+
+def test_inverse_of_truncated_unit_stops_at_its_window():
+    # 1 + O(t^3): its inverse is 1 up to t^2, and unknown from t^3 on
+    u = exact((0, 0)).restricted(Window(0, 0, 2))
+    inv = series_inverse(u, window=Window(0, 0, 10))
+    assert inv.window == Window(0, 0, 2)
+    assert inv.coefficient(0, 0) == ONE
+
+
 def _random_series(rng, negative=False):
     terms = {}
     for _ in range(rng.randint(1, 6)):
@@ -235,3 +254,106 @@ def test_compose_bivariate_substitution():
     u = exact((0, 2))
     out = series_compose(a, u, var="s", window=Window(0, 0, 8))
     assert out.agrees_with(exact((0, 2), (0, 3)))
+
+
+COMPOSE_COEFFS = [ONE, F2Poly.zeta(1), F2Poly.zeta(1) + F2Poly.zeta(2)]
+
+
+@st.composite
+def _truncated_series(draw):
+    """A series in s and t known on a random window, honest in both axes."""
+    min_s, min_t = draw(st.integers(-2, 1)), draw(st.integers(-2, 1))
+    max_total = draw(st.integers(min_s + min_t, 5))
+    inside = [
+        (es, et)
+        for es in range(min_s, max_total - min_t + 1)
+        for et in range(min_t, max_total - es + 1)
+    ]
+    terms = draw(st.dictionaries(st.sampled_from(inside), st.sampled_from(COMPOSE_COEFFS), max_size=5))
+    return LaurentSeries.truncated(terms, Window(min_s, min_t, max_total))
+
+
+@st.composite
+def _substitutable_series(draw):
+    """An exact series of total valuation >= 1 whose leading term (least
+    e_s, then least e_t) has total 1 or 2 and coefficient 1."""
+    lead = draw(st.sampled_from([(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]))
+    later = [
+        (es, et)
+        for es in range(lead[0], lead[0] + 3)
+        for et in range(-2, 4)
+        if es + et >= 1 and (es, et) > lead
+    ]
+    terms = draw(st.dictionaries(st.sampled_from(later), st.sampled_from(COMPOSE_COEFFS), max_size=3))
+    return LaurentSeries.exact({lead: ONE, **terms})
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.data(), _truncated_series(), _substitutable_series(), st.sampled_from("st"))
+def test_compose_window_sound_by_completion(data, a, u, var):
+    """Every coefficient a composite claims, inside its window or below an
+    honest axis, survives a completion of a: terms added above a's
+    max_total change nothing it knows."""
+    min_s, min_t = data.draw(st.integers(-3, 0)), data.draw(st.integers(-4, 0))
+    window = Window(min_s, min_t, data.draw(st.integers(max(min_s + min_t, 0), 6)))
+    got = series_compose(a, u, var=var, window=window)
+
+    w = a.window
+    tail = [
+        (es, total - es)
+        for total in range(w.max_total + 1, w.max_total + 9)
+        for es in range(w.min_s, total - w.min_t + 1)
+    ]
+    extra = data.draw(st.dictionaries(st.sampled_from(tail), st.sampled_from(COMPOSE_COEFFS), min_size=1, max_size=4))
+    full = series_compose(
+        LaurentSeries.exact({**a.coeffs, **extra}), u, var=var,
+        window=Window(-6, -8, window.max_total + 2),
+    )
+    for es in range(-5, 9):
+        for et in range(-7, 9):
+            try:
+                claimed, true = got.coefficient(es, et), full.coefficient(es, et)
+            except WindowMissError:
+                continue
+            assert claimed == true, (es, et)
+
+
+@pytest.mark.parametrize(
+    "known, a_window, u, window, tail, pos",
+    [
+        # a = t + O(total 3) is univariate, but its tail may hold s^3,
+        # which t -> t^2 leaves at total 3
+        ({(0, 1): ONE}, Window(0, 0, 2), exact((0, 2)), Window(0, 0, 8), (3, 0), (3, 0)),
+        # u = t^2 + s leads with t^2, so u^-1 = t^-2 (1 + s t^-2)^-1 has
+        # terms of ever lower total: s^4 t^-1 lands at s^6 t^-6, of total 0,
+        # below the t-axis of a composite that knows only its zeros ...
+        ({}, Window(0, -1, 2), exact((0, 2), (1, 0)), Window(0, -8, 6), (4, -1), (6, -6)),
+        # ... and inside the window of one that knows t^-1 down to e_t = -8
+        ({(0, -1): ONE}, Window(0, -1, 2), exact((0, 2), (1, 0)), Window(0, -8, 6), (4, -1), (6, -6)),
+    ],
+)
+def test_compose_leaves_the_unknown_tail_unclaimed(known, a_window, u, window, tail, pos):
+    """A term of a above its max_total reaches pos; the composite of a
+    must not claim that coefficient, in its window or below an axis."""
+    got = series_compose(LaurentSeries.truncated(known, a_window), u, var="t", window=window)
+    assert series_compose(exact(tail), u, var="t", window=window).coefficient(*pos) == ONE
+    with pytest.raises(WindowMissError):
+        got.coefficient(*pos)
+
+
+@pytest.mark.parametrize(
+    "d, want",
+    [
+        (4, "LaurentSeries(s + s^2 t^-1 + z1 s^2 + z1^2 s^4 t^-1 + z2 s^4 + z2^2 s^8 t^-1"
+            " + z3 s^8 @ [e_s>=1, e_t>=-5, e_s+e_t<=12])"),
+        (8, "LaurentSeries(s + s^2 t^-1 + z1 s^2 + z1^2 s^4 t^-1 + z2 s^4 + z2^2 s^8 t^-1"
+            " + z3 s^8 + z3^2 s^16 t^-1 + z4 s^16 @ [e_s>=1, e_t>=-9, e_s+e_t<=20])"),
+    ],
+)
+def test_nishida_right_side_pinned(d, want):
+    """Q(t) z(s) with t -> zbar(t), as verify_nishida_conjugate_form forms it."""
+    work = 2 * d + 4
+    zbar = series_reversion(zeta_series(work))
+    rhs = series_compose(_identity1_rhs(work), zbar, var="t", window=Window(0, -(d + 1), work))
+    assert repr(rhs) == want
+    assert rhs.honest
