@@ -215,7 +215,7 @@ def _report_command(ctx, command: str, extra: dict, records: list, suites: bool 
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=2, max=6))
+@click.argument("max_i", type=click.IntRange(min=2, max=7))
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""

@@ -421,9 +421,10 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     """Multiplicative inverse with series_mul(a, result) = 1 on the window.
 
     The leading term in the s-small order must be a bare monomial with
-    coefficient 1.  The inverse of a genuinely bivariate series has
-    unboundedly negative t-exponents; the result is then confined to the
-    target window and loses honesty in the affected axis.
+    coefficient 1 that no unknown term can undercut.  The inverse of a
+    genuinely bivariate series has unboundedly negative t-exponents; the
+    result is then confined to the target window and loses honesty in the
+    affected axis.
     """
     if not a.honest:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -457,7 +458,8 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     r_coeffs = dict(rel.coeffs)
     r_coeffs.pop((0, 0), None)
     r = LaurentSeries(rel.window, r_coeffs)
-    if any(es < 0 for es, _ in r.coeffs):
+    if a.window.max_total is not None and a.window.min_s < lead[0]:
+        # an unknown term of lower e_s, above max_total, would lead instead
         raise NotInvertibleError("leading term is not minimal in the s-small order")
 
     # target window for the relative inverse c = (1 + r)^{-1}
@@ -531,7 +533,7 @@ def _cap_unknown_tail(
     m = a.window.max_total
     v_min = a.window.min_s if var == "s" else a.window.min_t
     cap, honest_t = m, result.honest_t
-    if v_min < 0 and u.coeffs:
+    if v_min < 0:
         ls, lt = _lex_lead(u)
         L = ls + lt
         delta = min(0, u.certified_min_total() - L)
@@ -578,6 +580,10 @@ def series_compose(
     rows: dict = {}
     for e, p in a.coeffs.items():
         rows.setdefault(e[vidx], {})[(0, e[1]) if var == "s" else (e[0], 0)] = p
+    if (a.window.min_s, a.window.min_t)[vidx] < 0 and not u.coeffs:
+        raise NonComposableError(
+            "negative powers of the variable need a known leading term of u"
+        )
     if window is None and min(rows, default=0) < 0:
         if u.window.max_total is None:
             raise NonComposableError(

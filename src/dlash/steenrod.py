@@ -14,7 +14,7 @@ the paper's identities against it live in ``verify``.
 
 from __future__ import annotations
 
-from .f2 import F2Poly, factors
+from .f2 import F2Poly, factors, monomial_degree
 from .laurent import (
     LaurentSeries,
     Window,
@@ -111,22 +111,22 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
 
 def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     """Q(t) z_n for n >= 1 from the closed form in the module docstring."""
-    # evaluate the right side of the closed form at a working bound
-    # large enough that dividing by t^{2^n} still resolves max_total
-    work = max_total + 2 ** (n + 1) + 4
-    high = {}
+    # the right side is needed to total P = max_total + 2^n; z(t)^{-1}
+    # (valuation -1) known to W times the squares (valuation 2^{n+1},
+    # known to S) is known to min(W + 2^{n+1}, S - 1) >= P; the clamps
+    # keep both windows non-empty below the instability line
+    p = max_total + 2**n
+    w = max(p - 2 ** (n + 1), -1)
+    s = max(p + 1, 2 ** (n + 1))
+    high, sq = {}, {}
     i = n + 1
-    while 2**i <= work:
+    while 2**i <= s:
         high[(0, 2**i)] = F2Poly.zeta(i)
+        sq[(0, 2**i)] = F2Poly.zeta(i - 1).square()
         i += 1
-    first = LaurentSeries(Window(0, 2 ** (n + 1), work), high)
-    sq = {}
-    i = n
-    while 2 ** (i + 1) <= work:
-        sq[(0, 2 ** (i + 1))] = F2Poly.zeta(i).square()
-        i += 1
-    squares = LaurentSeries(Window(0, 2 ** (n + 1), work), sq)
-    rhs = first + series_mul(zeta_inverse(work), squares)
+    first = LaurentSeries(Window(0, 2 ** (n + 1), s), high)
+    squares = LaurentSeries(Window(0, 2 ** (n + 1), s), sq)
+    rhs = first + series_mul(zeta_inverse(w), squares)
     result = rhs.shift(0, -(2**n))
     min_t = result.window.min_t
     if min_t > max_total:
@@ -138,30 +138,25 @@ def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     return result.restricted(Window(0, min_t, max_total))
 
 
-def q_total_on_element(a: F2Poly, max_total: int) -> LaurentSeries:
-    """Q(t) a for a polynomial a, by multiplicativity (the Cartan formula
-    in generating-series form): Q(t)(xy) = (Q(t)x)(Q(t)y)."""
-    result = None
-    for monomial in a.monomials:
-        term = LaurentSeries.one()
-        for n, exp in factors(monomial):
-            factor = series_pow(q_total_on_zeta(n, max_total), exp)
-            term = series_mul(term, factor)
-        result = term if result is None else result + term
-    return LaurentSeries.zero() if result is None else result
-
-
 def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
-    """Q^i(a): the t^i coefficient of the total operation on a."""
-    if a.is_zero():
-        return F2Poly.zero()
+    """Q^i(a): the t^i coefficient of the total operation on a.
+
+    Q(t)(xy) = (Q(t)x)(Q(t)y), and Q(t) z_n vanishes below t^{2^n - 1}: so
+    for a monomial m, each factor is needed only to its valuation plus
+    i - |m|, and the windows of the product certify the answer."""
     if max_total is None:
         max_total = max(i, 0) + 1
-    total = q_total_on_element(a, max_total)
-    try:
-        return total.coefficient(0, i)
-    except WindowMissError:
-        raise WindowTooSmallError(
-            f"t^{i} outside the guaranteed window {total.window.describe()}"
-        ) from None
-
+    result = F2Poly.zero()
+    for monomial in a.monomials:
+        slack = max(i - monomial_degree(monomial), 0)
+        term = LaurentSeries.one()
+        for n, e in factors(monomial):
+            bound = min(max_total, (1 << n) - 1 + slack)
+            term = series_mul(term, series_pow(q_total_on_zeta(n, bound), e))
+        try:
+            result = result + term.coefficient(0, i)
+        except WindowMissError:
+            raise WindowTooSmallError(
+                f"t^{i} outside the guaranteed window {term.window.describe()}"
+            ) from None
+    return result

@@ -75,7 +75,7 @@ def test_window_error_exits_1(runner, args):
         ["steinberger", "1"],
         ["zeta-action", "--", "-1"],
         ["conjugate", "9"],
-        ["steinberger", "7"],
+        ["steinberger", "8"],
     ],
 )
 def test_out_of_range_argument_exits_2(runner, args):

@@ -119,6 +119,28 @@ def test_inverse_requires_unit_lead():
         series_inverse(s, window=Window(0, -4, 4))
 
 
+def test_inverse_refuses_a_lead_a_completion_can_undercut():
+    # s + O(total 2) from e_s = 0: the completion s + t^2 leads with t^2,
+    # and its inverse t^-2 + s t^-4 + ... has no s^-1
+    a = LaurentSeries.truncated({(1, 0): ONE}, Window(0, 0, 1))
+    box = Window(-2, -4, 4)
+    assert series_inverse(exact((1, 0), (0, 2)), window=box).coefficient(-1, 0).is_zero()
+    with pytest.raises(NotInvertibleError):
+        series_inverse(a, window=box)
+
+
+def test_compose_refuses_negative_powers_of_an_unknown_lead():
+    # a = O(total 1) from e_t = -1 and u = O(t^2): the completions
+    # s^2 t^-1 and t^2 + s^5 put s^2 t^-2 in the composite
+    box = Window(0, -8, 6)
+    full = series_compose(exact((2, -1)), exact((0, 2), (5, 0)), var="t", window=box)
+    assert full.coefficient(2, -2) == ONE
+    a = LaurentSeries.truncated({}, Window(0, -1, 0))
+    u = LaurentSeries.truncated({}, Window(0, 0, 1))
+    with pytest.raises(NonComposableError):
+        series_compose(a, u, var="t", window=box)
+
+
 def test_compose_valuation_check():
     a = exact((0, 1))
     u = exact((0, 0))  # constant: valuation 0

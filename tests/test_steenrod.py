@@ -1,8 +1,9 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dlash import steenrod, verify
-from dlash.f2 import F2Poly, factors
-from dlash.laurent import LaurentSeries, series_mul
+from dlash.f2 import F2Poly, factors, monomial_degree
+from dlash.laurent import LaurentSeries, WindowMissError, series_mul, series_pow
 from dlash.steenrod import (
     WindowTooSmallError,
     conjugate_zeta,
@@ -93,6 +94,66 @@ def test_q_total_below_instability_line_matches_closed_form():
         full = steenrod._q_total_closed_form(n, m)
         assert fast == full, (n, m)
         assert (fast.honest_s, fast.honest_t) == (full.honest_s, full.honest_t), (n, m)
+
+
+@pytest.mark.parametrize(
+    "n, max_total, want",
+    [
+        (1, 4, "z1^2 t + (z1^3 + z2) t^2 + z1^4 t^3 + (z1^2 z2 + z1^5) t^4 @ [e_s>=0, e_t>=1, e_s+e_t<=4]"),
+        (2, 2, "0 @ [e_s>=0, e_t>=2, e_s+e_t<=2]"),
+        (2, 6, "z2^2 t^3 + (z1 z2^2 + z3) t^4 + z1^2 z2^2 t^5 + (z1^3 z2^2 + z2^3) t^6 @ [e_s>=0, e_t>=3, e_s+e_t<=6]"),
+        (3, 9, "z3^2 t^7 + (z1 z3^2 + z4) t^8 + z1^2 z3^2 t^9 @ [e_s>=0, e_t>=7, e_s+e_t<=9]"),
+        (4, 15, "z4^2 t^15 @ [e_s>=0, e_t>=15, e_s+e_t<=15]"),
+        (4, 17, "z4^2 t^15 + (z1 z4^2 + z5) t^16 + z1^2 z4^2 t^17 @ [e_s>=0, e_t>=15, e_s+e_t<=17]"),
+    ],
+    ids=["z1-4", "z2-2", "z2-6", "z3-9", "z4-15", "z4-17"],
+)
+def test_q_total_on_zeta_pinned(n, max_total, want):
+    total = q_total_on_zeta(n, max_total)
+    assert repr(total) == f"LaurentSeries({want})"
+    assert total.honest
+
+
+def _q_op_at_full_width(i, a, max_total):
+    """The t^i coefficient of Q(t) a with every factor Q(t) z_n formed out
+    to max_total, or None where the window does not reach t^i."""
+    total = None
+    for m in a.monomials:
+        term = LaurentSeries.one()
+        for n, e in factors(m):
+            term = series_mul(term, series_pow(q_total_on_zeta(n, max_total), e))
+        total = term if total is None else total + term
+    try:
+        return total.coefficient(0, i)
+    except WindowMissError:
+        return None
+
+
+# exponents of z1..z4 in one monomial
+_exponents = st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.lists(_exponents, min_size=1, max_size=3), st.data())
+def test_q_op_matches_full_width_factors(monomials, data):
+    """Reading t^i with each factor cut to its valuation plus i - |m| gives
+    what full-width factors give, and raises exactly where they cannot
+    reach t^i, also for max_total below i."""
+    a = F2Poly.zero()
+    for exps in monomials:
+        m = F2Poly.one()
+        for n, e in enumerate(exps, 1):
+            m = m * F2Poly.zeta(n, e)
+        a = a + m
+    degree = data.draw(st.sampled_from([monomial_degree(exps) for exps in monomials]))
+    i = degree + data.draw(st.integers(-3, 4))
+    max_total = i + data.draw(st.integers(-4, 3))
+    want = _q_op_at_full_width(i, a, max_total) if a.monomials else F2Poly.zero()
+    try:
+        got = q_op(i, a, max_total)
+    except WindowTooSmallError:
+        got = None
+    assert got == want
 
 
 def test_q_op_squaring():
