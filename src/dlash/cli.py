@@ -219,8 +219,9 @@ def _report_command(ctx, command: str, extra: dict, records: list, suites: bool 
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""
-    records = verify.verify_steinberger_conjugate(max_i)
-    records += verify.verify_steinberger_successor(max_i)
+    zbars = steenrod.conjugate_zeta(max_i + 1)
+    records = verify.verify_steinberger_conjugate(max_i, zbars=zbars)
+    records += verify.verify_steinberger_successor(max_i, zbars=zbars)
     _report_command(ctx, "steinberger", {"max_i": max_i}, records)
 
 

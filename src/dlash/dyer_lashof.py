@@ -24,8 +24,19 @@ class RewriteLimitError(Exception):
     pass
 
 
-# largest i + j for which adem_relation scans its l-range (about 0.1 s)
+# largest i + j for which adem_relation lists a right side; past it a
+# right side can have more than 10,946 terms (Fibonacci growth in the
+# bit length of i - 2j)
 ADEM_INDEX_BOUND = 1 << 20
+
+
+def _unstable(word: tuple, degree: int) -> bool:
+    """True if some suffix of word applies Q^i to a class of degree > i."""
+    for i in reversed(word):
+        if i < degree:
+            return True
+        degree += i
+    return False
 
 
 @dataclass(frozen=True, order=True)
@@ -52,12 +63,7 @@ class DLMonomial:
 
     def is_instability_zero(self) -> bool:
         """True if some suffix applies Q^i to a class of degree > i."""
-        d = self.klass.degree
-        for i in reversed(self.word):
-            if i < d:
-                return True
-            d += i
-        return False
+        return _unstable(self.word, self.klass.degree)
 
     def __str__(self) -> str:
         ops = " ".join(f"Q^{i}" for i in self.word)
@@ -135,13 +141,33 @@ class AdemRelation:
         return f"Q^{i} Q^{j} = {terms}"
 
 
+def _disjoint_splits(n: int) -> list:
+    """Every (a, b) with a + 2b = n and a & b = 0, for n >= 0.
+
+    The low bit of a is that of n.  An odd n forces b even; an even n
+    leaves b's low bit free, and b odd needs n >= 2.  Every call has the
+    solution (n, 0), so no branch is dead: the work is at most the output
+    times the bit length of n.
+    """
+    if n == 0:
+        return [(0, 0)]
+    h = n >> 1
+    if n & 1:
+        return [(2 * a + 1, 2 * b) for a, b in _disjoint_splits(h)]
+    out = [(2 * a, 2 * b) for a, b in _disjoint_splits(h)]
+    out += [(2 * a, 2 * b + 1) for a, b in _disjoint_splits(h - 1)]
+    return out
+
+
 def adem_relation(i: int, j: int) -> AdemRelation:
     """Rewrite of a non-admissible pair via the residue-extracted formula.
 
-    The l-range comes from requiring both binomial arguments sensible and
-    the leading index nonnegative; instability trims further at
-    application time, not here.  A pair with i + j past ADEM_INDEX_BOUND
-    raises RewriteLimitError rather than scan that range.
+    Q^i Q^j is the sum of Q^{i+j-l} Q^l over l with C(l-j-1, 2l-i) odd.
+    With a = 2l - i and b = i - l - j - 1 that binomial is C(a+b, a),
+    odd exactly when a & b = 0, and a + 2b = i - 2j - 2; so the right
+    side is listed from those (a, b), not scanned over l.  Instability
+    trims further at application time, not here.  A pair with i + j
+    past ADEM_INDEX_BOUND raises RewriteLimitError.
     """
     if i < 0 or j < 0:
         raise ValueError(f"Q^{i} Q^{j}: indices must be >= 0")
@@ -151,13 +177,9 @@ def adem_relation(i: int, j: int) -> AdemRelation:
         raise RewriteLimitError(
             f"Q^{i} Q^{j}: i + j exceeds the Adem index bound {ADEM_INDEX_BOUND}"
         )
-    lo = (i + 1) // 2
-    rhs = frozenset(
-        (i + j - l, l)
-        for l in range(lo, i + j + 1)
-        if binom_mod2(l - j - 1, 2 * l - i)
-    )
-    return AdemRelation((i, j), rhs)
+    n = i - 2 * j - 2  # -1 for i = 2j + 1, whose right side is empty
+    ls = [(a + i) // 2 for a, _ in _disjoint_splits(n)] if n >= 0 else []
+    return AdemRelation((i, j), frozenset((i + j - l, l) for l in ls))
 
 
 _memo: dict = {}
@@ -165,7 +187,12 @@ _memo_lock = threading.Lock()
 
 
 def _reduce_word(word: tuple, degree: int, budget: list) -> frozenset:
-    """Set of admissible words equal to the input modulo the rewriting system."""
+    """Set of admissible words equal to a stable word modulo the rewriting
+    system, rewriting the rightmost non-admissible pair first.
+
+    Right-side terms that instability kills are dropped before recursing,
+    so every word entered here is stable.
+    """
     key = (word, degree)
     cached = _memo.get(key)
     if cached is not None:
@@ -173,34 +200,39 @@ def _reduce_word(word: tuple, degree: int, budget: list) -> frozenset:
     budget[0] -= 1
     if budget[0] < 0:
         raise RewriteLimitError(f"rewrite budget exhausted at word {word}")
-    if DLMonomial(word, GradedClass("_", degree)).is_instability_zero():
-        result: frozenset = frozenset()
+    pos = next(
+        (p for p in range(len(word) - 2, -1, -1) if word[p] > 2 * word[p + 1]), None
+    )
+    if pos is None:
+        result = frozenset({word})
     else:
-        pos = next(
-            (p for p in range(len(word) - 1) if word[p] > 2 * word[p + 1]), None
-        )
-        if pos is None:
-            result = frozenset({word})
-        else:
-            rel = adem_relation(word[pos], word[pos + 1])
-            acc: frozenset = frozenset()
-            for a, b in rel.rhs:
-                rewritten = word[:pos] + (a, b) + word[pos + 2:]
-                acc = acc ^ _reduce_word(rewritten, degree, budget)
-            result = acc
+        prefix, suffix = word[:pos], word[pos + 2:]
+        d = degree + sum(suffix)
+        acc: set = set()
+        # each term has b > j >= d, so only its Q^a can be killed
+        for a, b in adem_relation(word[pos], word[pos + 1]).rhs:
+            if a >= d + b:
+                acc ^= _reduce_word(prefix + (a, b) + suffix, degree, budget)
+        result = frozenset(acc)
     with _memo_lock:
         _memo[key] = result
     return result
 
 
 def reduce_to_admissible(m, step_limit: int = 2_000_000) -> DLSum:
-    """Admissible normal form: leftmost non-admissible pair first, memoized."""
+    """Admissible normal form: rightmost non-admissible pair first, memoized.
+
+    The normal form is unique, so the order of rewriting changes only the
+    work, not the answer.
+    """
     if isinstance(m, DLMonomial):
         m = DLSum.of(m)
     budget = [step_limit]
-    words: frozenset = frozenset()
+    degree = m.klass.degree
+    words: set = set()
     for w in m.words:
-        words = words ^ _reduce_word(w, m.klass.degree, budget)
+        if not _unstable(w, degree):
+            words ^= _reduce_word(w, degree, budget)
     return DLSum(m.klass, words)
 
 

@@ -68,14 +68,21 @@ def _fold(name: str, records: list, detail: str) -> dict:
 # -- the paper's identities ---------------------------------------------
 
 
-def verify_steinberger_conjugate(i_max: int, max_total: int | None = None) -> list:
+def verify_steinberger_conjugate(
+    i_max: int, max_total: int | None = None, zbars: list | None = None
+) -> list:
     """Q^{2^i - 2} z_1 = zbar_i for 2 <= i <= i_max, via both the total
-    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt."""
+    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt.
+
+    zbars, if given, is conjugate_zeta(k) for some k >= i_max, formed once
+    by a caller that runs more than one check on it.
+    """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
     if max_total is None:
         max_total = 2**i_max
-    zbars = conjugate_zeta(i_max, max_total=max(max_total, 2**i_max))
+    if zbars is None:
+        zbars = conjugate_zeta(i_max)
     qz1 = q_total_on_zeta(1, max_total)
     zinv = zeta_inverse(max_total)
     records = []
@@ -94,13 +101,20 @@ def verify_steinberger_conjugate(i_max: int, max_total: int | None = None) -> li
     return records
 
 
-def verify_steinberger_successor(i_max: int, max_total: int | None = None) -> list:
-    """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1}."""
+def verify_steinberger_successor(
+    i_max: int, max_total: int | None = None, zbars: list | None = None
+) -> list:
+    """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1}.
+
+    zbars, if given, is conjugate_zeta(k) for some k >= i_max + 1.
+    """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
     if max_total is None:
         max_total = 2 ** (i_max + 1) + 2
-    zbars = [F2Poly.one()] + conjugate_zeta(i_max + 1)
+    if zbars is None:
+        zbars = conjugate_zeta(i_max + 1)
+    zbars = [F2Poly.one()] + zbars
     records = []
     for i in range(0, i_max + 1):
         k = 2**i
@@ -309,9 +323,11 @@ def check_nishida(degree_bound: int = 16) -> dict:
 
 
 def check_steinberger() -> dict:
+    zbars = conjugate_zeta(5)
     return _fold(
         "steinberger-identities",
-        verify_steinberger_conjugate(5) + verify_steinberger_successor(4),
+        verify_steinberger_conjugate(5, zbars=zbars)
+        + verify_steinberger_successor(4, zbars=zbars),
         "(conjugates through index 5, successors through 4)",
     )
 

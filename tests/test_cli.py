@@ -50,6 +50,22 @@ def test_reduce(runner):
     assert r.output.strip() == "Q^5 Q^3 x[2]"
 
 
+@pytest.mark.parametrize(
+    "word",
+    [
+        "Q^4259 Q^1874 Q^907 Q^417 Q^255 Q^83 Q^32 Q^14 Q^6 x[0]",
+        "Q^3992 Q^2057 Q^1064 Q^502 Q^205 Q^88 Q^35 Q^13 Q^4 x[0]",
+    ],
+)
+def test_reduce_long_word_to_zero_is_fast(runner, word):
+    # rewriting the leftmost pair first took 14 s and over 60 s on these
+    start = time.perf_counter()
+    r = invoke(runner, "reduce", word)
+    assert time.perf_counter() - start < 2
+    assert r.exit_code == 0
+    assert r.output == "0\n"
+
+
 def test_reduce_parse_error_exits_1(runner):
     r = invoke(runner, "reduce", "Q^x")
     assert r.exit_code == 1

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dlash.dyer_lashof import (
     ADEM_INDEX_BOUND,
@@ -15,6 +16,7 @@ from dlash.dyer_lashof import (
     symmetry_extract_relations,
     total_power_series,
 )
+from dlash.f2 import binom_exact_parity, binom_mod2
 from dlash.laurent import Window
 
 X0 = GradedClass("x", 0)
@@ -33,6 +35,43 @@ def test_adem_known_relations():
             for a, b in adem_relation(i, j).rhs:
                 assert a <= 2 * b
                 assert a + b == i + j
+
+
+def _adem_rhs_by_scan(i, j, parity=binom_exact_parity):
+    # the closed form read directly: scan l over [ceil(i/2), i + j]
+    return frozenset(
+        (i + j - l, l)
+        for l in range((i + 1) // 2, i + j + 1)
+        if parity(l - j - 1, 2 * l - i)
+    )
+
+
+def test_adem_enumeration_matches_scan():
+    for j in range(40):
+        for i in range(2 * j + 1, 200):
+            assert adem_relation(i, j).rhs == _adem_rhs_by_scan(i, j), (i, j)
+
+
+@settings(deadline=None, max_examples=12)
+@given(st.integers(1, ADEM_INDEX_BOUND), st.integers(0, ADEM_INDEX_BOUND))
+@example(ADEM_INDEX_BOUND, 0)
+def test_adem_enumeration_matches_scan_up_to_bound(total, j):
+    # total = i + j; a non-admissible pair has j <= (total - 1) / 3
+    j %= (total - 1) // 3 + 1
+    i = total - j
+    assert adem_relation(i, j).rhs == _adem_rhs_by_scan(i, j, binom_mod2)
+
+
+def test_adem_largest_right_side_at_bound():
+    # i - 2j - 2 = 0b11010101010101010100: the most solutions of
+    # a + 2b = n with a & b = 0 below the bound, a Fibonacci number
+    i, j = 990322, 58254
+    assert i + j == ADEM_INDEX_BOUND
+    rhs = adem_relation(i, j).rhs
+    assert len(rhs) == 10946
+    assert all(a + b == i + j and a <= 2 * b for a, b in rhs)
+    with pytest.raises(RewriteLimitError):
+        adem_relation(i + 1, j)
 
 
 def test_adem_rejects_admissible_pair():
@@ -92,6 +131,49 @@ def test_reduce_terminates_on_large_indices():
         out = reduce_to_admissible(DLMonomial(word, X0))
         for w in out.words:
             assert DLMonomial(w, X0).is_admissible()
+
+
+def _reduce_leftmost_first(word, degree, memo):
+    # reference normal form: rewrite the leftmost non-admissible pair
+    # first, with the scanned right side, and drop unstable words on entry
+    key = (word, degree)
+    if key not in memo:
+        d, unstable = degree, False
+        for i in reversed(word):
+            unstable = unstable or i < d
+            d += i
+        pos = next((p for p in range(len(word) - 1) if word[p] > 2 * word[p + 1]), None)
+        if unstable:
+            memo[key] = frozenset()
+        elif pos is None:
+            memo[key] = frozenset({word})
+        else:
+            acc = frozenset()
+            for a, b in _adem_rhs_by_scan(word[pos], word[pos + 1]):
+                rewritten = word[:pos] + (a, b) + word[pos + 2:]
+                acc ^= _reduce_leftmost_first(rewritten, degree, memo)
+            memo[key] = acc
+    return memo[key]
+
+
+@st.composite
+def _stable_words(draw):
+    # built from the right: each Q^q meets a class of degree d <= q
+    degree = draw(st.integers(0, 4))
+    d, word = degree, []
+    for _ in range(draw(st.integers(2, 6))):
+        q = d + draw(st.integers(0, d + 3))
+        word.insert(0, q)
+        d += q
+    return tuple(word), degree
+
+
+@settings(deadline=None, max_examples=60)
+@given(_stable_words())
+def test_reduce_matches_leftmost_first_reference(case):
+    word, degree = case
+    out = reduce_to_admissible(DLMonomial(word, GradedClass("x", degree)))
+    assert out.words == _reduce_leftmost_first(word, degree, {})
 
 
 def test_sum_cancellation():

@@ -204,6 +204,31 @@ def test_steinberger_successor_report():
     assert all(r["passed"] for r in records)
 
 
+def test_steinberger_checks_reverse_z_once(monkeypatch):
+    from click.testing import CliRunner
+
+    from dlash.cli import main
+
+    calls = []
+
+    def counted(max_i, max_total=None):
+        calls.append(max_i)
+        return conjugate_zeta(max_i, max_total)
+
+    monkeypatch.setattr(steenrod, "conjugate_zeta", counted)
+    monkeypatch.setattr(verify, "conjugate_zeta", counted)
+    assert verify.check_steinberger()["passed"]
+    assert calls == [5]
+    calls.clear()
+    r = CliRunner().invoke(main, ["steinberger", "4"])
+    assert r.exit_code == 0
+    assert calls == [5]
+    # a check run alone still forms the conjugates it needs
+    calls.clear()
+    assert all(r["passed"] for r in verify_steinberger_successor(3))
+    assert calls == [4]
+
+
 def test_bisson_joyal_report():
     records = verify_bisson_joyal_identity1(12)
     assert all(r["passed"] for r in records)
