@@ -21,10 +21,11 @@ from .dyer_lashof import (
     reduce_to_admissible,
     symmetry_extract_relations,
 )
-from .laurent import DEFAULT_DEGREE_BOUND, LaurentError, Window
+from .laurent import LaurentError, Window
 from .parser import ParseError, parse_sum
 
 SCHEMA = 2
+DEFAULT_DEGREE_BOUND = 32
 
 
 def _default_bound() -> int:

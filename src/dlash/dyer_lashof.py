@@ -9,7 +9,6 @@ iterated total operation.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from .f2 import binom_mod2
@@ -182,19 +181,15 @@ def adem_relation(i: int, j: int) -> AdemRelation:
     return AdemRelation((i, j), frozenset((i + j - l, l) for l in ls))
 
 
-_memo: dict = {}
-_memo_lock = threading.Lock()
-
-
-def _reduce_word(word: tuple, degree: int, budget: list) -> frozenset:
+def _reduce_word(word: tuple, degree: int, budget: list, memo: dict) -> frozenset:
     """Set of admissible words equal to a stable word modulo the rewriting
     system, rewriting the rightmost non-admissible pair first.
 
     Right-side terms that instability kills are dropped before recursing,
-    so every word entered here is stable.
+    so every word entered here is stable.  memo holds the words already
+    reduced on the same class.
     """
-    key = (word, degree)
-    cached = _memo.get(key)
+    cached = memo.get(word)
     if cached is not None:
         return cached
     budget[0] -= 1
@@ -212,10 +207,9 @@ def _reduce_word(word: tuple, degree: int, budget: list) -> frozenset:
         # each term has b > j >= d, so only its Q^a can be killed
         for a, b in adem_relation(word[pos], word[pos + 1]).rhs:
             if a >= d + b:
-                acc ^= _reduce_word(prefix + (a, b) + suffix, degree, budget)
+                acc ^= _reduce_word(prefix + (a, b) + suffix, degree, budget, memo)
         result = frozenset(acc)
-    with _memo_lock:
-        _memo[key] = result
+    memo[word] = result
     return result
 
 
@@ -227,18 +221,15 @@ def reduce_to_admissible(m, step_limit: int = 2_000_000) -> DLSum:
     """
     if isinstance(m, DLMonomial):
         m = DLSum.of(m)
-    budget = [step_limit]
+    # the memo lives for this call only, so step_limit counts the same
+    # words whatever the process reduced before
+    budget, memo = [step_limit], {}
     degree = m.klass.degree
     words: set = set()
     for w in m.words:
         if not _unstable(w, degree):
-            words ^= _reduce_word(w, degree, budget)
+            words ^= _reduce_word(w, degree, budget, memo)
     return DLSum(m.klass, words)
-
-
-def clear_rewrite_cache() -> None:
-    with _memo_lock:
-        _memo.clear()
 
 
 def total_power_series(x: GradedClass, window: Window) -> dict:

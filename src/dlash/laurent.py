@@ -16,11 +16,14 @@ describing where its coefficients are guaranteed exact:
 
 max_total = None means the series is exact (known in full).
 
-Every product goes through one kernel: _product multiplies two coefficient
-maps at the exponents that pass a keep(e_s, e_t) test, and _add_into is the
-one add-and-cancel step, also used by series_add and series_reversion.
-_known builds the derived windows of sums, inverses, restrictions and
-composites, and keeps an honest axis' zeros when nothing else is left.
+_product is the one product kernel: it multiplies two coefficient maps at
+the exponents that pass a keep(e_s, e_t) test, for series_mul (an exact
+factor included) and for the powers in series_inverse.  The one exception
+is series_reversion, whose column recurrence multiplies coefficients of a
+univariate series directly.  _add_into is the one add-and-cancel step,
+also used by series_add and series_reversion.  _window builds the derived
+windows of products, sums, inverses, restrictions and composites, and
+keeps an honest axis' zeros when nothing else is left.
 """
 
 from __future__ import annotations
@@ -54,9 +57,6 @@ class WindowMissError(LaurentError):
     pass
 
 
-DEFAULT_DEGREE_BOUND = 32
-
-
 def _min_total(m1, m2):
     if m1 is None:
         return m2
@@ -85,11 +85,6 @@ class Window:
                 f"empty window: min_s={self.min_s}, min_t={self.min_t}, "
                 f"max_total={self.max_total}"
             )
-
-    @staticmethod
-    def default(degree_bound: int = DEFAULT_DEGREE_BOUND) -> "Window":
-        d = degree_bound
-        return Window(-(d + 1), -(d + 1), d)
 
     def contains(self, es: int, et: int) -> bool:
         if es < self.min_s or et < self.min_t:
@@ -219,11 +214,9 @@ class LaurentSeries:
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         return series_mul(self, other)
 
-    def shift(self, ds: int, dt: int, poly: F2Poly | None = None) -> "LaurentSeries":
-        """Multiply by an exact monomial poly * s^ds t^dt."""
+    def shift(self, ds: int, dt: int) -> "LaurentSeries":
+        """Multiply by the monomial s^ds t^dt."""
         coeffs = {(es + ds, et + dt): p for (es, et), p in self.coeffs.items()}
-        if poly is not None:
-            coeffs = {e: p * poly for e, p in coeffs.items()}
         return LaurentSeries(self.window.shifted(ds, dt), coeffs, **self._flags())
 
     def square(self) -> "LaurentSeries":
@@ -310,11 +303,11 @@ class LaurentSeries:
         ]
 
 
-def _known(
-    coeffs: dict, min_s: int, min_t: int, max_total: int | None,
+def _window(
+    min_s: int, min_t: int, max_total: int | None,
     honest_s: bool = True, honest_t: bool = True,
-) -> LaurentSeries:
-    """The series known to be coeffs on the window [min_s, min_t, max_total].
+) -> Window:
+    """The window [min_s, min_t, max_total] of a series with these flags.
 
     When that window is empty but an axis is honest, the axis is lowered
     until the window holds one position: every coefficient below an
@@ -325,8 +318,17 @@ def _known(
             min_s = max_total - min_t
         elif honest_t:
             min_t = max_total - min_s
+    return Window(min_s, min_t, max_total)
+
+
+def _known(
+    coeffs: dict, min_s: int, min_t: int, max_total: int | None,
+    honest_s: bool = True, honest_t: bool = True,
+) -> LaurentSeries:
+    """The series known to be coeffs on the window [min_s, min_t, max_total]."""
     return LaurentSeries.truncated(
-        coeffs, Window(min_s, min_t, max_total), honest_s=honest_s, honest_t=honest_t
+        coeffs, _window(min_s, min_t, max_total, honest_s, honest_t),
+        honest_s=honest_s, honest_t=honest_t,
     )
 
 
@@ -370,29 +372,33 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    # multiplying by an exact series is a sum of monomial shifts, which is
-    # window-sound whatever the other factor's flags are
+    """The product on the window both factors certify, with a's flags.
+
+    Either both factors are quadrant honest, or one is exact; the exact
+    one is then taken as b and a's flags carry over.
+    """
+    if a.is_exact() and not b.is_exact():
+        a, b = b, a
     if b.is_exact():
         if not b.coeffs:
             return LaurentSeries.zero()
-        acc = None
-        for (es, et), poly in b.coeffs.items():
-            term = a.shift(es, et, poly)
-            acc = term if acc is None else series_add(acc, term)
-        return acc
-    if a.is_exact():
-        return series_mul(b, a)
-    if not (a.honest and b.honest):
+    elif not (a.honest and b.honest):
         raise LaurentError(
             "general product needs quadrant-honest factors or an exact one"
         )
     wa, wb = a.window, b.window
+    # per axis: if a vanishes below its bound, the product vanishes below
+    # a.min + b.min; otherwise a is known only from its bound up, so the
+    # product is known where a times every term of the exact b is, from
+    # a.min plus b's largest exponent
+    min_s = wa.min_s + (wb.min_s if a.honest_s else max(es for es, _ in b.coeffs))
+    min_t = wa.min_t + (wb.min_t if a.honest_t else max(et for _, et in b.coeffs))
     max_total = _min_total(
         _add_total(wa.max_total, b.certified_min_total()),
         _add_total(wb.max_total, a.certified_min_total()),
     )
-    w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains))
+    w = _window(min_s, min_t, max_total, a.honest_s, a.honest_t)
+    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains), **a._flags())
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:

@@ -14,6 +14,8 @@ the paper's identities against it live in ``verify``.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .f2 import F2Poly, factors, monomial_degree
 from .laurent import (
     LaurentSeries,
@@ -87,9 +89,6 @@ def _conjugates_by_recursion(max_i: int) -> list:
     return [zbar[n] for n in range(1, max_i + 1)]
 
 
-_q_total_cache: dict = {}
-
-
 def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
     """Q(t) z_n as a series in t with coefficients in F2[z1, z2, ...]."""
     if n < 0:
@@ -100,15 +99,12 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
         return LaurentSeries.truncated(
             {}, Window(0, max_total, max_total), honest_s=True, honest_t=True
         )
-    key = (n, max_total)
-    cached = _q_total_cache.get(key)
-    if cached is not None:
-        return cached
-    result = LaurentSeries.one() if n == 0 else _q_total_closed_form(n, max_total)
-    _q_total_cache[key] = result
-    return result
+    return LaurentSeries.one() if n == 0 else _q_total_closed_form(n, max_total)
 
 
+# 128 entries hold every (n, max_total) one command asks for (at most 43,
+# for verify-all at bound 32), and cache_info() reports hits and size
+@lru_cache(maxsize=128)
 def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     """Q(t) z_n for n >= 1 from the closed form in the module docstring."""
     # the right side is needed to total P = max_total + 2^n; z(t)^{-1}

@@ -68,9 +68,7 @@ def _fold(name: str, records: list, detail: str) -> dict:
 # -- the paper's identities ---------------------------------------------
 
 
-def verify_steinberger_conjugate(
-    i_max: int, max_total: int | None = None, zbars: list | None = None
-) -> list:
+def verify_steinberger_conjugate(i_max: int, zbars: list | None = None) -> list:
     """Q^{2^i - 2} z_1 = zbar_i for 2 <= i <= i_max, via both the total
     operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt.
 
@@ -79,8 +77,7 @@ def verify_steinberger_conjugate(
     """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    if max_total is None:
-        max_total = 2**i_max
+    max_total = 2**i_max
     if zbars is None:
         zbars = conjugate_zeta(i_max)
     qz1 = q_total_on_zeta(1, max_total)
@@ -101,17 +98,14 @@ def verify_steinberger_conjugate(
     return records
 
 
-def verify_steinberger_successor(
-    i_max: int, max_total: int | None = None, zbars: list | None = None
-) -> list:
+def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
     """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1}.
 
     zbars, if given, is conjugate_zeta(k) for some k >= i_max + 1.
     """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    if max_total is None:
-        max_total = 2 ** (i_max + 1) + 2
+    max_total = 2 ** (i_max + 1) + 2
     if zbars is None:
         zbars = conjugate_zeta(i_max + 1)
     zbars = [F2Poly.one()] + zbars

@@ -18,6 +18,7 @@ from dlash.dyer_lashof import (
 )
 from dlash.f2 import binom_exact_parity, binom_mod2
 from dlash.laurent import Window
+from dlash.parser import parse_sum
 
 X0 = GradedClass("x", 0)
 X2 = GradedClass("x", 2)
@@ -131,6 +132,18 @@ def test_reduce_terminates_on_large_indices():
         out = reduce_to_admissible(DLMonomial(word, X0))
         for w in out.words:
             assert DLMonomial(w, X0).is_admissible()
+
+
+def test_rewrite_limit_does_not_depend_on_earlier_calls():
+    # step_limit counts the words this call reduces: a full reduction of
+    # the same word beforehand must not turn a refusal into an answer
+    word = parse_sum("Q^584 Q^248 Q^80 Q^32 Q^18 Q^6 Q^1 x[1]")
+    with pytest.raises(RewriteLimitError):
+        reduce_to_admissible(word, step_limit=5)
+    full = reduce_to_admissible(word)
+    with pytest.raises(RewriteLimitError):
+        reduce_to_admissible(word, step_limit=5)
+    assert reduce_to_admissible(word).words == full.words
 
 
 def _reduce_leftmost_first(word, degree, memo):

@@ -7,6 +7,7 @@ from dlash.f2 import F2Poly
 from dlash.laurent import (
     BadValuationError,
     EmptyWindowError,
+    LaurentError,
     LaurentSeries,
     NonComposableError,
     NotInvertibleError,
@@ -361,6 +362,85 @@ def test_compose_leaves_the_unknown_tail_unclaimed(known, a_window, u, window, t
     assert series_compose(exact(tail), u, var="t", window=window).coefficient(*pos) == ONE
     with pytest.raises(WindowMissError):
         got.coefficient(*pos)
+
+
+def _mul_by_shifts(a, b):
+    """series_mul as a sum of copies of one factor, each shifted and scaled
+    by one term of the other, folded by series_add; a product of two
+    truncated factors is then cut to the window both certify."""
+    if a.is_exact() and not b.is_exact():
+        a, b = b, a
+    if not (b.is_exact() or (a.honest and b.honest)):
+        raise LaurentError("general product needs quadrant-honest factors or an exact one")
+    if b.is_exact() and not b.coeffs:
+        return LaurentSeries.zero()
+    acc = None
+    for (es, et), poly in b.coeffs.items():
+        term = LaurentSeries(
+            a.window.shifted(es, et),
+            {(x + es, y + et): p * poly for (x, y), p in a.coeffs.items()},
+            **a._flags(),
+        )
+        acc = term if acc is None else series_add(acc, term)
+    if b.is_exact():
+        return acc
+    wa, wb = a.window, b.window
+    max_total = min(
+        wa.max_total + b.certified_min_total(), wb.max_total + a.certified_min_total()
+    )
+    return LaurentSeries.truncated(
+        acc.coeffs if acc else {}, Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
+    )
+
+
+@st.composite
+def _mul_factor(draw):
+    """An exact series (1 to 4 terms, or zero), (t + s)^-1, which is not
+    honest in t, or a truncated series honest in both axes or not."""
+    kind = draw(st.sampled_from(["exact", "zero", "inverse", "honest", "dishonest"]))
+    if kind == "exact":
+        exps = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
+        return LaurentSeries.exact(
+            draw(st.dictionaries(exps, st.sampled_from(COMPOSE_COEFFS), min_size=1, max_size=4))
+        )
+    if kind == "zero":
+        return LaurentSeries.zero()
+    if kind == "inverse":
+        window = Window(0, draw(st.integers(-4, 0)), draw(st.integers(0, 4)))
+        return series_inverse(T_PLUS_S, window=window)
+    a = draw(_truncated_series())
+    if kind == "honest":
+        return a
+    flags = draw(st.sampled_from([(True, False), (False, True), (False, False)]))
+    return LaurentSeries(a.window, a.coeffs, honest_s=flags[0], honest_t=flags[1])
+
+
+def _product_or_error(a, b, mul):
+    try:
+        c = mul(a, b)
+    except LaurentError as e:
+        return type(e)
+    return c.window, c.honest_s, c.honest_t, c.coeffs
+
+
+@settings(deadline=None, max_examples=300)
+@given(_mul_factor(), _mul_factor())
+def test_mul_matches_sum_of_shifts(a, b):
+    """Same window, flags and coefficients as the sum of shifts, or the
+    same error, for exact, dishonest and honest truncated factors."""
+    assert _product_or_error(a, b, series_mul) == _product_or_error(a, b, _mul_by_shifts)
+
+
+@pytest.mark.parametrize("honest_s", [True, False])
+def test_mul_lowers_an_empty_window_like_the_sum_of_shifts(honest_s):
+    # a known to total 2, not honest in t, times 1 + t^3: only e_t >= 3 is
+    # known, so the window is empty and an honest s-axis is lowered to -1;
+    # with neither axis honest the product is refused
+    a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0, 2), honest_s=honest_s, honest_t=False)
+    b = exact((0, 0), (0, 3))
+    want = _product_or_error(a, b, _mul_by_shifts)
+    assert _product_or_error(a, b, series_mul) == want
+    assert want == ((Window(-1, 3, 2), True, False, {}) if honest_s else EmptyWindowError)
 
 
 @pytest.mark.parametrize(

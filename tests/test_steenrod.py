@@ -96,6 +96,16 @@ def test_q_total_below_instability_line_matches_closed_form():
         assert (fast.honest_s, fast.honest_t) == (full.honest_s, full.honest_t), (n, m)
 
 
+def test_closed_form_cache_is_bounded():
+    steenrod._q_total_closed_form.cache_clear()
+    for n in range(1, 5):
+        for m in range(2**n - 1, 2**n + 49):
+            q_total_on_zeta(n, m)
+    info = steenrod._q_total_closed_form.cache_info()
+    assert info.misses == 200 and info.currsize <= 128
+    assert q_total_on_zeta(4, 64) is q_total_on_zeta(4, 64)
+
+
 @pytest.mark.parametrize(
     "n, max_total, want",
     [
