@@ -8,14 +8,25 @@ coefficient ring for everything else in the package.
 
 from __future__ import annotations
 
+from functools import reduce
 from math import comb, factorial
-from operator import add
+from operator import or_
 from typing import Iterable
 
-# A monomial z1^e1 z2^e2 ... zn^en is Milnor's exponent vector
-# (e1, ..., en) with en != 0; the empty tuple is 1.  Only this module
-# looks inside one: other code reads it through ``factors``.
-Monomial = tuple
+# A monomial z1^e1 z2^e2 ... is one int whose bits [W(i-1), Wi) hold e_i
+# (0 is 1), so a product is an integer add and the Frobenius a one-bit
+# shift.  The top bit of each field is a guard: zeta, products and squares
+# refuse an exponent that reaches it, so no sum of two carries into the
+# next field.  Every exponent the CLI reaches is at most its degree bound
+# and every index about log2 of it, and no command answers in reasonable
+# time at a bound near 2^15, let alone 2^63.  Only this module looks
+# inside a monomial: other code reads it through ``factors`` and
+# ``monomial_degree``.
+Monomial = int
+_W = 16
+_MAX_INDEX = 64
+_FIELD = (1 << _W) - 1
+_GUARD = sum(1 << (_W * k + _W - 1) for k in range(_MAX_INDEX))
 
 
 def binom_mod2(top: int, bottom: int) -> int:
@@ -49,23 +60,31 @@ def binom_exact_parity(top: int, bottom: int) -> int:
 
 def factors(m: Monomial) -> tuple:
     """The pairs (i, e) with z_i^e in m and e > 0, by increasing i."""
-    return tuple((i, e) for i, e in enumerate(m, 1) if e)
+    out, i = [], 1
+    while m:
+        if m & _FIELD:
+            out.append((i, m & _FIELD))
+        m, i = m >> _W, i + 1
+    return tuple(out)
 
 
 def monomial_degree(m: Monomial) -> int:
-    return sum(((1 << i) - 1) * e for i, e in enumerate(m, 1))
-
-
-def _mul_monomials(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) < len(b):
-        a, b = b, a
-    return tuple(map(add, a, b)) + a[len(b):]
+    return sum(((1 << i) - 1) * e for i, e in factors(m))
 
 
 def _monomial_str(m: Monomial) -> str:
     if not m:
         return "1"
     return " ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in factors(m))
+
+
+def _checked(monomials: set) -> "F2Poly":
+    """The polynomial on these monomials, refused if a guard bit is set."""
+    high = reduce(or_, monomials, 0) & _GUARD
+    if high:
+        i = (high & -high).bit_length() // _W
+        raise ValueError(f"exponent of z{i} reaches 2^{_W - 1}: F2Poly overflow")
+    return F2Poly(monomials)
 
 
 class F2Poly:
@@ -95,11 +114,10 @@ class F2Poly:
 
     @staticmethod
     def zeta(i: int, exp: int = 1) -> "F2Poly":
-        if i < 1 or exp < 0:
-            raise ValueError(f"z{i}^{exp}: need index >= 1, exponent >= 0")
-        if exp == 0:
-            return _ONE
-        return F2Poly([(0,) * (i - 1) + (exp,)])
+        if not 1 <= i <= _MAX_INDEX or exp < 0:
+            raise ValueError(f"z{i}^{exp}: need 1 <= index <= {_MAX_INDEX}, exponent >= 0")
+        # an exponent past the guard is refused as one that reaches it
+        return _checked({min(exp, 1 << (_W - 1)) << (_W * (i - 1))})
 
     # -- ring structure -------------------------------------------------
 
@@ -108,14 +126,13 @@ class F2Poly:
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         acc: set = set()
-        for ma in self.monomials:
-            for mb in other.monomials:
-                acc ^= {_mul_monomials(ma, mb)}
-        return F2Poly(acc)
+        for ma in self.monomials:  # one row's products are distinct
+            acc ^= {ma + mb for mb in other.monomials}
+        return _checked(acc)
 
     def square(self) -> "F2Poly":
         # Frobenius: (sum m)^2 = sum m^2 in characteristic 2
-        return F2Poly(tuple(2 * e for e in m) for m in self.monomials)
+        return _checked({m << 1 for m in self.monomials})
 
     def __pow__(self, k: int) -> "F2Poly":
         if k < 0:
@@ -135,7 +152,7 @@ class F2Poly:
         return not self.monomials
 
     def is_one(self) -> bool:
-        return self.monomials == frozenset({()})
+        return self.monomials == {0}
 
     def degree_parts(self) -> dict:
         """Split into homogeneous components, keyed by degree."""
@@ -146,7 +163,7 @@ class F2Poly:
 
     def augment(self) -> "F2Poly":
         """The constant term: every z_i goes to 0."""
-        return _ONE if () in self.monomials else _ZERO
+        return _ONE if 0 in self.monomials else _ZERO
 
     # -- canonical form -------------------------------------------------
 
@@ -171,4 +188,4 @@ class F2Poly:
 
 
 _ZERO = F2Poly()
-_ONE = F2Poly([()])
+_ONE = F2Poly([0])

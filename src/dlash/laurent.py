@@ -567,8 +567,8 @@ def series_compose(
     that its powers eventually leave every window and all per-bidegree
     sums are finite.  Row i of a, its coefficients at var^i, is an exact
     polynomial in the other variable: the result sums u^i times row i,
-    with each power of u formed once, and is then cut to what a's unknown
-    tail cannot reach and to the window.
+    with each power of u formed once (an even one by squaring), and is
+    then cut to what a's unknown tail cannot reach and to the window.
     """
     if not u.honest:
         raise NonComposableError("substituted series must be quadrant honest")
@@ -604,7 +604,10 @@ def series_compose(
     def power(i: int) -> LaurentSeries:
         if i in pows:
             return pows[i]
-        if i > 0:
+        if i > 1 and i % 2 == 0:
+            # Frobenius: u^(2k) = (u^k)^2 needs no product
+            p = power(i // 2).square()
+        elif i > 0:
             p = series_mul(power(i - 1), u)
         else:
             # u^i has no e_s below i * ls; formed from there, it stays

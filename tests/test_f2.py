@@ -3,7 +3,8 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2
+from dlash import f2
+from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2, factors, monomial_degree
 from dlash.steenrod import conjugate_zeta
 
 
@@ -113,3 +114,103 @@ class TestF2Poly:
     def test_hashable(self):
         s = {F2Poly.zeta(1), F2Poly.zeta(1), F2Poly.zero()}
         assert len(s) == 2
+
+
+# An independent reference for F2Poly: a polynomial is a set of monomials,
+# each the sorted tuple of its (index, exponent) pairs, built from dicts.
+def _ref_key(exps: dict) -> tuple:
+    return tuple(sorted((i, e) for i, e in exps.items() if e))
+
+
+def _ref_mul(a: set, b: set) -> set:
+    out: set = set()
+    for ma in a:
+        for mb in b:
+            exps = dict(ma)
+            for i, e in mb:
+                exps[i] = exps.get(i, 0) + e
+            out ^= {_ref_key(exps)}
+    return out
+
+
+def _ref_degree(m: tuple) -> int:
+    return sum(((1 << i) - 1) * e for i, e in m)
+
+
+def _ref_str(a: set) -> str:
+    if not a:
+        return "0"
+    terms = []
+    for m in sorted(a, key=lambda m: (_ref_degree(m), m)):
+        terms.append(" ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in m) or "1")
+    return " + ".join(terms)
+
+
+def _as_poly(a: set) -> F2Poly:
+    out = F2Poly.zero()
+    for m in a:
+        out = out + math.prod((F2Poly.zeta(i, e) for i, e in m), start=F2Poly.one())
+    return out
+
+
+_ref_polys = st.lists(
+    st.dictionaries(st.integers(1, 6), st.integers(0, 9), max_size=4).map(_ref_key),
+    max_size=5,
+).map(lambda ms: {m for m in ms if ms.count(m) % 2})
+
+
+class TestAgainstExponentReference:
+    @given(_ref_polys, _ref_polys)
+    def test_product(self, a, b):
+        assert (_as_poly(a) * _as_poly(b)) == _as_poly(_ref_mul(a, b))
+        assert str(_as_poly(a) * _as_poly(b)) == _ref_str(_ref_mul(a, b))
+
+    @given(_ref_polys)
+    def test_square(self, a):
+        want = {tuple((i, 2 * e) for i, e in m) for m in a}
+        assert str(_as_poly(a).square()) == _ref_str(want)
+
+    @given(_ref_polys, st.integers(0, 5))
+    def test_power(self, a, k):
+        want = {()}
+        for _ in range(k):
+            want = _ref_mul(want, a)
+        assert str(_as_poly(a) ** k) == _ref_str(want)
+
+    @given(_ref_polys)
+    def test_str_factors_and_degree(self, a):
+        p = _as_poly(a)
+        assert str(p) == _ref_str(a)
+        assert {factors(m) for m in p.monomials} == a
+        assert {monomial_degree(m) for m in p.monomials} == {_ref_degree(m) for m in a}
+        assert {d: str(q) for d, q in p.degree_parts().items()} == {
+            d: _ref_str({m for m in a if _ref_degree(m) == d})
+            for d in sorted({_ref_degree(m) for m in a})
+        }
+
+
+class TestExponentOverflow:
+    LIMIT = 2 ** (f2._W - 1)
+
+    def test_zeta(self):
+        assert str(F2Poly.zeta(1, self.LIMIT - 1)) == f"z1^{self.LIMIT - 1}"
+        with pytest.raises(ValueError, match="z1 "):
+            F2Poly.zeta(1, self.LIMIT)
+        with pytest.raises(ValueError, match="z3 "):
+            F2Poly.zeta(3, 4 * self.LIMIT)
+
+    def test_product(self):
+        half = F2Poly.zeta(2, self.LIMIT // 2)
+        below = F2Poly.zeta(2, self.LIMIT // 2 - 1) * F2Poly.zeta(3)
+        assert factors(next(iter((half * below).monomials))) == ((2, self.LIMIT - 1), (3, 1))
+        with pytest.raises(ValueError, match="z2 "):
+            (F2Poly.zeta(1) + half) * (half * F2Poly.zeta(4))
+
+    def test_square(self):
+        assert F2Poly.zeta(4, self.LIMIT // 2 - 1).square() == F2Poly.zeta(4, self.LIMIT - 2)
+        with pytest.raises(ValueError, match="z4 "):
+            (F2Poly.zeta(1, 3) * F2Poly.zeta(4, self.LIMIT // 2)).square()
+
+    def test_index(self):
+        with pytest.raises(ValueError):
+            F2Poly.zeta(f2._MAX_INDEX + 1)

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from dlash.f2 import F2Poly
 from dlash.laurent import (
+    _cap_unknown_tail,
     BadValuationError,
     EmptyWindowError,
     LaurentError,
@@ -459,3 +460,36 @@ def test_nishida_right_side_pinned(d, want):
     rhs = series_compose(_identity1_rhs(work), zbar, var="t", window=Window(0, -(d + 1), work))
     assert repr(rhs) == want
     assert rhs.honest
+
+
+def _compose_by_products(a, u, window):
+    """a(u) in t the way series_compose forms it, except that every positive
+    power of u is the one before it times u, with no squaring.  u is
+    univariate in t, so a negative power needs no window wider than the
+    target."""
+    rows: dict = {}
+    for (es, et), p in a.coeffs.items():
+        rows.setdefault(et, {})[(es, 0)] = p
+    pows = {0: LaurentSeries.one()}
+    for i in range(1, max(rows) + 1):
+        pows[i] = series_mul(pows[i - 1], u).restricted(window)
+    result = None
+    for i in sorted(rows):
+        p = pows[i] if i >= 0 else series_pow(u, i, window).restricted(window)
+        term = series_mul(p, LaurentSeries.exact(rows[i]))
+        result = term if result is None else series_add(result, term)
+    return _cap_unknown_tail(result, a, u, "t").restricted(window)
+
+
+@pytest.mark.parametrize("d", [8, 16, 31, 48])
+def test_compose_by_squares_matches_the_product_chain(d):
+    """Even powers formed as squares leave the Nishida composites unchanged,
+    window and honesty flags included."""
+    work = 2 * d + 4
+    zbar = series_reversion(zeta_series(work))
+    tbox = Window(0, -(d + 1), work)
+    for a in (_identity1_rhs(work), zeta_series(work)):
+        got = series_compose(a, zbar, var="t", window=tbox)
+        want = _compose_by_products(a, zbar, tbox)
+        assert repr(got) == repr(want)
+        assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t)
