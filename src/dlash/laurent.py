@@ -18,12 +18,13 @@ max_total = None means the series is exact (known in full).
 
 _product is the one product kernel: it multiplies two coefficient maps at
 the exponents that pass a keep(e_s, e_t) test, for series_mul (an exact
-factor included) and for the powers in series_inverse.  The one exception
-is series_reversion, whose column recurrence multiplies coefficients of a
-univariate series directly.  _add_into is the one add-and-cancel step,
-also used by series_add and series_reversion.  _window builds the derived
-windows of products, sums, inverses, restrictions and composites, and
-keeps an honest axis' zeros when nothing else is left.
+factor included) and for the factors of the Frobenius product in
+series_inverse.  The one exception is series_reversion, whose column
+recurrence multiplies coefficients of a univariate series directly.
+_add_into is the one add-and-cancel step of _product, series_add and
+series_reversion.  _window builds the derived windows of products, sums,
+inverses, restrictions and composites, and keeps an honest axis' zeros
+when nothing else is left.
 """
 
 from __future__ import annotations
@@ -368,6 +369,8 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     else:
         min_t, ht = max(a.window.min_t, b.window.min_t), False
     max_total = _min_total(a.window.max_total, b.window.max_total)
+    if max_total is None and hs and ht and coeffs:  # the window follows the support
+        return LaurentSeries.exact(coeffs)
     return _known(coeffs, min_s, min_t, max_total, honest_s=hs, honest_t=ht)
 
 
@@ -427,10 +430,14 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     """Multiplicative inverse with series_mul(a, result) = 1 on the window.
 
     The leading term in the s-small order must be a bare monomial with
-    coefficient 1 that no unknown term can undercut.  The inverse of a
-    genuinely bivariate series has unboundedly negative t-exponents; the
-    result is then confined to the target window and loses honesty in the
-    affected axis.
+    coefficient 1 that no unknown term can undercut.  For a = lead (1 + r)
+    it is lead^-1 prod_k (1 + r^(2^k)) over F2, each r^(2^k) the square of
+    the one before, formed where it can still reach the window: the terms
+    of r are lexicographically positive, so after about log2 of the
+    window's extent nothing is left.  It is known to total a.max_total -
+    2 total(lead), less what r's terms of negative total can take away at
+    the window's largest e_s; an axis loses honesty when the product
+    reaches below it, and t also when r has a term of negative total.
     """
     if not a.honest:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -459,11 +466,9 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
         )
 
     # relative series r with a = lead * (1 + r); every term of r is
-    # lexicographically positive, so the Neumann sum converges per window
+    # lexicographically positive, so the product converges per window
     rel = a.shift(-lead[0], -lead[1])
-    r_coeffs = dict(rel.coeffs)
-    r_coeffs.pop((0, 0), None)
-    r = LaurentSeries(rel.window, r_coeffs)
+    r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
     if a.window.max_total is not None and a.window.min_s < lead[0]:
         # an unknown term of lower e_s, above max_total, would lead instead
         raise NotInvertibleError("leading term is not minimal in the s-small order")
@@ -471,15 +476,18 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     # target window for the relative inverse c = (1 + r)^{-1}
     box = window.shifted(lead[0], lead[1])
     bs = box.max_total - box.min_t  # largest reachable e_s
-    neg_drop = max((-et for _, et in r.coeffs if et < 0), default=0)
+    neg_drop = max((-et for _, et in r if et < 0), default=0)
 
-    lost_s = lost_t = False
+    # a term of r with negative total has e_s >= 1: its powers fall below
+    # the t-axis at totals the box covers, after keep has dropped them
+    negative = [(es, es + et) for es, et in r if es + et < 0]
+    lost_s, lost_t = False, bool(negative)
 
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
         # multiplications by r (e_s never decreases; e_t drops at most
-        # neg_drop per unit of e_s growth); a dropped position below the
-        # box costs honesty in that axis
+        # neg_drop per unit of e_s growth), so also under squaring; a
+        # dropped position below the box costs honesty in that axis
         nonlocal lost_s, lost_t
         if es <= bs and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop:
             return True
@@ -487,30 +495,22 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
         lost_t = lost_t or et < box.min_t
         return False
 
-    mt_r = r.certified_min_total()  # None only if r is exactly zero
-    r_max = r.window.max_total
+    # q is r^(2^k) on keep; its square is the Frobenius, with no product
     acc = {(0, 0): F2Poly.one()}
-    term = {(0, 0): F2Poly.one()}
-    term_max_acc = None  # running min over term windows
-    steps = 0
-    while term:
-        steps += 1
-        if steps > 100000:
-            raise LaurentError("inverse iteration failed to terminate")
-        term = _product(term, r.coeffs, keep)
-        for e, p in term.items():
-            _add_into(acc, e, p)
-        if r_max is not None:
-            # the k-th power of r is exact out to r_max + (k-1)*min(mt_r, 0),
-            # also when none of it is left to keep
-            t_max = r_max + (steps - 1) * min(mt_r, 0)
-            term_max_acc = _min_total(term_max_acc, t_max)
+    q = {e: p for e, p in r.items() if keep(*e)}
+    while q:
+        acc = _product(acc, {(0, 0): F2Poly.one(), **q}, keep)
+        q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
+    # a product with an unknown term of r lies above rel's max_total plus
+    # its known factors of negative total, whose e_s sum to at most bs
+    lowest = max((-total * max(bs, 0) // es for es, total in negative), default=0)
+    max_total = _add_total(rel.window.max_total, -lowest)
 
     for es, et in acc:
         lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
     c = _known(
-        acc, box.min_s, box.min_t, _min_total(box.max_total, term_max_acc),
+        acc, box.min_s, box.min_t, _min_total(box.max_total, max_total),
         honest_s=not lost_s, honest_t=not lost_t,
     )
     return c.shift(-lead[0], -lead[1]).restricted(window)

@@ -229,6 +229,97 @@ def test_inverse_of_truncated_unit_stops_at_its_window():
     assert inv.coefficient(0, 0) == ONE
 
 
+def test_inverse_of_a_negative_total_term_is_not_honest_in_t():
+    # r = s^2 t^-3 leaves the window at once, but r^3 = s^6 t^-9 lies
+    # below its t-axis at a total the window covers
+    inv = series_inverse(exact((0, 0), (2, -3)), window=Window(0, -4, -3))
+    assert not inv.honest_t
+    with pytest.raises(WindowMissError):
+        inv.coefficient(6, -9)
+
+
+def test_exact_sum_window_follows_its_support():
+    assert exact((0, 0), (0, 1)) + exact((0, 0)) == exact((0, 1))
+    assert exact((1, 0), (0, 1)) + exact((0, 1)) == exact((1, 0))
+
+
+def _neumann_inverse(a, es_max, et_max):
+    """The inverse of an exact unit a at every (e_s, e_t) with e_s <= es_max
+    and e_t <= et_max, as lead^-1 times the Neumann sum of the powers of r,
+    where a = lead (1 + r).  Every term of r is lexicographically positive
+    and lowers e_t by at most drop per unit of e_s, so the positions kept
+    are exactly those that can still reach the bounds."""
+    ls, lt = min(a.coeffs)
+    r = {(es - ls, et - lt): p for (es, et), p in a.coeffs.items() if (es, et) != (ls, lt)}
+    drop = max([-et for _, et in r] + [0])
+    top_s, top_t = es_max + ls, et_max + lt
+    acc = term = {(0, 0): ONE}
+    while term:
+        nxt: dict = {}
+        for (es1, et1), p1 in term.items():
+            for (es2, et2), p2 in r.items():
+                es, et = es1 + es2, et1 + et2
+                if es <= top_s and et <= top_t + (top_s - es) * drop:
+                    nxt[(es, et)] = nxt.get((es, et), F2Poly.zero()) + p1 * p2
+        term = {e: p for e, p in nxt.items() if not p.is_zero()}
+        acc = {e: acc.get(e, F2Poly.zero()) + term.get(e, F2Poly.zero()) for e in {*acc, *term}}
+    return {(es - ls, et - lt): p for (es, et), p in acc.items() if not p.is_zero()}
+
+
+@st.composite
+def _unit_and_completion(draw):
+    """A unit lead (1 + r), exact or known on a window from e_s = lead_s,
+    and an exact completion of it.  r has terms of negative e_t and of
+    negative total; the completion adds terms above the window's max_total
+    inside its quadrant."""
+    ls, lt = draw(st.integers(-1, 2)), draw(st.integers(-2, 2))
+    rel = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda e: e > (0, 0))
+    r = draw(st.dictionaries(rel, st.sampled_from(COMPOSE_COEFFS), max_size=4))
+    terms = {(ls, lt): ONE, **{(ls + es, lt + et): p for (es, et), p in r.items()}}
+    if draw(st.booleans()):
+        a = LaurentSeries.exact(terms)
+        return a, a
+    w = Window(ls, draw(st.integers(lt - 4, lt)), draw(st.integers(ls + lt, ls + lt + 5)))
+    a = LaurentSeries.truncated(terms, w)
+    tail = [
+        (es, total - es)
+        for total in range(w.max_total + 1, w.max_total + 6)
+        for es in range(w.min_s, min(w.min_s + 4, total - w.min_t) + 1)
+    ]
+    extra = draw(st.dictionaries(st.sampled_from(tail), st.sampled_from(COMPOSE_COEFFS), max_size=4))
+    return a, LaurentSeries.exact({**a.coeffs, **extra})
+
+
+@st.composite
+def _target_window(draw):
+    min_s, min_t = draw(st.integers(-2, 3)), draw(st.integers(-6, 2))
+    return Window(min_s, min_t, draw(st.integers(min_s + min_t, min_s + min_t + 5)))
+
+
+@settings(deadline=None, max_examples=1000)
+@given(_unit_and_completion(), st.one_of(st.none(), _target_window()))
+def test_inverse_window_sound_by_completion(unit, window):
+    """Every coefficient an inverse claims, inside its window or below an
+    honest axis up to its max_total, is the coefficient of the exact
+    inverse of a completion of its input."""
+    a, full = unit
+    try:
+        got = series_inverse(a, window=window)
+    except NotInvertibleError:  # an exact non-monomial with no window
+        assert window is None and a.is_exact()
+        return
+    except EmptyWindowError:  # it knows nothing, not even below an axis
+        return
+    want = _neumann_inverse(full, 9, 9)
+    for es in range(-4, 10):
+        for et in range(-14, 10):
+            try:
+                claimed = got.coefficient(es, et)
+            except WindowMissError:
+                continue
+            assert claimed == want.get((es, et), F2Poly.zero()), (es, et)
+
+
 def _random_series(rng, negative=False):
     terms = {}
     for _ in range(rng.randint(1, 6)):
