@@ -21,7 +21,9 @@ from typing import Iterable
 # and every index about log2 of it, and no command answers in reasonable
 # time at a bound near 2^15, let alone 2^63.  Only this module looks
 # inside a monomial: other code reads it through ``factors`` and
-# ``monomial_degree``.
+# ``monomial_degree``, and multiplies through ``sum_of_products``, which
+# checks the guard once per sum: no factor's field reaches it, so nothing
+# carries before the check, and an overflow that cancels is no error.
 Monomial = int
 _W = 16
 _MAX_INDEX = 64
@@ -87,6 +89,16 @@ def _checked(monomials: set) -> "F2Poly":
     return F2Poly(monomials)
 
 
+def sum_of_products(pairs: Iterable[tuple]) -> "F2Poly":
+    """The sum of p * q over the (p, q) pairs, formed in one set."""
+    acc: set = set()
+    for p, q in pairs:
+        qs = q.monomials
+        for ma in p.monomials:  # one row's products are distinct
+            acc ^= {ma + mb for mb in qs}
+    return _checked(acc)
+
+
 class F2Poly:
     """Sparse polynomial over GF(2): a finite set of monomials.
 
@@ -125,10 +137,7 @@ class F2Poly:
         return F2Poly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
-        acc: set = set()
-        for ma in self.monomials:  # one row's products are distinct
-            acc ^= {ma + mb for mb in other.monomials}
-        return _checked(acc)
+        return sum_of_products(((self, other),))
 
     def square(self) -> "F2Poly":
         # Frobenius: (sum m)^2 = sum m^2 in characteristic 2

@@ -19,19 +19,18 @@ max_total = None means the series is exact (known in full).
 _product is the one product kernel: it multiplies two coefficient maps at
 the exponents that pass a keep(e_s, e_t) test, for series_mul (an exact
 factor included) and for the factors of the Frobenius product in
-series_inverse.  The one exception is series_reversion, whose column
-recurrence multiplies coefficients of a univariate series directly.
-_add_into is the one add-and-cancel step of _product, series_add and
-series_reversion.  _window builds the derived windows of products, sums,
-inverses, restrictions and composites, and keeps an honest axis' zeros
-when nothing else is left.
+series_inverse.  Every sum of coefficient products, there and in
+series_reversion's column recurrence, is one f2.sum_of_products call per
+output coefficient, and a coefficient that cancels is dropped.  _window
+builds the derived windows of products, sums, inverses, restrictions and
+composites, and keeps an honest axis' zeros when nothing else is left.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import F2Poly
+from .f2 import F2Poly, sum_of_products
 
 
 class LaurentError(Exception):
@@ -333,31 +332,23 @@ def _known(
     )
 
 
-def _add_into(acc: dict, e, p: F2Poly) -> None:
-    """acc[e] += p, dropping the entry when it cancels."""
-    q = acc.get(e)
-    q = p if q is None else q + p
-    if q.is_zero():
-        acc.pop(e, None)
-    else:
-        acc[e] = q
-
-
 def _product(a_coeffs: dict, b_coeffs: dict, keep) -> dict:
     """Product of two coefficient maps, at the exponents where keep(es, et)."""
-    out: dict = {}
+    groups: dict = {}
     for (es1, et1), p1 in a_coeffs.items():
         for (es2, et2), p2 in b_coeffs.items():
             es, et = es1 + es2, et1 + et2
             if keep(es, et):
-                _add_into(out, (es, et), p1 * p2)
-    return out
+                groups.setdefault((es, et), []).append((p1, p2))
+    sums = {e: sum_of_products(pairs) for e, pairs in groups.items()}
+    return {e: p for e, p in sums.items() if not p.is_zero()}
 
 
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    coeffs = dict(a.coeffs)
-    for e, p in b.coeffs.items():
-        _add_into(coeffs, e, p)
+    coeffs = {**a.coeffs, **b.coeffs}
+    for e in a.coeffs.keys() & b.coeffs.keys():
+        coeffs[e] = a.coeffs[e] + b.coeffs[e]
+    coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
     # per axis: if both summands vanish below their bounds the union
     # quadrant is sound; otherwise only the intersection is exact
     if a.honest_s and b.honest_s:
@@ -437,7 +428,7 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     window's extent nothing is left.  It is known to total a.max_total -
     2 total(lead), less what r's terms of negative total can take away at
     the window's largest e_s; an axis loses honesty when the product
-    reaches below it, and t also when r has a term of negative total.
+    reaches below it, and t also when r has a term of negative e_t.
     """
     if not a.honest:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -478,10 +469,10 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     bs = box.max_total - box.min_t  # largest reachable e_s
     neg_drop = max((-et for _, et in r if et < 0), default=0)
 
-    # a term of r with negative total has e_s >= 1: its powers fall below
-    # the t-axis at totals the box covers, after keep has dropped them
+    # a term of r with negative e_t has e_s >= 1: its powers fall ever
+    # lower in t, below any t-axis, after keep has dropped them
     negative = [(es, es + et) for es, et in r if es + et < 0]
-    lost_s, lost_t = False, bool(negative)
+    lost_s, lost_t = False, neg_drop > 0
 
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
@@ -638,9 +629,10 @@ def series_reversion(
     """Compositional inverse b of a = v + (higher order), with a(b) = v.
 
     pows[j][n] is the v^n coefficient of b^j (pows[1] is b); for j >= 2 it
-    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power, one
-    product per term of b.  As a starts with v and a(b) has no v^d term,
-    b_d = sum_{j>=2} a_j pows[j][d].
+    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power, each
+    entry one sum over the terms of b.  As a starts with v and a(b) has no
+    v^d term, b_d = sum_{j>=2} a_j pows[j][d].  b and pows hold no zeros:
+    b of z(t) has about log2 m terms, and the loops over it stay that short.
     """
     if not a.is_univariate(var):
         raise BadValuationError(f"series is not univariate in {var}")
@@ -658,13 +650,15 @@ def series_reversion(
     for d in range(2, m + 1):
         pows.append({})
         for j in range(2, d + 1):
-            for k, bk in b.items():
-                p = pows[j - 1].get(d - k)
-                if p is not None:
-                    _add_into(pows[j], d, p * bk)
-        for j in range(2, d + 1):
-            if j in coeffs and d in pows[j]:
-                _add_into(b, d, coeffs[j] * pows[j][d])
+            prev = pows[j - 1]
+            p = sum_of_products((prev[d - k], bk) for k, bk in b.items() if d - k in prev)
+            if not p.is_zero():
+                pows[j][d] = p
+        p = sum_of_products(
+            (c, pows[j][d]) for j, c in coeffs.items() if 2 <= j <= d and d in pows[j]
+        )
+        if not p.is_zero():
+            b[d] = p
 
     terms = {((e, 0) if var == "s" else (0, e)): p for e, p in b.items()}
     w = Window(1 if var == "s" else 0, 1 if var == "t" else 0, m)

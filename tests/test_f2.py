@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dlash import f2
-from dlash.f2 import F2Poly, binom_exact_parity, binom_mod2, factors, monomial_degree
+from dlash.f2 import (
+    F2Poly,
+    binom_exact_parity,
+    binom_mod2,
+    factors,
+    monomial_degree,
+    sum_of_products,
+)
+from dlash.laurent import LaurentSeries, series_mul
 from dlash.steenrod import conjugate_zeta
 
 
@@ -165,6 +173,20 @@ class TestAgainstExponentReference:
         assert (_as_poly(a) * _as_poly(b)) == _as_poly(_ref_mul(a, b))
         assert str(_as_poly(a) * _as_poly(b)) == _ref_str(_ref_mul(a, b))
 
+    @given(
+        st.lists(st.tuples(_ref_polys, _ref_polys), max_size=4),
+        st.lists(st.integers(0, 3), max_size=3),
+    )
+    def test_sum_of_products(self, pairs, repeats):
+        # a pair repeated, as (a, b) or as (b, a), cancels its product
+        pairs = pairs + [pairs[i][::-1] for i in repeats if i < len(pairs)]
+        want: set = set()
+        for a, b in pairs:
+            want ^= _ref_mul(a, b)
+        got = sum_of_products((_as_poly(a), _as_poly(b)) for a, b in pairs)
+        assert got == _as_poly(want)
+        assert str(got) == _ref_str(want)
+
     @given(_ref_polys)
     def test_square(self, a):
         want = {tuple((i, 2 * e) for i, e in m) for m in a}
@@ -205,6 +227,23 @@ class TestExponentOverflow:
         assert factors(next(iter((half * below).monomials))) == ((2, self.LIMIT - 1), (3, 1))
         with pytest.raises(ValueError, match="z2 "):
             (F2Poly.zeta(1) + half) * (half * F2Poly.zeta(4))
+
+    def test_series_product(self):
+        # the coefficient of 1 sums two products, z1 z3^h + z3^2h and 1;
+        # z3^2h reaches the guard of z3 and nothing cancels it
+        half = F2Poly.zeta(3, self.LIMIT // 2)
+        a = LaurentSeries.exact({(0, 0): F2Poly.zeta(1) + half, (0, 1): F2Poly.one()})
+        b = LaurentSeries.exact({(0, 0): half, (0, -1): F2Poly.one(), (1, 0): F2Poly.zeta(1)})
+        with pytest.raises(ValueError, match="z3 "):
+            series_mul(a, b)
+
+    def test_sum_that_cancels_an_overflow(self):
+        # no carry leaves a field before the check, so a monomial past the
+        # guard that cancels within the sum is no error
+        half = F2Poly.zeta(2, self.LIMIT // 2)
+        assert sum_of_products([(half, half), (half, half)]).is_zero()
+        with pytest.raises(ValueError, match="z2 "):
+            sum_of_products([(half, half), (half, F2Poly.one())])
 
     def test_square(self):
         assert F2Poly.zeta(4, self.LIMIT // 2 - 1).square() == F2Poly.zeta(4, self.LIMIT - 2)

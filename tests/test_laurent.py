@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from dlash.f2 import F2Poly
 from dlash.laurent import (
@@ -107,6 +107,9 @@ T_PLUS_S = exact((0, 1), (1, 0))
             True,
             True,
         ),
+        # nothing reaches the window, but the inverse sum s^k t^-k has
+        # s^101 t^-101 below its t-axis
+        (exact((0, 0), (1, -1)), Window(0, -100, -99), Window(0, -100, -99), True, False),
     ],
 )
 def test_inverse_window_and_honesty(u, window, want_window, honest_s, honest_t):
@@ -183,6 +186,88 @@ def test_reversion_round_trip(data, m):
     assert back.agrees_with(exact((0, 1)))
 
 
+def _reversion_by_columns(a, var, max_total):
+    """series_reversion's column recurrence with one product and one sum
+    of coefficients at a time: pows[j][n] is the v^n coefficient of b^j,
+    and b_d = sum_{j>=2} a_j pows[j][d]."""
+    coeffs = {e[0 if var == "s" else 1]: p for e, p in a.coeffs.items()}
+    m = min(x for x in (a.window.max_total, max_total) if x is not None)
+
+    def add(acc, e, p):
+        q = acc.get(e, F2Poly.zero()) + p
+        if q.is_zero():
+            acc.pop(e, None)
+        else:
+            acc[e] = q
+
+    b = {1: ONE}
+    pows = [None, b]
+    for d in range(2, m + 1):
+        pows.append({})
+        for j in range(2, d + 1):
+            for k, bk in b.items():
+                p = pows[j - 1].get(d - k)
+                if p is not None:
+                    add(pows[j], d, p * bk)
+        for j in range(2, d + 1):
+            if j in coeffs and d in pows[j]:
+                add(b, d, coeffs[j] * pows[j][d])
+    terms = {((e, 0) if var == "s" else (0, e)): p for e, p in b.items()}
+    return LaurentSeries(Window(int(var == "s"), int(var == "t"), m), terms)
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from("st"),
+    st.lists(st.sampled_from(REVERSION_COEFFS + [F2Poly.zeta(1, 2) * F2Poly.zeta(3) + ONE]),
+             max_size=19),
+    st.one_of(st.none(), st.integers(1, 20)),
+    st.one_of(st.none(), st.integers(1, 20)),
+)
+def test_reversion_matches_the_column_reference(var, cs, known, max_total):
+    """a = v + sum c_j v^j, exact (known None) or known to total known."""
+    assume(known is not None or max_total is not None)
+    terms = {1: ONE, **dict(enumerate(cs, 2))}
+    terms = {((j, 0) if var == "s" else (0, j)): c for j, c in terms.items()}
+    a = LaurentSeries.truncated(terms, Window(int(var == "s"), int(var == "t"), known))
+    got = series_reversion(a, var=var, max_total=max_total)
+    assert repr(got) == repr(_reversion_by_columns(a, var, max_total))
+    assert got.honest
+
+
+REVERSION_OF_ZETA_128 = (
+    "LaurentSeries(t + z1 t^2 + (z1^3 + z2) t^4 + (z1 z2^2 + z1^4 z2 + z1^7 + z3) t^8"
+    " + (z1 z3^2 + z1^3 z2^4 + z1^8 z3 + z1^9 z2^2 + z1^12 z2 + z1^15 + z2^5"
+    " + z4) t^16 + (z1 z2^10 + z1 z4^2 + z1^3 z3^4 + z1^4 z2^9 + z1^7 z2^8"
+    " + z1^16 z2^5 + z1^16 z4 + z1^17 z3^2 + z1^19 z2^4 + z1^24 z3 + z1^25 z2^2"
+    " + z1^28 z2 + z1^31 + z2 z3^4 + z2^8 z3 + z5) t^32 + (z1 z2^2 z3^8"
+    " + z1 z2^16 z3^2 + z1 z5^2 + z1^3 z2^20 + z1^3 z4^4 + z1^4 z2 z3^8 + z1^7 z3^8"
+    " + z1^8 z2^16 z3 + z1^9 z2^18 + z1^12 z2^17 + z1^15 z2^16 + z1^32 z2 z3^4"
+    " + z1^32 z2^8 z3 + z1^32 z5 + z1^33 z2^10 + z1^33 z4^2 + z1^35 z3^4 + z1^36 z2^9"
+    " + z1^39 z2^8 + z1^48 z2^5 + z1^48 z4 + z1^49 z3^2 + z1^51 z2^4 + z1^56 z3"
+    " + z1^57 z2^2 + z1^60 z2 + z1^63 + z2 z4^4 + z2^16 z4 + z2^21 + z3^9 + z6) t^64"
+    " + (z1 z2^2 z4^8 + z1 z2^32 z4^2 + z1 z2^42 + z1 z3^18 + z1 z6^2"
+    " + z1^3 z2^4 z3^16 + z1^3 z2^32 z3^4 + z1^3 z5^4 + z1^4 z2 z4^8 + z1^4 z2^41"
+    " + z1^7 z2^40 + z1^7 z4^8 + z1^8 z3^17 + z1^9 z2^2 z3^16 + z1^12 z2 z3^16"
+    " + z1^15 z3^16 + z1^16 z2^32 z4 + z1^16 z2^37 + z1^17 z2^32 z3^2 + z1^19 z2^36"
+    " + z1^24 z2^32 z3 + z1^25 z2^34 + z1^28 z2^33 + z1^31 z2^32 + z1^64 z2 z4^4"
+    " + z1^64 z2^16 z4 + z1^64 z2^21 + z1^64 z3^9 + z1^64 z6 + z1^65 z2^2 z3^8"
+    " + z1^65 z2^16 z3^2 + z1^65 z5^2 + z1^67 z2^20 + z1^67 z4^4 + z1^68 z2 z3^8"
+    " + z1^71 z3^8 + z1^72 z2^16 z3 + z1^73 z2^18 + z1^76 z2^17 + z1^79 z2^16"
+    " + z1^96 z2 z3^4 + z1^96 z2^8 z3 + z1^96 z5 + z1^97 z2^10 + z1^97 z4^2"
+    " + z1^99 z3^4 + z1^100 z2^9 + z1^103 z2^8 + z1^112 z2^5 + z1^112 z4"
+    " + z1^113 z3^2 + z1^115 z2^4 + z1^120 z3 + z1^121 z2^2 + z1^124 z2 + z1^127"
+    " + z2 z5^4 + z2^5 z3^16 + z2^32 z5 + z2^33 z3^4 + z2^40 z3 + z3 z4^8 + z3^16 z4"
+    " + z7) t^128 @ [e_s>=0, e_t>=1, e_s+e_t<=128])"
+)
+
+
+def test_reversion_of_zeta_pinned():
+    b = series_reversion(zeta_series(128))
+    assert repr(b) == REVERSION_OF_ZETA_128
+    assert b.honest
+
+
 def test_residue():
     s = exact((-1, 3), (0, 2))
     r = residue(s, "s")
@@ -241,6 +326,52 @@ def test_inverse_of_a_negative_total_term_is_not_honest_in_t():
 def test_exact_sum_window_follows_its_support():
     assert exact((0, 0), (0, 1)) + exact((0, 0)) == exact((0, 1))
     assert exact((1, 0), (0, 1)) + exact((0, 1)) == exact((1, 0))
+
+
+@st.composite
+def _summand_and_completion(draw):
+    """A series known on a window, exact or truncated, honest or not in
+    each axis, and the terms of an exact completion of it: random terms
+    at positions it does not know, above its max_total or below a
+    dishonest axis."""
+    min_s, min_t = draw(st.integers(-2, 1)), draw(st.integers(-2, 1))
+    w = Window(min_s, min_t, draw(st.one_of(st.none(), st.integers(min_s + min_t, 4))))
+    honest_s, honest_t = draw(st.booleans()), draw(st.booleans())
+    box = [(es, et) for es in range(-4, 7) for et in range(-4, 7)]
+    inside = [e for e in box if w.contains(*e)]
+    unknown = [
+        (es, et) for es, et in box
+        if not (w.contains(es, et) or honest_s and es < min_s or honest_t and et < min_t)
+    ]
+    coeffs = st.sampled_from(COMPOSE_COEFFS)
+    terms = draw(st.dictionaries(st.sampled_from(inside), coeffs, max_size=4))
+    a = LaurentSeries.truncated(terms, w, honest_s=honest_s, honest_t=honest_t)
+    extra = draw(st.dictionaries(st.sampled_from(unknown), coeffs, max_size=4)) if unknown else {}
+    return a, {**a.coeffs, **extra}
+
+
+@settings(deadline=None, max_examples=500)
+@given(_summand_and_completion(), _summand_and_completion())
+def test_add_window_sound_by_completion(x, y):
+    """Every coefficient a sum claims, in its window or below an honest
+    axis up to its max_total, is that of the sum of completions of its
+    summands, and below an honest axis that sum vanishes at every total."""
+    (a, full_a), (b, full_b) = x, y
+    try:
+        got = series_add(a, b)
+    except EmptyWindowError:  # it knows nothing, not even below an axis
+        return
+    zero, w = F2Poly.zero(), got.window
+    for es in range(-6, 9):
+        for et in range(-6, 9):
+            true = full_a.get((es, et), zero) + full_b.get((es, et), zero)
+            if got.honest_s and es < w.min_s or got.honest_t and et < w.min_t:
+                assert true.is_zero(), (es, et)
+            try:
+                claimed = got.coefficient(es, et)
+            except WindowMissError:
+                continue
+            assert claimed == true, (es, et)
 
 
 def _neumann_inverse(a, es_max, et_max):
