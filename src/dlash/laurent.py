@@ -16,6 +16,12 @@ describing where its coefficients are guaranteed exact:
 
 max_total = None means the series is exact (known in full).
 
+A series stores no key outside its window and no zero coefficient; the
+constructor trusts its caller, and each producer makes both once.
+truncated (so also _known) drops zeros and keys outside the window, exact
+and map_coeffs drop zeros, _product drops the sums that cancel and the
+exponents keep rejects, and the other operations build clean maps.
+
 _product is the one product kernel: it multiplies two coefficient maps at
 the exponents that pass a keep(e_s, e_t) test, for series_mul (an exact
 factor included) and for the factors of the Frobenius product in
@@ -113,17 +119,10 @@ class LaurentSeries:
 
     def __init__(self, window: Window, coeffs: dict,
                  honest_s: bool = True, honest_t: bool = True):
-        clean = {}
-        for (es, et), poly in coeffs.items():
-            if poly.is_zero():
-                continue
-            if not window.contains(es, et):
-                raise ValueError(
-                    f"coefficient at ({es},{et}) outside window {window.describe()}"
-                )
-            clean[(es, et)] = poly
+        """Store the arguments as given: every key of coeffs lies inside
+        window, no coefficient is zero, and nothing mutates coeffs later."""
         object.__setattr__(self, "window", window)
-        object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "honest_s", honest_s)
         object.__setattr__(self, "honest_t", honest_t)
 
@@ -144,7 +143,7 @@ class LaurentSeries:
         """A series the caller knows in full: window covers the support."""
         nz = {e: p for e, p in terms.items() if not p.is_zero()}
         if not nz:
-            return LaurentSeries(Window(0, 0, None), {})
+            return LaurentSeries.zero()
         min_s = min(es for es, _ in nz)
         min_t = min(et for _, et in nz)
         return LaurentSeries(Window(min_s, min_t, None), nz)
@@ -165,7 +164,7 @@ class LaurentSeries:
     @staticmethod
     def truncated(terms: dict, window: Window, **flags) -> "LaurentSeries":
         """A series known exactly on the given window, unknown above."""
-        kept = {e: p for e, p in terms.items() if window.contains(*e)}
+        kept = {e: p for e, p in terms.items() if window.contains(*e) and not p.is_zero()}
         return LaurentSeries(window, kept, **flags)
 
     def is_exact(self) -> bool:
@@ -243,11 +242,9 @@ class LaurentSeries:
         )
 
     def map_coeffs(self, fn) -> "LaurentSeries":
-        return LaurentSeries(
-            self.window,
-            {e: fn(p) for e, p in self.coeffs.items()},
-            **self._flags(),
-        )
+        """Apply fn to every coefficient, dropping those it sends to zero."""
+        mapped = {e: q for e, p in self.coeffs.items() if not (q := fn(p)).is_zero()}
+        return LaurentSeries(self.window, mapped, **self._flags())
 
     # -- comparison and rendering ---------------------------------------
 
@@ -347,8 +344,7 @@ def _product(a_coeffs: dict, b_coeffs: dict, keep) -> dict:
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     coeffs = {**a.coeffs, **b.coeffs}
     for e in a.coeffs.keys() & b.coeffs.keys():
-        coeffs[e] = a.coeffs[e] + b.coeffs[e]
-    coeffs = {e: p for e, p in coeffs.items() if not p.is_zero()}
+        coeffs[e] = a.coeffs[e] + b.coeffs[e]  # may cancel to zero
     # per axis: if both summands vanish below their bounds the union
     # quadrant is sound; otherwise only the intersection is exact
     if a.honest_s and b.honest_s:
@@ -360,8 +356,10 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     else:
         min_t, ht = max(a.window.min_t, b.window.min_t), False
     max_total = _min_total(a.window.max_total, b.window.max_total)
-    if max_total is None and hs and ht and coeffs:  # the window follows the support
-        return LaurentSeries.exact(coeffs)
+    if max_total is None and hs and ht:
+        # the window follows the support; a sum that cancels keeps the corner
+        total = LaurentSeries.exact(coeffs)
+        return total if total.coeffs else LaurentSeries(Window(min_s, min_t), {})
     return _known(coeffs, min_s, min_t, max_total, honest_s=hs, honest_t=ht)
 
 
@@ -369,9 +367,9 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     """The product on the window both factors certify, with a's flags.
 
     Either both factors are quadrant honest, or one is exact; the exact
-    one is then taken as b and a's flags carry over.
+    one, an exact zero first, is then taken as b and a's flags carry over.
     """
-    if a.is_exact() and not b.is_exact():
+    if a.is_exact() and not (b.is_exact() and a.coeffs):
         a, b = b, a
     if b.is_exact():
         if not b.coeffs:
@@ -629,10 +627,10 @@ def series_reversion(
     """Compositional inverse b of a = v + (higher order), with a(b) = v.
 
     pows[j][n] is the v^n coefficient of b^j (pows[1] is b); for j >= 2 it
-    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power, each
-    entry one sum over the terms of b.  As a starts with v and a(b) has no
-    v^d term, b_d = sum_{j>=2} a_j pows[j][d].  b and pows hold no zeros:
-    b of z(t) has about log2 m terms, and the loops over it stay that short.
+    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power up to
+    a's degree, one sum over the terms of b each.  As a starts with v and
+    a(b) has no v^d term, b_d = sum_{j>=2} a_j pows[j][d].  b and pows hold
+    no zeros: b of z(t) has about log2 m terms, and the loops stay that short.
     """
     if not a.is_univariate(var):
         raise BadValuationError(f"series is not univariate in {var}")
@@ -645,11 +643,11 @@ def series_reversion(
     if m is None:
         raise BadValuationError("reversion of an exact series needs an explicit max_total")
 
+    top = min(max(coeffs), m)
     b = {1: F2Poly.one()}
-    pows = [None, b]
+    pows = [None, b] + [{} for _ in range(2, top + 1)]
     for d in range(2, m + 1):
-        pows.append({})
-        for j in range(2, d + 1):
+        for j in range(2, min(d, top) + 1):
             prev = pows[j - 1]
             p = sum_of_products((prev[d - k], bk) for k, bk in b.items() if d - k in prev)
             if not p.is_zero():

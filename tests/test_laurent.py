@@ -32,6 +32,14 @@ def exact(*exps):
     return LaurentSeries.exact({e: ONE for e in exps})
 
 
+def _assert_stored_inside(series):
+    """The invariant every producer makes: no stored key outside the
+    window, and no stored coefficient zero."""
+    for e, p in series.coeffs.items():
+        assert series.window.contains(*e), (e, series.window)
+        assert not p.is_zero(), e
+
+
 def test_window_validation():
     with pytest.raises(EmptyWindowError):
         Window(2, 2, 3)
@@ -231,6 +239,7 @@ def test_reversion_matches_the_column_reference(var, cs, known, max_total):
     terms = {((j, 0) if var == "s" else (0, j)): c for j, c in terms.items()}
     a = LaurentSeries.truncated(terms, Window(int(var == "s"), int(var == "t"), known))
     got = series_reversion(a, var=var, max_total=max_total)
+    _assert_stored_inside(got)
     assert repr(got) == repr(_reversion_by_columns(a, var, max_total))
     assert got.honest
 
@@ -361,6 +370,7 @@ def test_add_window_sound_by_completion(x, y):
         got = series_add(a, b)
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
+    _assert_stored_inside(got)
     zero, w = F2Poly.zero(), got.window
     for es in range(-6, 9):
         for et in range(-6, 9):
@@ -441,6 +451,7 @@ def test_inverse_window_sound_by_completion(unit, window):
         return
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
+    _assert_stored_inside(got)
     want = _neumann_inverse(full, 9, 9)
     for es in range(-4, 10):
         for et in range(-14, 10):
@@ -449,6 +460,58 @@ def test_inverse_window_sound_by_completion(unit, window):
             except WindowMissError:
                 continue
             assert claimed == want.get((es, et), F2Poly.zero()), (es, et)
+
+
+def _residue_terms(full, var):
+    if var == "s":
+        return {(0, et): p for (es, et), p in full.items() if es == -1}
+    return {(es, 0): p for (es, et), p in full.items() if et == -1}
+
+
+# each operation on a series (restricted to a target window), and the same
+# operation on the terms of an exact completion
+UNARY_OPS = {
+    "square": (
+        lambda a, w: a.square(),
+        lambda full: {(2 * es, 2 * et): p.square() for (es, et), p in full.items()},
+    ),
+    "shift": (
+        lambda a, w: a.shift(2, -1),
+        lambda full: {(es + 2, et - 1): p for (es, et), p in full.items()},
+    ),
+    "restricted": (lambda a, w: a.restricted(w), lambda full: full),
+    "restricted_exact": (lambda a, w: a.restricted(Window(w.min_s, w.min_t)), lambda full: full),
+    "residue_s": (lambda a, w: residue(a, "s"), lambda full: _residue_terms(full, "s")),
+    "residue_t": (lambda a, w: residue(a, "t"), lambda full: _residue_terms(full, "t")),
+    "augment": (
+        lambda a, w: a.map_coeffs(F2Poly.augment),
+        lambda full: {e: p.augment() for e, p in full.items()},
+    ),
+}
+
+
+@settings(deadline=None, max_examples=200)
+@pytest.mark.parametrize("op", sorted(UNARY_OPS))
+@given(x=_summand_and_completion(), window=_target_window())
+def test_unary_window_sound_by_completion(op, x, window):
+    """Every coefficient square, shift, restricted, residue and augmentation
+    claim, in the window or below an honest axis up to max_total, is that
+    of the same operation applied to a completion of the input."""
+    a, full = x
+    series_op, terms_op = UNARY_OPS[op]
+    try:
+        got = series_op(a, window)
+    except (EmptyWindowError, WindowMissError):  # it claims nothing
+        return
+    _assert_stored_inside(got)
+    true = terms_op(full)
+    for es in range(-10, 15):
+        for et in range(-10, 15):
+            try:
+                claimed = got.coefficient(es, et)
+            except WindowMissError:
+                continue
+            assert claimed == true.get((es, et), F2Poly.zero()), (es, et)
 
 
 def _random_series(rng, negative=False):
@@ -543,6 +606,7 @@ def test_compose_window_sound_by_completion(data, a, u, var):
     min_s, min_t = data.draw(st.integers(-3, 0)), data.draw(st.integers(-4, 0))
     window = Window(min_s, min_t, data.draw(st.integers(max(min_s + min_t, 0), 6)))
     got = series_compose(a, u, var=var, window=window)
+    _assert_stored_inside(got)
 
     w = a.window
     tail = [
@@ -591,7 +655,7 @@ def _mul_by_shifts(a, b):
     """series_mul as a sum of copies of one factor, each shifted and scaled
     by one term of the other, folded by series_add; a product of two
     truncated factors is then cut to the window both certify."""
-    if a.is_exact() and not b.is_exact():
+    if a.is_exact() and not (b.is_exact() and a.coeffs):
         a, b = b, a
     if not (b.is_exact() or (a.honest and b.honest)):
         raise LaurentError("general product needs quadrant-honest factors or an exact one")
@@ -614,6 +678,12 @@ def _mul_by_shifts(a, b):
     return LaurentSeries.truncated(
         acc.coeffs if acc else {}, Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
     )
+
+
+@pytest.mark.parametrize("b", [exact((0, 0), (0, -1)), T_PLUS_S.restricted(Window(0, 0, 3))])
+def test_exact_zero_factor_gives_the_exact_zero(b):
+    assert series_mul(LaurentSeries.zero(), b) == LaurentSeries.zero()
+    assert series_mul(b, LaurentSeries.zero()) == LaurentSeries.zero()
 
 
 @st.composite
@@ -643,6 +713,7 @@ def _product_or_error(a, b, mul):
         c = mul(a, b)
     except LaurentError as e:
         return type(e)
+    _assert_stored_inside(c)
     return c.window, c.honest_s, c.honest_t, c.coeffs
 
 
