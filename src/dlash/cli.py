@@ -180,7 +180,7 @@ def zeta_action(ctx, n):
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=1, max=8))
+@click.argument("max_i", type=click.IntRange(min=1, max=11))
 @click.pass_context
 def conjugate(ctx, max_i):
     """Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators."""
@@ -216,7 +216,7 @@ def _report_command(ctx, command: str, extra: dict, records: list, suites: bool 
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=2, max=7))
+@click.argument("max_i", type=click.IntRange(min=2, max=8))
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""

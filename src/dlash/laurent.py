@@ -30,6 +30,13 @@ series_reversion's column recurrence, is one f2.sum_of_products call per
 output coefficient, and a coefficient that cancels is dropped.  _window
 builds the derived windows of products, sums, inverses, restrictions and
 composites, and keeps an honest axis' zeros when nothing else is left.
+
+Squaring is the Frobenius of characteristic 2 and takes no product: the
+powers r^(2^k) of series_inverse, and the even powers of series_compose
+and series_reversion, are squares.  Each operation forms only what its
+window reads: series_reversion only the powers of b that a's terms need,
+and series_inverse only the positions that can still flow back into its
+box, bounded in e_s, in e_t and in total.
 """
 
 from __future__ import annotations
@@ -357,9 +364,8 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         min_t, ht = max(a.window.min_t, b.window.min_t), False
     max_total = _min_total(a.window.max_total, b.window.max_total)
     if max_total is None and hs and ht:
-        # the window follows the support; a sum that cancels keeps the corner
-        total = LaurentSeries.exact(coeffs)
-        return total if total.coeffs else LaurentSeries(Window(min_s, min_t), {})
+        # the window follows the support; a sum that cancels is the exact zero
+        return LaurentSeries.exact(coeffs)
     return _known(coeffs, min_s, min_t, max_total, honest_s=hs, honest_t=ht)
 
 
@@ -421,12 +427,15 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     The leading term in the s-small order must be a bare monomial with
     coefficient 1 that no unknown term can undercut.  For a = lead (1 + r)
     it is lead^-1 prod_k (1 + r^(2^k)) over F2, each r^(2^k) the square of
-    the one before, formed where it can still reach the window: the terms
-    of r are lexicographically positive, so after about log2 of the
-    window's extent nothing is left.  It is known to total a.max_total -
-    2 total(lead), less what r's terms of negative total can take away at
-    the window's largest e_s; an axis loses honesty when the product
-    reaches below it, and t also when r has a term of negative e_t.
+    the one before, formed where it can still reach the window: at an e_s
+    no larger than the window's, and at an e_t and a total above the
+    window's by no more than r's terms can take away over the e_s still
+    to come.  The terms of r are lexicographically positive, so after
+    about log2 of the window's extent nothing is left.  It is known to
+    total a.max_total - 2 total(lead), less what r's terms of negative
+    total can take away at the window's largest e_s; an axis loses honesty
+    when the product reaches below it, and t also when r has a term of
+    negative e_t.
     """
     if not a.honest:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -467,18 +476,25 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     bs = box.max_total - box.min_t  # largest reachable e_s
     neg_drop = max((-et for _, et in r if et < 0), default=0)
 
-    # a term of r with negative e_t has e_s >= 1: its powers fall ever
-    # lower in t, below any t-axis, after keep has dropped them
+    # a term of r with negative e_t or negative total has e_s >= 1; the
+    # powers of one with negative e_t fall ever lower in t, below any
+    # t-axis, after keep has dropped them
     negative = [(es, es + et) for es, et in r if es + et < 0]
+    total_drop = max((-(total // es) for es, total in negative), default=0)
     lost_s, lost_t = False, neg_drop > 0
 
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
         # multiplications by r (e_s never decreases; e_t drops at most
-        # neg_drop per unit of e_s growth), so also under squaring; a
-        # dropped position below the box costs honesty in that axis
+        # neg_drop and the total at most total_drop per unit of e_s
+        # growth), so also under squaring; a dropped position below the
+        # box costs honesty in that axis
         nonlocal lost_s, lost_t
-        if es <= bs and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop:
+        if (
+            es <= bs
+            and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
+            and es + et <= box.max_total + (bs - es) * total_drop
+        ):
             return True
         lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
@@ -627,10 +643,13 @@ def series_reversion(
     """Compositional inverse b of a = v + (higher order), with a(b) = v.
 
     pows[j][n] is the v^n coefficient of b^j (pows[1] is b); for j >= 2 it
-    needs only b_1 .. b_{n-1}.  Degree d adds column d to every power up to
-    a's degree, one sum over the terms of b each.  As a starts with v and
-    a(b) has no v^d term, b_d = sum_{j>=2} a_j pows[j][d].  b and pows hold
-    no zeros: b of z(t) has about log2 m terms, and the loops stay that short.
+    needs only b_1 .. b_{n-1}.  As a starts with v and a(b) has no v^d term,
+    b_d = sum_{j>=2} a_j pows[j][d], so only the powers j of a's terms are
+    read, and pows holds those and the ones they are formed from.  Degree d
+    adds column d to each: an even power is the Frobenius square of its
+    half, pows[j][d] = pows[j/2][d/2]^2 (nothing at odd d), and an odd one
+    is b^(j-1) b, one sum over the terms of b.  For z(t) only the b^(2^k)
+    are formed, all by squaring.  b and pows hold no zeros.
     """
     if not a.is_univariate(var):
         raise BadValuationError(f"series is not univariate in {var}")
@@ -643,13 +662,24 @@ def series_reversion(
     if m is None:
         raise BadValuationError("reversion of an exact series needs an explicit max_total")
 
-    top = min(max(coeffs), m)
+    # the powers b^j that the b_d read, and those they are formed from: an
+    # even j from j/2, an odd j from j - 1
+    needed: set = set()
+    for j in coeffs:
+        while 2 <= j <= m and j not in needed:
+            needed.add(j)
+            j = j // 2 if j % 2 == 0 else j - 1
     b = {1: F2Poly.one()}
-    pows = [None, b] + [{} for _ in range(2, top + 1)]
+    pows = {1: b, **{j: {} for j in needed}}
     for d in range(2, m + 1):
-        for j in range(2, min(d, top) + 1):
-            prev = pows[j - 1]
-            p = sum_of_products((prev[d - k], bk) for k, bk in b.items() if d - k in prev)
+        for j in needed:
+            if j % 2 == 0:
+                # Frobenius: b^j = (b^(j/2))^2, with nothing at odd d
+                half = pows[j // 2].get(d // 2) if d % 2 == 0 else None
+                p = F2Poly.zero() if half is None else half.square()
+            else:
+                prev = pows[j - 1]
+                p = sum_of_products((prev[d - k], bk) for k, bk in b.items() if d - k in prev)
             if not p.is_zero():
                 pows[j][d] = p
         p = sum_of_products(

@@ -90,8 +90,8 @@ def test_window_error_exits_1(runner, args):
         ["conjugate", "0"],
         ["steinberger", "1"],
         ["zeta-action", "--", "-1"],
-        ["conjugate", "9"],
-        ["steinberger", "8"],
+        ["conjugate", "12"],
+        ["steinberger", "9"],
     ],
 )
 def test_out_of_range_argument_exits_2(runner, args):

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dlash.f2 import F2Poly
 from dlash.laurent import (
@@ -22,7 +22,7 @@ from dlash.laurent import (
     series_pow,
     series_reversion,
 )
-from dlash.steenrod import zeta_series
+from dlash.steenrod import _conjugates_by_recursion, zeta_series
 from dlash.verify import _identity1_rhs
 
 ONE = F2Poly.one()
@@ -277,6 +277,59 @@ def test_reversion_of_zeta_pinned():
     assert b.honest
 
 
+def test_reversion_of_zeta_gives_the_conjugates_of_the_recursion():
+    b = series_reversion(zeta_series(2048))
+    assert set(b.coeffs) == {(0, 2**i) for i in range(12)}
+    assert [b.coefficient(0, 2**i) for i in range(1, 12)] == _conjugates_by_recursion(11)
+
+
+@settings(deadline=None, max_examples=200)
+@example("t", {12: ONE}, None, 16)
+@given(
+    st.sampled_from("st"),
+    st.dictionaries(st.integers(2, 32), st.sampled_from(REVERSION_COEFFS[1:]), max_size=4),
+    st.one_of(st.none(), st.integers(1, 32)),
+    st.integers(1, 32),
+)
+def test_reversion_of_sparse_series_matches_the_column_reference(var, cs, known, max_total):
+    """a = v + a few c_j v^j with gaps between the j, so that b^j comes
+    from powers a lacks (b^12 from b^6 from b^3 from b^2)."""
+    terms = {((j, 0) if var == "s" else (0, j)): c for j, c in {1: ONE, **cs}.items()}
+    a = LaurentSeries.truncated(terms, Window(int(var == "s"), int(var == "t"), known))
+    got = series_reversion(a, var=var, max_total=max_total)
+    _assert_stored_inside(got)
+    assert repr(got) == repr(_reversion_by_columns(a, var, max_total))
+    assert got.honest
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.sampled_from("st"),
+    st.integers(1, 12),
+    st.data(),
+    st.one_of(st.none(), st.integers(1, 14)),
+)
+def test_reversion_window_sound_by_completion(var, known, data, max_total):
+    """Every coefficient the reversion of a = v + O(total known + 1)
+    claims, in its window or below an honest axis, is that of the
+    reversion of a completion of a, formed further out."""
+    cs = data.draw(
+        st.dictionaries(st.integers(2, known + 6), st.sampled_from(REVERSION_COEFFS[1:]), max_size=6)
+    )
+    at = (lambda j: (j, 0)) if var == "s" else (lambda j: (0, j))
+    full = LaurentSeries.exact({at(j): c for j, c in {1: ONE, **cs}.items()})
+    a = full.restricted(Window(*at(1), known))
+    got = series_reversion(a, var=var, max_total=max_total)
+    want = _reversion_by_columns(full, var, known + 6)
+    for es in range(-3, known + 2):
+        for et in range(-3, known + 2):
+            try:
+                claimed = got.coefficient(es, et)
+            except WindowMissError:
+                continue
+            assert claimed == want.coefficient(es, et), (es, et)
+
+
 def test_residue():
     s = exact((-1, 3), (0, 2))
     r = residue(s, "s")
@@ -335,6 +388,11 @@ def test_inverse_of_a_negative_total_term_is_not_honest_in_t():
 def test_exact_sum_window_follows_its_support():
     assert exact((0, 0), (0, 1)) + exact((0, 0)) == exact((0, 1))
     assert exact((1, 0), (0, 1)) + exact((0, 1)) == exact((1, 0))
+
+
+def test_exact_sum_that_cancels_is_the_exact_zero():
+    assert exact((1, 0)) + exact((1, 0)) == LaurentSeries.zero()
+    assert exact((0, 2), (3, -1)) + exact((3, -1), (0, 2)) == LaurentSeries.zero()
 
 
 @st.composite
@@ -407,15 +465,26 @@ def _neumann_inverse(a, es_max, et_max):
     return {(es - ls, et - lt): p for (es, et), p in acc.items() if not p.is_zero()}
 
 
+# relative terms of a unit lead (1 + r): all of them lexicographically
+# positive, of any e_t, of nonnegative e_t (the check_series_kernel
+# shape), and of negative total
+_REL_TERM = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda e: e > (0, 0))
+_REL_TERM_NONNEGATIVE = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e > (0, 0))
+_REL_TERM_NEGATIVE_TOTAL = st.tuples(st.integers(1, 3), st.integers(-7, -2)).filter(
+    lambda e: e[0] + e[1] < 0
+)
+
+
 @st.composite
-def _unit_and_completion(draw):
+def _unit_and_completion(draw, rel=_REL_TERM, negative_total=False):
     """A unit lead (1 + r), exact or known on a window from e_s = lead_s,
-    and an exact completion of it.  r has terms of negative e_t and of
-    negative total; the completion adds terms above the window's max_total
-    inside its quadrant."""
+    and an exact completion of it.  The terms of r are drawn from rel, and
+    one of them has negative total if negative_total; the completion adds
+    terms above the window's max_total inside its quadrant."""
     ls, lt = draw(st.integers(-1, 2)), draw(st.integers(-2, 2))
-    rel = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda e: e > (0, 0))
     r = draw(st.dictionaries(rel, st.sampled_from(COMPOSE_COEFFS), max_size=4))
+    if negative_total:
+        r[draw(_REL_TERM_NEGATIVE_TOTAL)] = draw(st.sampled_from(COMPOSE_COEFFS))
     terms = {(ls, lt): ONE, **{(ls + es, lt + et): p for (es, et), p in r.items()}}
     if draw(st.booleans()):
         a = LaurentSeries.exact(terms)
@@ -437,13 +506,36 @@ def _target_window(draw):
     return Window(min_s, min_t, draw(st.integers(min_s + min_t, min_s + min_t + 5)))
 
 
+_INVERSE_CASES = st.one_of(
+    st.tuples(_unit_and_completion(), st.one_of(st.none(), _target_window())),
+    # no term of negative total, on a box whose e_s reaches much further
+    # than its total, like check_series_kernel's Window(0, -8, 10)
+    st.tuples(
+        _unit_and_completion(_REL_TERM_NONNEGATIVE),
+        st.builds(Window, st.integers(-1, 1), st.integers(-9, -6), st.integers(8, 11)),
+    ),
+    # a term of negative total: the total may fall back into the box
+    st.tuples(
+        _unit_and_completion(negative_total=True), st.one_of(st.none(), _target_window())
+    ),
+)
+_KERNEL_UNIT = LaurentSeries.exact(
+    {(0, 0): ONE, (0, 1): ONE, (1, 0): F2Poly.zeta(1), (2, 3): ONE}
+)
+# r = t + s^2 t^-3, total_drop = ceil(1/2): t^4 lies above the box's total
+# 3, and t^4 s^2 t^-3 inside it
+_TOTAL_DROP_UNIT = exact((0, 0), (0, 1), (2, -3))
+
+
 @settings(deadline=None, max_examples=1000)
-@given(_unit_and_completion(), st.one_of(st.none(), _target_window()))
-def test_inverse_window_sound_by_completion(unit, window):
+@given(_INVERSE_CASES)
+@example(((_KERNEL_UNIT, _KERNEL_UNIT), Window(0, -8, 10)))
+@example(((_TOTAL_DROP_UNIT, _TOTAL_DROP_UNIT), Window(0, -6, 3)))
+def test_inverse_window_sound_by_completion(case):
     """Every coefficient an inverse claims, inside its window or below an
     honest axis up to its max_total, is the coefficient of the exact
     inverse of a completion of its input."""
-    a, full = unit
+    (a, full), window = case
     try:
         got = series_inverse(a, window=window)
     except NotInvertibleError:  # an exact non-monomial with no window
@@ -452,9 +544,12 @@ def test_inverse_window_sound_by_completion(unit, window):
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
     _assert_stored_inside(got)
-    want = _neumann_inverse(full, 9, 9)
-    for es in range(-4, 10):
-        for et in range(-14, 10):
+    w = got.window
+    top_s = 9 if w.max_total is None else max(9, w.max_total - w.min_t)
+    top_t = 9 if w.max_total is None else max(9, w.max_total - w.min_s)
+    want = _neumann_inverse(full, top_s, top_t)
+    for es in range(-4, top_s + 1):
+        for et in range(-14, top_t + 1):
             try:
                 claimed = got.coefficient(es, et)
             except WindowMissError:
