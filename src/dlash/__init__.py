@@ -20,7 +20,6 @@ from .dyer_lashof import (
     adem_relation,
     reduce_to_admissible,
     symmetry_extract_relations,
-    total_power_series,
 )
 from .parser import ParseError, parse_monomial, parse_sum
 from .steenrod import (
@@ -49,7 +48,6 @@ __all__ = [
     "adem_relation",
     "reduce_to_admissible",
     "symmetry_extract_relations",
-    "total_power_series",
     "ParseError",
     "parse_monomial",
     "parse_sum",

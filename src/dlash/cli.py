@@ -26,6 +26,9 @@ from .parser import ParseError, parse_sum
 
 SCHEMA = 2
 DEFAULT_DEGREE_BOUND = 32
+# largest bound `symmetry` accepts; its work grows like the cube of the
+# bound, and at 256 it answers in seconds (README gives the times)
+SYMMETRY_BOUND_LIMIT = 256
 
 
 def _default_bound() -> int:
@@ -144,6 +147,10 @@ def reduce(ctx, expr):
 def symmetry(ctx, degree, bound):
     """Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE."""
     b = bound if bound is not None else ctx.obj["bound"]
+    if b > SYMMETRY_BOUND_LIMIT:
+        raise click.ClickException(
+            f"symmetry bound {b} exceeds the limit {SYMMETRY_BOUND_LIMIT}"
+        )
     x = GradedClass("x", degree)
     window = Window(0, -b, b)
     rels = symmetry_extract_relations(x, window)

@@ -4,7 +4,8 @@ Words Q^{i1}...Q^{ik} applied to a graded class symbol, with F2 sums,
 instability (Q^i y = 0 for i < |y|), the Adem relations derived from the
 residue formula, rewriting to admissible normal form, and an independent
 oracle that re-derives the relations from the symmetry of the two-variable
-iterated total operation.
+iterated total operation, read straight from the words that land in each
+bidegree.
 """
 
 from __future__ import annotations
@@ -232,55 +233,32 @@ def reduce_to_admissible(m, step_limit: int = 2_000_000) -> DLSum:
     return DLSum(m.klass, words)
 
 
-def total_power_series(x: GradedClass, window: Window) -> dict:
-    """Bidegree table of Q(t)Q(s)x expanded through s -> s + s^2 t^{-1}.
-
-    Q(t)Q(s)x = sum over i, j of (Q^i Q^j x)(s + s^2 t^{-1})^j t^i; the
-    term picking k of the s^2 t^{-1} factors lands in bidegree
-    (j + k, i - k) with multiplicity C(j, k).  Returns a map from
-    (e_s, e_t) inside the window to the (finite) DLSum there; monomials
-    killed by instability are omitted.
-    """
-    n = x.degree
-    table: dict = {}
-    if window.max_total is None:
-        raise ValueError("total power series needs a finite window")
-    for es in range(max(window.min_s, 0), window.max_total - window.min_t + 1):
-        for et in range(window.min_t, window.max_total - es + 1):
-            words = set()
-            for k in range(0, es // 2 + 1):
-                j = es - k
-                i = et + k
-                if j < n or i < n + j:
-                    continue  # instability zero
-                if binom_mod2(j, k):
-                    words ^= {(i, j)}
-            if words:
-                table[(es, et)] = DLSum(x, words)
-    return table
-
-
 def symmetry_extract_relations(x: GradedClass, window: Window) -> list:
     """Relations forced by symmetry of Q(t)Q(s)x in s and t.
 
-    For each unordered bidegree pair {(a,b),(b,a)} in the window, the sum
-    coeff(a,b) + coeff(b,a) must vanish; every nonzero such sum is a
-    relation among length-2 words.
+    Q(t)Q(s)x = sum over i, j of (Q^i Q^j x)(s + s^2 t^{-1})^j t^i, so
+    the stable word (i, j) lands in bidegree (j + k, i - k) for every k
+    with C(j, k) odd.  Symmetry makes the words landing at (a, b) and
+    (b, a) sum to zero; for every off-diagonal pair with both bidegrees
+    in the window, a nonzero sum is a relation among length-2 words.
+    The relations are read from the words; no table of bidegrees is built.
     """
-    table = total_power_series(x, window)
-    zero = DLSum(x)
-    relations = []
-    seen = set()
-    for a, b in table:
-        if (a, b) in seen or (b, a) in seen:
-            continue
-        seen.add((a, b))
-        if not window.contains(b, a):
-            continue
-        rel = table.get((a, b), zero) + table.get((b, a), zero)
-        if not rel.is_zero():
-            relations.append(rel)
-    return relations
+    if window.max_total is None:
+        raise ValueError("symmetry relations need a finite window")
+    n, top = x.degree, window.max_total
+    # both bidegrees lie in the window only if a, b >= low, and a >= j,
+    # b <= i, a + b <= top: so j <= top - low and i >= low
+    low = max(window.min_s, window.min_t)
+    sums: dict = {}
+    for j in range(max(n, 0), top - low + 1):
+        for i in range(max(n + j, low), top - j + 1):
+            for k in range(j + 1):
+                a, b = j + k, i - k
+                if (a != b and window.contains(a, b) and window.contains(b, a)
+                        and binom_mod2(j, k)):
+                    words = sums.setdefault((min(a, b), max(a, b)), set())
+                    words ^= {(i, j)}
+    return [DLSum(x, words) for words in sums.values() if words]
 
 
 def derive_relations_by_elimination(x: GradedClass, degree_bound: int) -> dict:
@@ -297,9 +275,7 @@ def derive_relations_by_elimination(x: GradedClass, degree_bound: int) -> dict:
     relations = symmetry_extract_relations(x, window)
     by_degree: dict = {}
     for rel in relations:
-        d = sum(next(iter(rel.words)))
-        if d <= degree_bound:
-            by_degree.setdefault(d, []).append(rel)
+        by_degree.setdefault(sum(next(iter(rel.words))), []).append(rel)
 
     solved: dict = {}
     for d, rels in by_degree.items():

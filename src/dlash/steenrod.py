@@ -51,7 +51,7 @@ def zeta_inverse(max_total: int) -> LaurentSeries:
     return series_inverse(zeta_series(max_total + 2))
 
 
-def conjugate_zeta(max_i: int, max_total: int | None = None) -> list:
+def conjugate_zeta(max_i: int) -> list:
     """(zbar_1, ..., zbar_max_i) from the reversion of z(t).
 
     Cross-checked against the recursion sum_{i} z_i zbar_{n-i}^{2^i} = 0
@@ -59,14 +59,7 @@ def conjugate_zeta(max_i: int, max_total: int | None = None) -> list:
     """
     if max_i < 1:
         raise ValueError("max_i must be >= 1")
-    needed = 2**max_i
-    if max_total is None:
-        max_total = needed
-    if max_total < needed:
-        raise WindowTooSmallError(
-            f"window max_total={max_total} cannot resolve t^(2^{max_i})"
-        )
-    zbar_series = series_reversion(zeta_series(max_total))
+    zbar_series = series_reversion(zeta_series(2**max_i))
     from_reversion = [
         zbar_series.coefficient(0, 2**i) for i in range(1, max_i + 1)
     ]

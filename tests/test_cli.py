@@ -117,6 +117,23 @@ def test_adem_index_past_bound_exits_1(runner, args):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["symmetry", "1", "2000"], None),
+        (["--degree-bound", "2000", "symmetry", "1"], None),
+        (["symmetry", "1"], {"DLASH_DEGREE_BOUND": "2000"}),
+    ],
+)
+def test_symmetry_bound_past_the_limit_exits_1(runner, args, env):
+    start = time.perf_counter()
+    r = invoke(runner, *args, env=env)
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == "Error: symmetry bound 2000 exceeds the limit 256\n"
+
+
 def test_usage_error_exits_2(runner):
     r = invoke(runner, "adem", "six", "2")
     assert r.exit_code == 2

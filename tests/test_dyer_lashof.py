@@ -14,7 +14,6 @@ from dlash.dyer_lashof import (
     derive_relations_by_elimination,
     reduce_to_admissible,
     symmetry_extract_relations,
-    total_power_series,
 )
 from dlash.f2 import binom_exact_parity, binom_mod2
 from dlash.laurent import Window
@@ -194,11 +193,66 @@ def test_sum_cancellation():
     assert (DLSum.of(m) + DLSum.of(m)).is_zero()
 
 
-def test_total_power_series_entries():
-    table = total_power_series(X0, Window(0, -6, 6))
-    # coefficient at (e_s, e_t) = (j, i) always contains the word (i, j)
-    s = table[(2, 4)]
-    assert (4, 2) in s.words
+def _relations_by_table(x, window):
+    """The symmetry relations by a table of Q(t)Q(s)x: every bidegree
+    (e_s, e_t) of the window with e_s >= 0 collects the stable words
+    (i, j) = (e_t + k, e_s - k) with k <= e_s / 2 and C(j, k) odd, and
+    each cell is paired once with its mirror when that is in the window."""
+    if window.max_total is None:
+        raise ValueError("the table needs a finite window")
+    n = x.degree
+    table = {}
+    for es in range(max(window.min_s, 0), window.max_total - window.min_t + 1):
+        for et in range(window.min_t, window.max_total - es + 1):
+            words = set()
+            for k in range(es // 2 + 1):
+                j, i = es - k, et + k
+                if j >= n and i >= n + j and binom_mod2(j, k):
+                    words ^= {(i, j)}
+            if words:
+                table[(es, et)] = DLSum(x, words)
+    zero = DLSum(x)
+    relations, seen = [], set()
+    for a, b in table:
+        if (a, b) in seen or (b, a) in seen:
+            continue
+        seen.add((a, b))
+        if not window.contains(b, a):
+            continue
+        rel = table.get((a, b), zero) + table.get((b, a), zero)
+        if not rel.is_zero():
+            relations.append(rel)
+    return relations
+
+
+@st.composite
+def _symmetry_cases(draw):
+    """A class of degree -3..6 and a window whose lower bounds lie on both
+    sides of 0, so a word and its mirror can each fall outside it."""
+    min_s, min_t = draw(st.integers(-6, 8)), draw(st.integers(-20, 8))
+    max_total = draw(st.integers(max(min_s + min_t, -4), 30))
+    return GradedClass("x", draw(st.integers(-3, 6))), Window(min_s, min_t, max_total)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_symmetry_cases())
+@example((GradedClass("x", 1), Window(0, -24, 24)))
+@example((GradedClass("x", -3), Window(-6, -20, 0)))
+@example((GradedClass("x", -40), Window(-6, -20, 4)))
+def test_symmetry_relations_match_the_table_scan(case):
+    """The relations read from the words are those of the bidegree table,
+    duplicates included; only their order may differ."""
+    x, window = case
+
+    def words(rels):
+        return sorted(tuple(sorted(r.words)) for r in rels)
+
+    assert words(symmetry_extract_relations(x, window)) == words(_relations_by_table(x, window))
+
+
+def test_symmetry_relations_need_a_finite_window():
+    with pytest.raises(ValueError):
+        symmetry_extract_relations(X0, Window(0, -6))
 
 
 def test_symmetry_relations_reduce_to_zero():

@@ -544,17 +544,85 @@ def test_inverse_window_sound_by_completion(case):
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
     _assert_stored_inside(got)
-    w = got.window
-    top_s = 9 if w.max_total is None else max(9, w.max_total - w.min_t)
-    top_t = 9 if w.max_total is None else max(9, w.max_total - w.min_s)
-    want = _neumann_inverse(full, top_s, top_t)
-    for es in range(-4, top_s + 1):
-        for et in range(-14, top_t + 1):
+    _assert_inverse_claims(got, full)
+
+
+def _assert_claims(got, want, es_range, et_range):
+    """Every coefficient got claims at these positions is want's."""
+    for es in es_range:
+        for et in et_range:
             try:
                 claimed = got.coefficient(es, et)
             except WindowMissError:
                 continue
             assert claimed == want.get((es, et), F2Poly.zero()), (es, et)
+
+
+def _assert_inverse_claims(got, full):
+    """Every coefficient got claims, out to its window's extent, is that
+    of the Neumann inverse of the exact series full."""
+    w = got.window
+    top_s = 9 if w.max_total is None else max(9, w.max_total - w.min_t)
+    top_t = 9 if w.max_total is None else max(9, w.max_total - w.min_s)
+    want = _neumann_inverse(full, top_s, top_t)
+    _assert_claims(got, want, range(-8, top_s + 1), range(-24, top_t + 1))
+
+
+def _plain_power(terms, k):
+    """The k-th power (k >= 0) of an exact term map by k plain products."""
+    out = {(0, 0): ONE}
+    for _ in range(k):
+        nxt: dict = {}
+        for (es1, et1), p1 in out.items():
+            for (es2, et2), p2 in terms.items():
+                e = (es1 + es2, et1 + et2)
+                nxt[e] = nxt.get(e, F2Poly.zero()) + p1 * p2
+        out = {e: p for e, p in nxt.items() if not p.is_zero()}
+    return out
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.integers(0, 4),
+    # an exact series is known in full, so its axes are honest
+    _summand_and_completion().filter(lambda x: x[0].honest or not x[0].is_exact()),
+    st.one_of(st.none(), _target_window()),
+)
+def test_pow_window_sound_by_completion(k, x, window):
+    """Every coefficient a power claims, in its window or below an honest
+    axis up to its max_total, is that of the same power of a completion
+    of its base; a truncated base dishonest in an axis is refused from
+    the first product of two truncated series on."""
+    a, full = x
+    try:
+        got = series_pow(a, k, window)
+    except EmptyWindowError:  # it knows nothing, not even below an axis
+        return
+    except LaurentError:  # a dishonest truncated base: it claims nothing
+        assert not (a.honest or a.is_exact())
+        return
+    _assert_stored_inside(got)
+    _assert_claims(got, _plain_power(full, k), range(-20, 30), range(-20, 30))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(-3, -1), _INVERSE_CASES)
+def test_negative_pow_window_sound_by_completion(k, case):
+    """Every coefficient a negative power claims, inside its window or
+    below an honest axis up to its max_total, is that of the Neumann
+    inverse of the same positive power of a completion of its input."""
+    (a, full), window = case
+    try:
+        got = series_pow(a, k, window)
+    except NotInvertibleError:
+        # an exact non-monomial with no window, or a truncated power whose
+        # window cannot certify its lead
+        assert window is None or not a.is_exact()
+        return
+    except EmptyWindowError:  # it knows nothing, not even below an axis
+        return
+    _assert_stored_inside(got)
+    _assert_inverse_claims(got, LaurentSeries.exact(_plain_power(full.coeffs, -k)))
 
 
 def _residue_terms(full, var):
@@ -599,14 +667,7 @@ def test_unary_window_sound_by_completion(op, x, window):
     except (EmptyWindowError, WindowMissError):  # it claims nothing
         return
     _assert_stored_inside(got)
-    true = terms_op(full)
-    for es in range(-10, 15):
-        for et in range(-10, 15):
-            try:
-                claimed = got.coefficient(es, et)
-            except WindowMissError:
-                continue
-            assert claimed == true.get((es, et), F2Poly.zero()), (es, et)
+    _assert_claims(got, terms_op(full), range(-10, 15), range(-10, 15))
 
 
 def _random_series(rng, negative=False):
