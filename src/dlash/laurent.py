@@ -12,9 +12,16 @@ describing where its coefficients are guaranteed exact:
     vanish below that axis' minimum, at every total degree.  Inverses of
     genuinely bivariate series (like t + s) have unboundedly negative
     t-exponents, so they are exact inside their window but not honest in
-    t; window propagation accounts for the difference.
+    t.
 
 max_total = None means the series is exact (known in full).
+
+coefficient, shift, square, restricted, map_coeffs and residue take a
+series that is not honest in both axes; series_add, series_mul (so also
+series_pow from the first product on), series_inverse, series_compose and
+series_reversion refuse one.  series_compose substitutes a series in t alone for t,
+series_reversion reverses a series in t, and residue takes the residue
+in s.
 
 A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
@@ -28,7 +35,7 @@ factor included) and for the factors of the Frobenius product in
 series_inverse.  Every sum of coefficient products, there and in
 series_reversion's column recurrence, is one f2.sum_of_products call per
 output coefficient, and a coefficient that cancels is dropped.  _window
-builds the derived windows of products, sums, inverses, restrictions and
+builds the derived windows of sums, inverses, restrictions and
 composites, and keeps an honest axis' zeros when nothing else is left.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
@@ -208,9 +215,16 @@ class LaurentSeries:
             )
         return self.coeffs.get((es, et), F2Poly.zero())
 
-    def is_univariate(self, var: str) -> bool:
-        other = 1 if var == "s" else 0
-        return all(e[other] == 0 for e in self.coeffs)
+    def covers(self, box: Window) -> bool:
+        """Whether coefficient answers at every position of box: each lies
+        in the window, or below an honest axis up to its max_total."""
+        w = self.window
+        return (
+            (w.max_total is None
+             or box.max_total is not None and box.max_total <= w.max_total)
+            and (self.honest_s or w.min_s <= box.min_s)
+            and (self.honest_t or w.min_t <= box.min_t)
+        )
 
     # -- arithmetic -----------------------------------------------------
 
@@ -348,55 +362,41 @@ def _product(a_coeffs: dict, b_coeffs: dict, keep) -> dict:
     return {e: p for e, p in sums.items() if not p.is_zero()}
 
 
+def _require_honest(a: LaurentSeries, b: LaurentSeries) -> None:
+    if not (a.honest and b.honest):
+        raise LaurentError("sums and products need series honest in both axes")
+
+
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """The sum of two honest series: both vanish below their axes, so the
+    sum does below the lesser ones, and it is known to the lesser max_total."""
+    _require_honest(a, b)
     coeffs = {**a.coeffs, **b.coeffs}
     for e in a.coeffs.keys() & b.coeffs.keys():
         coeffs[e] = a.coeffs[e] + b.coeffs[e]  # may cancel to zero
-    # per axis: if both summands vanish below their bounds the union
-    # quadrant is sound; otherwise only the intersection is exact
-    if a.honest_s and b.honest_s:
-        min_s, hs = min(a.window.min_s, b.window.min_s), True
-    else:
-        min_s, hs = max(a.window.min_s, b.window.min_s), False
-    if a.honest_t and b.honest_t:
-        min_t, ht = min(a.window.min_t, b.window.min_t), True
-    else:
-        min_t, ht = max(a.window.min_t, b.window.min_t), False
     max_total = _min_total(a.window.max_total, b.window.max_total)
-    if max_total is None and hs and ht:
+    if max_total is None:
         # the window follows the support; a sum that cancels is the exact zero
         return LaurentSeries.exact(coeffs)
-    return _known(coeffs, min_s, min_t, max_total, honest_s=hs, honest_t=ht)
+    return _known(
+        coeffs, min(a.window.min_s, b.window.min_s), min(a.window.min_t, b.window.min_t),
+        max_total,
+    )
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """The product on the window both factors certify, with a's flags.
-
-    Either both factors are quadrant honest, or one is exact; the exact
-    one, an exact zero first, is then taken as b and a's flags carry over.
-    """
-    if a.is_exact() and not (b.is_exact() and a.coeffs):
-        a, b = b, a
-    if b.is_exact():
-        if not b.coeffs:
-            return LaurentSeries.zero()
-    elif not (a.honest and b.honest):
-        raise LaurentError(
-            "general product needs quadrant-honest factors or an exact one"
-        )
+    """The product of two honest series on the window both certify; it is
+    honest too, and an exact zero factor gives the exact zero."""
+    _require_honest(a, b)
+    if any(x.is_exact() and not x.coeffs for x in (a, b)):
+        return LaurentSeries.zero()
     wa, wb = a.window, b.window
-    # per axis: if a vanishes below its bound, the product vanishes below
-    # a.min + b.min; otherwise a is known only from its bound up, so the
-    # product is known where a times every term of the exact b is, from
-    # a.min plus b's largest exponent
-    min_s = wa.min_s + (wb.min_s if a.honest_s else max(es for es, _ in b.coeffs))
-    min_t = wa.min_t + (wb.min_t if a.honest_t else max(et for _, et in b.coeffs))
     max_total = _min_total(
         _add_total(wa.max_total, b.certified_min_total()),
         _add_total(wb.max_total, a.certified_min_total()),
     )
-    w = _window(min_s, min_t, max_total, a.honest_s, a.honest_t)
-    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains), **a._flags())
+    w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
+    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -414,11 +414,6 @@ def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> Lauren
     if window is not None:
         result = result.restricted(window)
     return result
-
-
-def _lex_lead(a: LaurentSeries):
-    """Leading term for the k((t))((s)) order: minimal e_s, then minimal e_t."""
-    return min(a.coeffs, key=lambda e: (e[0], e[1]))
 
 
 def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSeries:
@@ -441,7 +436,7 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
     if a.is_zero():
         raise NotInvertibleError("zero series has no inverse")
-    lead = _lex_lead(a)
+    lead = min(a.coeffs)  # the k((t))((s)) order: least e_s, then least e_t
     if not a.coeffs[lead].is_one():
         raise NotInvertibleError(
             f"leading coefficient at s^{lead[0]} t^{lead[1]} is "
@@ -522,78 +517,56 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
 
 
 def _cap_unknown_tail(
-    result: LaurentSeries, a: LaurentSeries, u: LaurentSeries, var: str
+    result: LaurentSeries, a: LaurentSeries, u: LaurentSeries
 ) -> LaurentSeries:
-    """Cut the composite down to where a's unknown tail cannot reach.
+    """Cut the composite, a sum of honest products, down to where a's
+    unknown tail cannot reach.
 
-    A tail term other^k var^i of a has k + i > M = a's max_total and
-    i >= v_min, a's least exponent of var, and adds other^k u^i.  As
-    val(u) >= 1, an i >= 0 lands at totals > M.  An i < 0 only occurs for
-    v_min < 0; there u^i = lead^i (1 + r)^i, with lead = s^ls t^lt of total
-    L the leading term of u, and every term of r has total >= delta =
-    min(0, val(u) - L) and e_s >= 0.
-      - delta = 0: the tail lands at totals > M + v_min (L - 1).
-      - delta < 0: a term of r with negative total has e_s >= 1, so a
-        product of terms of r with e_s summing to E has total >= delta E,
-        and its e_t is unbounded below: the composite loses honesty in t,
-        and every e_s it then claims is at most cap - min_t.  Bounding E
-        by that, the tail lands above cap once cap (1 - delta) < n - delta
-        min_t, with n as below (k >= M + 1 - i, at the worst i = v_min).
+    A tail term s^k t^i of a has k + i > M = a's max_total and i >= v_min,
+    a's least exponent of t, and adds s^k u^i.  As val(u) >= 1, an i >= 0
+    lands at totals > M.  An i < 0 only occurs for v_min < 0; there u, a
+    series in t alone, is t^L (1 + r) with L = val(u) and r of positive
+    total, so the tail lands at totals >= k + i L > M + v_min (L - 1).
     """
     w = result.window
-    m = a.window.max_total
-    v_min = a.window.min_s if var == "s" else a.window.min_t
-    cap, honest_t = m, result.honest_t
+    cap, v_min = a.window.max_total, a.window.min_t
     if v_min < 0:
-        ls, lt = _lex_lead(u)
-        L = ls + lt
-        delta = min(0, u.certified_min_total() - L)
-        if var == "t":
-            n = (m + 1) * (1 - delta) + v_min * (L - 1 + delta * (1 - ls))
-        else:
-            n = m + 1 + v_min * (L - 1 - delta * ls)
-        cap = min(m, (n - delta * w.min_t - 1) // (1 - delta))
-        honest_t = honest_t and delta == 0
-    return _known(
-        result.coeffs, w.min_s, w.min_t, _min_total(w.max_total, cap),
-        honest_s=result.honest_s, honest_t=honest_t,
-    )
+        cap += v_min * (u.certified_min_total() - 1)
+    return _known(result.coeffs, w.min_s, w.min_t, _min_total(w.max_total, cap))
 
 
 def series_compose(
-    a: LaurentSeries,
-    u: LaurentSeries,
-    var: str = "s",
-    window: Window | None = None,
+    a: LaurentSeries, u: LaurentSeries, window: Window | None = None
 ) -> LaurentSeries:
-    """Substitute u for the variable var of a.
+    """Substitute u for t in a.
 
-    u must be quadrant honest with certified total valuation >= 1, so
+    a must be honest in both axes, and u must be an honest series in t
+    alone (no known term off e_s = 0) with certified valuation >= 1, so
     that its powers eventually leave every window and all per-bidegree
-    sums are finite.  Row i of a, its coefficients at var^i, is an exact
-    polynomial in the other variable: the result sums u^i times row i,
-    with each power of u formed once (an even one by squaring), and is
-    then cut to what a's unknown tail cannot reach and to the window.
+    sums are finite; anything else is refused.  Row i of a, its
+    coefficients at t^i, is an exact polynomial in s: the result sums u^i
+    times row i, with each power of u formed once (an even one by
+    squaring), and is then cut to what a's unknown tail cannot reach and
+    to the window.  A negative power is formed on the window, and its
+    product is refused when that leaves it not honest: when the window
+    lies above e_s = 0 or above the power's lead t^(i val(u)).
     """
-    if not u.honest:
-        raise NonComposableError("substituted series must be quadrant honest")
+    if not (a.honest and u.honest):
+        raise NonComposableError("composition needs series honest in both axes")
+    if any(es for es, _ in u.coeffs):
+        raise NonComposableError("the substituted series must be a series in t alone")
     mt_u = u.certified_min_total()
     if mt_u is not None and mt_u < 1:
         raise NonComposableError(
             f"substituted series has total valuation {mt_u} < 1; "
             "powers would not be summable"
         )
-    if not (a.honest or a.is_univariate(var)):
-        raise NonComposableError(
-            "bivariate composition needs a quadrant-honest left series"
-        )
-    vidx = 0 if var == "s" else 1
     rows: dict = {}
-    for e, p in a.coeffs.items():
-        rows.setdefault(e[vidx], {})[(0, e[1]) if var == "s" else (e[0], 0)] = p
-    if (a.window.min_s, a.window.min_t)[vidx] < 0 and not u.coeffs:
+    for (es, et), p in a.coeffs.items():
+        rows.setdefault(et, {})[(es, 0)] = p
+    if a.window.min_t < 0 and not u.coeffs:
         raise NonComposableError(
-            "negative powers of the variable need a known leading term of u"
+            "negative powers of t need a known leading term of u"
         )
     if window is None and min(rows, default=0) < 0:
         if u.window.max_total is None:
@@ -603,7 +576,6 @@ def series_compose(
             )
         window = u.window
 
-    ls = _lex_lead(u)[0] if u.coeffs else 0
     pows: dict = {0: LaurentSeries.one()}
 
     def power(i: int) -> LaurentSeries:
@@ -615,11 +587,8 @@ def series_compose(
         elif i > 0:
             p = series_mul(power(i - 1), u)
         else:
-            # u^i has no e_s below i * ls; formed from there, it stays
-            # honest in s
-            reach = Window(min(window.min_s, i * ls), window.min_t, window.max_total)
-            p = series_pow(u, i, reach)
-        if window is not None and p.honest:
+            p = series_pow(u, i, window)
+        if window is not None:
             p = p.restricted(window)
         pows[i] = p
         return p
@@ -631,19 +600,18 @@ def series_compose(
     if result is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
     if a.window.max_total is not None:
-        result = _cap_unknown_tail(result, a, u, var)
+        result = _cap_unknown_tail(result, a, u)
     if window is not None:
         result = result.restricted(window)
     return result
 
 
-def series_reversion(
-    a: LaurentSeries, var: str = "t", max_total: int | None = None
-) -> LaurentSeries:
-    """Compositional inverse b of a = v + (higher order), with a(b) = v.
+def series_reversion(a: LaurentSeries, max_total: int | None = None) -> LaurentSeries:
+    """Compositional inverse b of an honest series a = t + (higher order)
+    in t alone, with a(b) = t.
 
-    pows[j][n] is the v^n coefficient of b^j (pows[1] is b); for j >= 2 it
-    needs only b_1 .. b_{n-1}.  As a starts with v and a(b) has no v^d term,
+    pows[j][n] is the t^n coefficient of b^j (pows[1] is b); for j >= 2 it
+    needs only b_1 .. b_{n-1}.  As a starts with t and a(b) has no t^d term,
     b_d = sum_{j>=2} a_j pows[j][d], so only the powers j of a's terms are
     read, and pows holds those and the ones they are formed from.  Degree d
     adds column d to each: an even power is the Frobenius square of its
@@ -651,12 +619,12 @@ def series_reversion(
     is b^(j-1) b, one sum over the terms of b.  For z(t) only the b^(2^k)
     are formed, all by squaring.  b and pows hold no zeros.
     """
-    if not a.is_univariate(var):
-        raise BadValuationError(f"series is not univariate in {var}")
-    coeffs = {e[0 if var == "s" else 1]: p for e, p in a.coeffs.items()}
+    if not a.honest or any(es for es, _ in a.coeffs):
+        raise BadValuationError("reversion needs an honest series in t alone")
+    coeffs = {et: p for (_, et), p in a.coeffs.items()}
     if min(coeffs, default=0) < 1 or coeffs.get(1) != F2Poly.one():
         raise BadValuationError(
-            "reversion needs a = v + higher terms with leading coefficient 1"
+            "reversion needs a = t + higher terms with leading coefficient 1"
         )
     m = _min_total(a.window.max_total, max_total)
     if m is None:
@@ -688,23 +656,18 @@ def series_reversion(
         if not p.is_zero():
             b[d] = p
 
-    terms = {((e, 0) if var == "s" else (0, e)): p for e, p in b.items()}
-    w = Window(1 if var == "s" else 0, 1 if var == "t" else 0, m)
-    return LaurentSeries(w, terms)
+    return LaurentSeries(Window(0, 1, m), {(0, d): p for d, p in b.items()})
 
 
-def residue(a: LaurentSeries, var: str) -> LaurentSeries:
-    """The coefficient of var^{-1}, as a series in the other variable."""
+def residue(a: LaurentSeries) -> LaurentSeries:
+    """The coefficient of s^{-1}, as a series in t.
+
+    a need not be honest: the residues of the Adem coefficients are read
+    from negative powers of t + s, which are not honest in t.
+    """
     w = a.window
-    if (w.min_s if var == "s" else w.min_t) > -1:
-        raise WindowMissError(f"exponent -1 in {var} lies outside the window")
-    coeffs = {}
-    for (es, et), p in a.coeffs.items():
-        if (es if var == "s" else et) == -1:
-            coeffs[(0, et) if var == "s" else (es, 0)] = p
-    max_total = _add_total(w.max_total, 1)
-    if var == "s":
-        new_w = Window(0, w.min_t, max_total)
-        return LaurentSeries(new_w, coeffs, honest_s=True, honest_t=a.honest_t)
-    new_w = Window(w.min_s, 0, max_total)
-    return LaurentSeries(new_w, coeffs, honest_s=a.honest_s, honest_t=True)
+    if w.min_s > -1:
+        raise WindowMissError("exponent -1 in s lies outside the window")
+    coeffs = {(0, et): p for (es, et), p in a.coeffs.items() if es == -1}
+    new_w = Window(0, w.min_t, _add_total(w.max_total, 1))
+    return LaurentSeries(new_w, coeffs, honest_t=a.honest_t)
