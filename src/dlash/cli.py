@@ -29,6 +29,9 @@ DEFAULT_DEGREE_BOUND = 32
 # largest bound `symmetry` accepts; its work grows like the cube of the
 # bound, and at 256 it answers in seconds (README gives the times)
 SYMMETRY_BOUND_LIMIT = 256
+# largest degree bound `nishida` and `verify-all` accept; z(zbar(t)) = t
+# is checked to total 2 bound + 4, and at 192 both answer in seconds
+IDENTITY_BOUND_LIMIT = 192
 
 
 def _default_bound() -> int:
@@ -39,6 +42,13 @@ def _default_bound() -> int:
         except ValueError:
             raise click.UsageError(f"DLASH_DEGREE_BOUND is not an integer: {env!r}")
     return DEFAULT_DEGREE_BOUND
+
+
+def _within_limit(command: str, bound: int, limit: int) -> int:
+    """The bound, or a refusal before any work when it exceeds the limit."""
+    if bound > limit:
+        raise click.ClickException(f"{command} bound {bound} exceeds the limit {limit}")
+    return bound
 
 
 def _emit(ctx, payload: dict, text_lines: list):
@@ -146,11 +156,9 @@ def reduce(ctx, expr):
 @click.pass_context
 def symmetry(ctx, degree, bound):
     """Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE."""
-    b = bound if bound is not None else ctx.obj["bound"]
-    if b > SYMMETRY_BOUND_LIMIT:
-        raise click.ClickException(
-            f"symmetry bound {b} exceeds the limit {SYMMETRY_BOUND_LIMIT}"
-        )
+    b = _within_limit(
+        "symmetry", bound if bound is not None else ctx.obj["bound"], SYMMETRY_BOUND_LIMIT
+    )
     x = GradedClass("x", degree)
     window = Window(0, -b, b)
     rels = symmetry_extract_relations(x, window)
@@ -237,7 +245,7 @@ def steinberger(ctx, max_i):
 @click.pass_context
 def nishida(ctx):
     """Check the conjugate form of the coaction compatibility."""
-    bound = ctx.obj["bound"]
+    bound = _within_limit("nishida", ctx.obj["bound"], IDENTITY_BOUND_LIMIT)
     records = verify.verify_nishida_conjugate_form(bound)
     _report_command(ctx, "nishida", {"degree_bound": bound}, records)
 
@@ -246,7 +254,7 @@ def nishida(ctx):
 @click.pass_context
 def verify_all(ctx):
     """Run every acceptance suite; exit status 1 if any check fails."""
-    bound = ctx.obj["bound"]
+    bound = _within_limit("verify-all", ctx.obj["bound"], IDENTITY_BOUND_LIMIT)
     reports = verify.run_all(bound)
     _report_command(ctx, "verify-all", {"degree_bound": bound}, reports, suites=True)
 

@@ -279,8 +279,11 @@ class LaurentSeries:
         """Coefficient equality on the common guaranteed window."""
         return self.first_disagreement(other) is None
 
-    def first_disagreement(self, other: "LaurentSeries"):
-        w = self.window.intersect(other.window)
+    def first_disagreement(self, other: "LaurentSeries", box: Window | None = None):
+        """The first exponent, by total degree and then e_s, where the
+        stored coefficients differ inside box (by default the common
+        guaranteed window), or None."""
+        w = self.window.intersect(other.window) if box is None else box
         diffs = [
             e
             for e in set(self.coeffs) | set(other.coeffs)
@@ -547,9 +550,9 @@ def series_compose(
     coefficients at t^i, is an exact polynomial in s: the result sums u^i
     times row i, with each power of u formed once (an even one by
     squaring), and is then cut to what a's unknown tail cannot reach and
-    to the window.  A negative power is formed on the window, and its
-    product is refused when that leaves it not honest: when the window
-    lies above e_s = 0 or above the power's lead t^(i val(u)).
+    to the window.  A negative power is formed on the window, and is
+    refused with NonComposableError when that leaves it not honest: when
+    the window lies above e_s = 0 or above the power's lead t^(i val(u)).
     """
     if not (a.honest and u.honest):
         raise NonComposableError("composition needs series honest in both axes")
@@ -588,6 +591,11 @@ def series_compose(
             p = series_mul(power(i - 1), u)
         else:
             p = series_pow(u, i, window)
+            if not p.honest:
+                raise NonComposableError(
+                    f"u^{i} is not honest on the target window {window.describe()}: "
+                    f"the window must reach e_s = 0 and e_t = {i * mt_u}"
+                )
         if window is not None:
             p = p.restricted(window)
         pows[i] = p

@@ -6,10 +6,16 @@ Every check and every suite yields the same record,
     {"name": str, "passed": bool, "detail": str, "first_mismatch": ...}
 
 where first_mismatch is None on a pass and otherwise the first failure:
-the exponent (e_s, e_t) of the first disagreeing coefficient for an
-identity check, the first failing case for a suite.  Identity checks
-return lists of records and the suites fold them.  Everything is
-deterministic (randomized suites use a fixed seed).
+for an identity check, the exponent (e_s, e_t) of the first disagreeing
+coefficient, or the side whose window does not cover the check's box;
+for a suite, its first failing case.  Identity checks return lists of
+records and the suites fold them.  Everything is deterministic
+(randomized suites use a fixed seed).
+
+An identity check names the box it holds on, and every side must cover
+it: each position of the box is then answered from a side's map or as a
+certified zero, so comparing the maps cut to the box compares every
+coefficient there.  Each side is built only to the box's total.
 """
 
 from __future__ import annotations
@@ -53,10 +59,22 @@ def _record(name: str, failures: list, detail: str) -> dict:
     }
 
 
-def _check(name: str, detail: str, lhs: LaurentSeries, *rhs: LaurentSeries) -> dict:
-    """The record of lhs = rhs[0] = rhs[1] = ... on the common guaranteed
-    windows; its failures are the first disagreement with each side."""
-    mismatches = [lhs.first_disagreement(r) for r in rhs]
+def _check(name: str, detail: str, box: Window, *sides: LaurentSeries) -> dict:
+    """The record of sides[0] = sides[1] = ... at every position of box.
+
+    A side that does not cover the box fails the check, and its failure
+    names it.  Otherwise each failure is the first position of the box,
+    by total degree and then e_s, where a side differs from sides[0]:
+    covering sides answer off their maps with certified zeros, so the
+    maps cut to the box decide every position."""
+    short = [
+        f"side {k} window {side.window.describe()} does not cover {box.describe()}"
+        for k, side in enumerate(sides)
+        if not side.covers(box)
+    ]
+    if short:
+        return _record(name, short, detail)
+    mismatches = [sides[0].first_disagreement(side, box) for side in sides[1:]]
     return _record(name, [m for m in mismatches if m is not None], detail)
 
 
@@ -90,6 +108,7 @@ def verify_steinberger_conjugate(i_max: int, zbars: list | None = None) -> list:
             _check(
                 f"Q^(2^{i}-2) z1 = zbar_{i}",
                 f"i = {i}",
+                Window(0, k, k),
                 LaurentSeries.monomial(0, k, qz1.coefficient(0, k)),
                 LaurentSeries.monomial(0, k, zbars[i - 1]),
                 LaurentSeries.monomial(0, k, zinv.coefficient(0, k)),
@@ -123,6 +142,7 @@ def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
             _check(
                 f"Q^(2^{i}) z{i} = z{i+1} + z{i}^2 z1",
                 f"i = {i}",
+                Window(0, k, k),
                 LaurentSeries.monomial(0, k, lhs),
                 LaurentSeries.monomial(0, k, rhs),
             )
@@ -133,6 +153,7 @@ def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
                 _check(
                     f"Q^(2^{i}) zbar_{i} = zbar_{i+1}",
                     f"i = {i}",
+                    Window(0, k, k),
                     LaurentSeries.monomial(0, k, q_op(k, zbars[i], max_total)),
                     LaurentSeries.monomial(0, k, zbars[i + 1]),
                 )
@@ -140,13 +161,15 @@ def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
     return records
 
 
-def _identity1_rhs(work: int) -> LaurentSeries:
-    """sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})."""
+def _identity1_rhs(max_total: int) -> LaurentSeries:
+    """sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i}), known at least to
+    total max_total: Q(t) z_i vanishes below t^{2^i - 1}, so a term with
+    2^i > max_total lies above total 2 max_total."""
     rhs = None
     i = 0
-    while 2**i <= work:
+    while 2**i <= max_total:
         term = series_mul(
-            q_total_on_zeta(i, work).shift(2**i, 0),
+            q_total_on_zeta(i, max_total).shift(2**i, 0),
             LaurentSeries.exact(
                 {(0, 0): F2Poly.one(), (2**i, -(2**i)): F2Poly.one()}
             ),
@@ -158,36 +181,37 @@ def _identity1_rhs(work: int) -> LaurentSeries:
 
 def _augmentation_collapse(series: LaurentSeries, box: Window, detail: str) -> dict:
     """Under z_i -> 0 both sides of identity (1) collapse to s + s^2 t^-1."""
-    expected = LaurentSeries.exact({(1, 0): F2Poly.one(), (2, -1): F2Poly.one()})
     return _check(
         "augmentation collapse to s + s^2 t^-1",
         detail,
+        box,
         series.map_coeffs(F2Poly.augment),
-        expected.restricted(box),
+        LaurentSeries.exact({(1, 0): F2Poly.one(), (2, -1): F2Poly.one()}),
     )
 
 
 def verify_bisson_joyal_identity1(max_total: int) -> list:
     """z(s) + z(s)^2 z(t)^{-1} = sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})
-    on the guaranteed window, plus its augmentation collapse to s + s^2 t^{-1}."""
+    on the box e_s >= 1, e_t >= -max_total, total <= max_total, plus its
+    augmentation collapse to s + s^2 t^{-1}."""
     d = max_total
-    work = 2 * d + 4
-    zs = zeta_series(work, var="s")
-    lhs = zs + series_mul(zs.square(), zeta_inverse(work))
     box = Window(1, -d, d)
-    lhs_r = lhs.restricted(box)
+    zs = zeta_series(d, var="s")
+    lhs = zs + series_mul(zs.square(), zeta_inverse(d))
     detail = f"degree bound {d}"
     return [
-        _check("bisson-joyal identity (1)", detail, lhs_r,
-               _identity1_rhs(work).restricted(box)),
-        _augmentation_collapse(lhs_r, box, detail),
+        _check("bisson-joyal identity (1)", detail, box, lhs, _identity1_rhs(d)),
+        _augmentation_collapse(lhs, box, detail),
     ]
 
 
 def verify_nishida_conjugate_form(max_total: int) -> list:
     """The conjugate (Nishida) form of the total-operation identity for
     x = s: Q(zbar(t)) applied to psi_R(s) = z(s) must equal
-    sum_i psi_R(Q^i s) t^i = z(s) + z(s)^2 t^{-1}, since z(zbar(t)) = t."""
+    sum_i psi_R(Q^i s) t^i = z(s) + z(s)^2 t^{-1}, since z(zbar(t)) = t.
+
+    Both sides are checked on the box of identity (1); z(zbar(t)) = t is
+    checked on its own window, to total 2 max_total + 4."""
     d = max_total
     work = 2 * d + 4
     zbar = series_reversion(zeta_series(work))
@@ -196,20 +220,18 @@ def verify_nishida_conjugate_form(max_total: int) -> list:
 
     # right side: Q(t) z(s) (which is identity (1)) with t -> zbar(t),
     # substituted stratum by stratum in s
-    rhs = series_compose(_identity1_rhs(work), zbar, window=tbox)
+    rhs = series_compose(_identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
 
     # left side: Q^0 s = s and Q^{-1} s = s^2 are the only operations on s
-    zs = zeta_series(work, var="s")
+    zs = zeta_series(d, var="s")
     lhs = zs + zs.square().shift(0, -1)
 
-    rhs_r = rhs.restricted(box)
     z_of_zbar = series_compose(zeta_series(work), zbar, window=tbox)
     detail = f"degree bound {d}"
     return [
-        _check("z(zbar(t)) = t", detail, z_of_zbar,
-               LaurentSeries.monomial(0, 1).restricted(tbox)),
-        _check("nishida conjugate form (x = s)", detail, lhs.restricted(box), rhs_r),
-        _augmentation_collapse(rhs_r, box, detail),
+        _check("z(zbar(t)) = t", detail, tbox, z_of_zbar, LaurentSeries.monomial(0, 1)),
+        _check("nishida conjugate form (x = s)", detail, box, lhs, rhs),
+        _augmentation_collapse(rhs, box, detail),
     ]
 
 

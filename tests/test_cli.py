@@ -134,6 +134,24 @@ def test_symmetry_bound_past_the_limit_exits_1(runner, args, env):
     assert r.stderr == "Error: symmetry bound 2000 exceeds the limit 256\n"
 
 
+@pytest.mark.parametrize(
+    "args, env, error",
+    [
+        (["--degree-bound", "400", "nishida"], None, "nishida bound 400"),
+        (["--degree-bound", "3000", "verify-all"], None, "verify-all bound 3000"),
+        (["nishida"], {"DLASH_DEGREE_BOUND": "193"}, "nishida bound 193"),
+        (["--quiet", "verify-all"], {"DLASH_DEGREE_BOUND": "400"}, "verify-all bound 400"),
+    ],
+)
+def test_identity_bound_past_the_limit_exits_1(runner, args, env, error):
+    start = time.perf_counter()
+    r = invoke(runner, *args, env=env)
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == f"Error: {error} exceeds the limit 192\n"
+
+
 def test_usage_error_exits_2(runner):
     r = invoke(runner, "adem", "six", "2")
     assert r.exit_code == 2

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -205,6 +206,14 @@ def test_compose_valuation_check():
 def test_compose_refuses_what_it_cannot_substitute_for_t(a, u):
     with pytest.raises(NonComposableError):
         series_compose(a, u, window=Window(0, -8, 6))
+
+
+@pytest.mark.parametrize("window", [Window(1, -4, 6), Window(0, 0, 6)])
+def test_compose_names_the_window_that_leaves_a_negative_power_dishonest(window):
+    # both inputs are honest, but u^-1 = t^-1 lies below e_s = 1, or below
+    # e_t = 0, of the target window
+    with pytest.raises(NonComposableError, match=re.escape(window.describe())):
+        series_compose(exact((1, -1)), exact((0, 1)), window=window)
 
 
 def test_reversion_requires_unit_linear_term():
@@ -815,7 +824,7 @@ def test_compose_window_sound_by_completion(data, a, u):
         return
     try:
         got = series_compose(a, u, window=window)
-    except LaurentError:
+    except NonComposableError:
         assert min(et for _, et in a.coeffs) * u.certified_min_total() < min_t
         return
     _assert_stored_inside(got)
@@ -959,10 +968,29 @@ def test_mul_lowers_an_empty_window_like_the_sum_of_shifts(honest_s):
     ],
 )
 def test_nishida_right_side_pinned(d, want):
-    """Q(t) z(s) with t -> zbar(t), as verify_nishida_conjugate_form forms it."""
+    """A pin of the compose kernel: Q(t) z(s) with t -> zbar(t), all
+    three known to total 2d + 4, past the box the nishida check reads."""
     work = 2 * d + 4
     zbar = series_reversion(zeta_series(work))
     rhs = series_compose(_identity1_rhs(work), zbar, window=Window(0, -(d + 1), work))
+    assert repr(rhs) == want
+    assert rhs.honest
+
+
+@pytest.mark.parametrize(
+    "d, want",
+    [
+        (4, "LaurentSeries(s + s^2 t^-1 + z1 s^2 + z1^2 s^4 t^-1 + z2 s^4"
+            " @ [e_s>=1, e_t>=-5, e_s+e_t<=4])"),
+        (8, "LaurentSeries(s + s^2 t^-1 + z1 s^2 + z1^2 s^4 t^-1 + z2 s^4 + z2^2 s^8 t^-1"
+            " + z3 s^8 @ [e_s>=1, e_t>=-9, e_s+e_t<=8])"),
+    ],
+)
+def test_nishida_right_side_on_the_box_pinned(d, want):
+    """Q(t) z(s) with t -> zbar(t), as verify_nishida_conjugate_form forms
+    it: Q(t) z(s) and the composite to total d, zbar(t) to 2d + 4."""
+    zbar = series_reversion(zeta_series(2 * d + 4))
+    rhs = series_compose(_identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
     assert repr(rhs) == want
     assert rhs.honest
 

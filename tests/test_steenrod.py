@@ -3,7 +3,15 @@ from hypothesis import given, settings, strategies as st
 
 from dlash import steenrod, verify
 from dlash.f2 import F2Poly, factors
-from dlash.laurent import LaurentSeries, WindowMissError, series_mul, series_pow
+from dlash.laurent import (
+    LaurentSeries,
+    Window,
+    WindowMissError,
+    series_compose,
+    series_mul,
+    series_pow,
+    series_reversion,
+)
 from dlash.steenrod import (
     WindowTooSmallError,
     conjugate_zeta,
@@ -266,3 +274,132 @@ def test_nishida_report_locates_first_mismatch(monkeypatch):
     assert record["name"] == "z(zbar(t)) = t"
     assert record["passed"] is False
     assert record["first_mismatch"] == (0, 3)
+
+
+def _nishida_sides(d):
+    """The box and the two sides of the nishida check, as
+    verify_nishida_conjugate_form builds them."""
+    zbar = series_reversion(zeta_series(2 * d + 4))
+    rhs = series_compose(verify._identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
+    zs = zeta_series(d, var="s")
+    return Window(1, -d, d), zs + zs.square().shift(0, -1), rhs
+
+
+def _parent_check(box, *sides):
+    """The comparison the checks made before they took a box: both sides
+    cut to the box, compared on their common window only."""
+    first = sides[0].restricted(box)
+    return all(first.first_disagreement(side.restricted(box)) is None for side in sides[1:])
+
+
+def _check_by_positions(box, *sides):
+    """The oracle of verify._check: coefficient() at every position of the
+    box, in (total, e_s) order.  Its failures are the index of each side
+    that misses a position or, when none does, the first position where
+    each side differs from sides[0]."""
+    positions = [
+        (es, total - es)
+        for total in range(box.min_s + box.min_t, box.max_total + 1)
+        for es in range(box.min_s, total - box.min_t + 1)
+    ]
+    short = []
+    for k, side in enumerate(sides):
+        try:
+            for e in positions:
+                side.coefficient(*e)
+        except WindowMissError:
+            short.append(k)
+    if short:
+        return short
+    failures = []
+    for side in sides[1:]:
+        diffs = [e for e in positions if side.coefficient(*e) != sides[0].coefficient(*e)]
+        if diffs:
+            failures.append(diffs[0])
+    return failures
+
+
+def _assert_check_matches_oracle(box, *sides):
+    record = verify._check("check", "detail", box, *sides)
+    want = _check_by_positions(box, *sides)
+    assert record["passed"] == (not want)
+    if not want:
+        assert record["first_mismatch"] is None
+    elif isinstance(want[0], int):
+        assert record["first_mismatch"].startswith(f"side {want[0]} window ")
+        assert record["first_mismatch"].endswith(f"does not cover {box.describe()}")
+    else:
+        assert record["first_mismatch"] == want[0]
+    return record
+
+
+def _spurious_term(box, lhs, rhs):
+    # s^4 t^-5 lies in the box, below the left side's honest t-axis at -1
+    return box, lhs, rhs + LaurentSeries.monomial(4, -5)
+
+
+def _lhs_short(box, lhs, rhs):
+    return box, lhs.restricted(Window(box.min_s, box.min_t, box.max_total - 1)), rhs
+
+
+def _rhs_short(box, lhs, rhs):
+    return box, lhs, rhs.restricted(Window(box.min_s, box.min_t, box.max_total - 1))
+
+
+def _lhs_dishonest_in_t(box, lhs, rhs):
+    # the left side's coefficients, claimed only from its own e_t >= -1 up
+    return box, LaurentSeries(lhs.window, lhs.coeffs, honest_t=False), rhs
+
+
+@pytest.mark.parametrize(
+    "mutant, first_mismatch",
+    [
+        (_spurious_term, (4, -5)),
+        (_lhs_short, "side 0"),
+        (_rhs_short, "side 1"),
+        (_lhs_dishonest_in_t, "side 0"),
+    ],
+)
+def test_box_check_fails_mutants_the_common_window_passed(mutant, first_mismatch):
+    box, lhs, rhs = mutant(*_nishida_sides(12))
+    assert _parent_check(box, lhs, rhs)
+    record = _assert_check_matches_oracle(box, lhs, rhs)
+    assert record["passed"] is False
+    if isinstance(first_mismatch, str):
+        assert record["first_mismatch"].startswith(first_mismatch + " window ")
+    else:
+        assert record["first_mismatch"] == first_mismatch
+
+
+def test_box_check_reports_the_lowest_total_first():
+    # s^2 t^5 comes first in e_s, s^4 t^-5 in total degree
+    box, lhs, rhs = _nishida_sides(12)
+    rhs = rhs + LaurentSeries.monomial(2, 5) + LaurentSeries.monomial(4, -5)
+    assert _assert_check_matches_oracle(box, lhs, rhs)["first_mismatch"] == (4, -5)
+
+
+@pytest.mark.parametrize("d", [2, 5, 12])
+def test_box_check_matches_the_oracle_on_the_identity_sides(d):
+    box, lhs, rhs = _nishida_sides(d)
+    assert _assert_check_matches_oracle(box, lhs, rhs)["passed"]
+    zs = zeta_series(d, var="s")
+    bj_lhs = zs + series_mul(zs.square(), zeta_inverse(d))
+    assert _assert_check_matches_oracle(box, bj_lhs, verify._identity1_rhs(d))["passed"]
+    # three sides, the last two of which differ from the first
+    record = _assert_check_matches_oracle(box, lhs, verify._identity1_rhs(d), bj_lhs)
+    assert record["passed"] is False
+
+
+@pytest.mark.parametrize("d", [4, 12, 19])
+def test_identity_sides_on_the_box_match_those_built_past_it(d):
+    """Built to total d, the sides of identity (1) and of the nishida check
+    agree on the box with the same sides built to 2d + 4."""
+    work = 2 * d + 4
+    box, lhs, rhs = _nishida_sides(d)
+    zbar = series_reversion(zeta_series(work))
+    wide_rhs = series_compose(verify._identity1_rhs(work), zbar, window=Window(0, -(d + 1), work))
+    zs = zeta_series(work, var="s")
+    wide_lhs = zs + series_mul(zs.square(), zeta_inverse(work))
+    assert verify._check("nishida", "", box, rhs, wide_rhs)["passed"]
+    assert verify._check("identity (1)", "", box, verify._identity1_rhs(d),
+                         verify._identity1_rhs(work), wide_lhs)["passed"]
