@@ -70,14 +70,18 @@ def factors(m: Monomial) -> tuple:
     return tuple(out)
 
 
+def _factors_degree(fs: tuple) -> int:
+    return sum(((1 << i) - 1) * e for i, e in fs)
+
+
 def monomial_degree(m: Monomial) -> int:
-    return sum(((1 << i) - 1) * e for i, e in factors(m))
+    return _factors_degree(factors(m))
 
 
-def _monomial_str(m: Monomial) -> str:
-    if not m:
+def _factors_str(fs: tuple) -> str:
+    if not fs:
         return "1"
-    return " ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in factors(m))
+    return " ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in fs)
 
 
 def _checked(monomials: set) -> "F2Poly":
@@ -187,10 +191,9 @@ class F2Poly:
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        ms = sorted(
-            self.monomials, key=lambda m: (monomial_degree(m), factors(m))
-        )
-        return " + ".join(_monomial_str(m) for m in ms)
+        # each monomial unpacked once, ordered by degree and then factors
+        keyed = sorted((_factors_degree(fs), fs) for fs in map(factors, self.monomials))
+        return " + ".join(_factors_str(fs) for _, fs in keyed)
 
     def __repr__(self) -> str:
         return f"F2Poly({self})"

@@ -29,14 +29,17 @@ truncated (so also _known) drops zeros and keys outside the window, exact
 and map_coeffs drop zeros, _product drops the sums that cancel and the
 exponents keep rejects, and the other operations build clean maps.
 
-_product is the one product kernel: it multiplies two coefficient maps at
-the exponents that pass a keep(e_s, e_t) test, for series_mul (an exact
-factor included) and for the factors of the Frobenius product in
-series_inverse.  Every sum of coefficient products, there and in
-series_reversion's column recurrence, is one f2.sum_of_products call per
-output coefficient, and a coefficient that cancels is dropped.  _window
-builds the derived windows of sums, inverses, restrictions and
-composites, and keeps an honest axis' zeros when nothing else is left.
+_product is the one product kernel: it sums the products of pairs of
+coefficient maps at the exponents that pass a keep(e_s, e_t) test.
+series_mul and each factor of the Frobenius product in series_inverse
+pass it one pair, and series_compose makes one call with the pair
+(u^i, row i) for every row i of a.  Every sum of coefficient products,
+there and in series_reversion's column recurrence, is one
+f2.sum_of_products call per output coefficient, and a coefficient that
+cancels is dropped.  _window builds the derived windows of sums,
+inverses, restrictions and composites, and keeps an honest axis' zeros
+when nothing else is left; _sum_window is the window of a sum, for
+series_add and for the rows that series_compose sums.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
 powers r^(2^k) of series_inverse, and the even powers of series_compose
@@ -353,14 +356,16 @@ def _known(
     )
 
 
-def _product(a_coeffs: dict, b_coeffs: dict, keep) -> dict:
-    """Product of two coefficient maps, at the exponents where keep(es, et)."""
+def _product(factor_pairs, keep) -> dict:
+    """The sum of the products of the coefficient maps in each
+    (a_coeffs, b_coeffs) of factor_pairs, at the exponents where keep(es, et)."""
     groups: dict = {}
-    for (es1, et1), p1 in a_coeffs.items():
-        for (es2, et2), p2 in b_coeffs.items():
-            es, et = es1 + es2, et1 + et2
-            if keep(es, et):
-                groups.setdefault((es, et), []).append((p1, p2))
+    for a_coeffs, b_coeffs in factor_pairs:
+        for (es1, et1), p1 in a_coeffs.items():
+            for (es2, et2), p2 in b_coeffs.items():
+                es, et = es1 + es2, et1 + et2
+                if keep(es, et):
+                    groups.setdefault((es, et), []).append((p1, p2))
     sums = {e: sum_of_products(pairs) for e, pairs in groups.items()}
     return {e: p for e, p in sums.items() if not p.is_zero()}
 
@@ -370,21 +375,29 @@ def _require_honest(a: LaurentSeries, b: LaurentSeries) -> None:
         raise LaurentError("sums and products need series honest in both axes")
 
 
+def _sum_window(wa: Window, wb: Window) -> Window:
+    """The window of the sum of two honest series on wa and wb: both vanish
+    below their axes, so the sum does below the lesser ones, and it is known
+    to the lesser max_total.  When both are exact, the sum's window follows
+    its support instead, and only its max_total None is meaningful."""
+    return Window(
+        min(wa.min_s, wb.min_s),
+        min(wa.min_t, wb.min_t),
+        _min_total(wa.max_total, wb.max_total),
+    )
+
+
 def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """The sum of two honest series: both vanish below their axes, so the
-    sum does below the lesser ones, and it is known to the lesser max_total."""
+    """The sum of two honest series, on the window _sum_window gives."""
     _require_honest(a, b)
     coeffs = {**a.coeffs, **b.coeffs}
     for e in a.coeffs.keys() & b.coeffs.keys():
         coeffs[e] = a.coeffs[e] + b.coeffs[e]  # may cancel to zero
-    max_total = _min_total(a.window.max_total, b.window.max_total)
-    if max_total is None:
-        # the window follows the support; a sum that cancels is the exact zero
+    w = _sum_window(a.window, b.window)
+    if w.max_total is None:
+        # a sum that cancels is the exact zero
         return LaurentSeries.exact(coeffs)
-    return _known(
-        coeffs, min(a.window.min_s, b.window.min_s), min(a.window.min_t, b.window.min_t),
-        max_total,
-    )
+    return LaurentSeries.truncated(coeffs, w)
 
 
 def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
@@ -399,7 +412,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         _add_total(wb.max_total, a.certified_min_total()),
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    return LaurentSeries(w, _product(a.coeffs, b.coeffs, w.contains))
+    return LaurentSeries(w, _product(((a.coeffs, b.coeffs),), w.contains))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -502,7 +515,7 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     acc = {(0, 0): F2Poly.one()}
     q = {e: p for e, p in r.items() if keep(*e)}
     while q:
-        acc = _product(acc, {(0, 0): F2Poly.one(), **q}, keep)
+        acc = _product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
     # a product with an unknown term of r lies above rel's max_total plus
     # its known factors of negative total, whose e_s sum to at most bs
@@ -548,11 +561,12 @@ def series_compose(
     that its powers eventually leave every window and all per-bidegree
     sums are finite; anything else is refused.  Row i of a, its
     coefficients at t^i, is an exact polynomial in s: the result sums u^i
-    times row i, with each power of u formed once (an even one by
-    squaring), and is then cut to what a's unknown tail cannot reach and
-    to the window.  A negative power is formed on the window, and is
-    refused with NonComposableError when that leaves it not honest: when
-    the window lies above e_s = 0 or above the power's lead t^(i val(u)).
+    times row i in one product, with each power of u formed once (an even
+    one by squaring), and is then cut to what a's unknown tail cannot
+    reach and to the window.  A negative power is formed on the window,
+    and is refused with NonComposableError when that leaves it not honest:
+    when the window lies above e_s = 0 or above the power's lead
+    t^(i val(u)).
     """
     if not (a.honest and u.honest):
         raise NonComposableError("composition needs series honest in both axes")
@@ -601,12 +615,31 @@ def series_compose(
         pows[i] = p
         return p
 
-    result = None
+    # One product sums u^i times row i over the rows, on the window that
+    # series_add gives the series_mul terms in row order: a term's is u^i's
+    # shifted by s^lo, lo the least e_s of its row.  Unless u is exact only
+    # row 0's term is, so either all are and the sum's window follows its
+    # support, or the term windows alone decide it, and no product past its
+    # max_total or the target window's is formed.
+    pairs, w = [], None
     for i in sorted(rows):
-        term = series_mul(power(i), LaurentSeries.exact(rows[i]))
-        result = term if result is None else series_add(result, term)
-    if result is None:  # no coefficient of a is known
+        p = power(i)
+        pairs.append((p.coeffs, rows[i]))
+        if p.is_exact() and not p.coeffs:
+            term = Window(0, 0, None)  # series_mul's exact zero
+        else:
+            lo = min(es for es, _ in rows[i])
+            pw = p.window
+            term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
+        w = term if w is None else _sum_window(w, term)
+    if w is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
+    elif w.max_total is None:
+        coeffs = _product(pairs, lambda es, et: True)
+        result = LaurentSeries(w, coeffs) if len(rows) == 1 else LaurentSeries.exact(coeffs)
+    else:
+        limit = w.max_total if window is None else _min_total(w.max_total, window.max_total)
+        result = LaurentSeries(w, _product(pairs, lambda es, et: es + et <= limit))
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)
     if window is not None:

@@ -384,6 +384,9 @@ def check_series_kernel(instances: int = 500, seed: int = 2026) -> dict:
     failures = []
     box = Window(0, -8, 10)
     ident = LaurentSeries.monomial(0, 1)
+    # a is t plus some of t^2 .. t^5, so only 15 distinct series are
+    # reversed, and each round trip's outcome depends on its a alone
+    round_trips: dict = {}
     for trial in range(instances):
         u = _random_unit(rng)
         # inverse round-trip; each window must cover its box, or the
@@ -405,10 +408,13 @@ def check_series_kernel(instances: int = 500, seed: int = 2026) -> dict:
         terms = {(0, 1): F2Poly.one()}
         for _ in range(rng.randint(1, 4)):
             terms[(0, rng.randint(2, 5))] = F2Poly.one()
-        a = LaurentSeries.exact(terms)
-        b = series_reversion(a, max_total=9)
-        back = series_compose(a, b, window=Window(0, 0, 9))
-        if not (back.covers(Window(0, 1, 9)) and back.agrees_with(ident)):
+        key = frozenset(terms)
+        if key not in round_trips:
+            a = LaurentSeries.exact(terms)
+            b = series_reversion(a, max_total=9)
+            back = series_compose(a, b, window=Window(0, 0, 9))
+            round_trips[key] = back.covers(Window(0, 1, 9)) and back.agrees_with(ident)
+        if not round_trips[key]:
             failures.append(("reversion", trial))
     return _record(
         "series-kernel", failures, f"{instances} randomized round-trip instances"

@@ -152,6 +152,22 @@ def test_identity_bound_past_the_limit_exits_1(runner, args, env, error):
     assert r.stderr == f"Error: {error} exceeds the limit 192\n"
 
 
+@pytest.mark.parametrize(
+    "args, env",
+    [
+        (["--degree-bound", "3000", "zeta-action", "1"], None),
+        (["--json", "zeta-action", "11"], {"DLASH_DEGREE_BOUND": "3000"}),
+    ],
+)
+def test_zeta_action_bound_past_the_limit_exits_1(runner, args, env):
+    start = time.perf_counter()
+    r = invoke(runner, *args, env=env)
+    assert time.perf_counter() - start < 1
+    assert r.exit_code == 1
+    assert r.stdout == ""
+    assert r.stderr == "Error: zeta-action bound 3000 exceeds the limit 256\n"
+
+
 def test_usage_error_exits_2(runner):
     r = invoke(runner, "adem", "six", "2")
     assert r.exit_code == 2
@@ -173,6 +189,31 @@ def test_quiet_suppresses_output(runner):
     r = invoke(runner, "--quiet", "adem", "6", "2")
     assert r.exit_code == 0
     assert r.output == ""
+
+
+@pytest.mark.parametrize(
+    "args, printed",
+    [
+        (["--quiet", "zeta-action", "2"], False),
+        (["--quiet", "conjugate", "4"], False),
+        (["zeta-action", "2"], True),
+        (["--json", "zeta-action", "2"], True),
+        (["conjugate", "4"], True),
+        (["--json", "conjugate", "4"], True),
+    ],
+)
+def test_output_is_rendered_once(runner, monkeypatch, args, printed):
+    """Each coefficient is stringified once, for the one form printed,
+    and not at all under --quiet."""
+    from dlash.f2 import F2Poly
+
+    calls = []
+    to_str = F2Poly.__str__
+    monkeypatch.setattr(F2Poly, "__str__", lambda p: calls.append(p) or to_str(p))
+    r = invoke(runner, "--degree-bound", "16", *args)
+    assert r.exit_code == 0
+    assert bool(calls) is printed
+    assert len(calls) == len({id(p) for p in calls})
 
 
 def test_degree_bound_env_var(runner):

@@ -1,5 +1,6 @@
 import random
 import re
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -792,11 +793,11 @@ def _truncated_series(draw):
 
 
 @st.composite
-def _substitutable_series(draw):
+def _substitutable_series(draw, in_t=st.booleans()):
     """An exact series of total valuation >= 1 whose leading term (least
     e_s, then least e_t) has total 1 or 2 and coefficient 1: a series in
     t alone, or one with terms in s, which composition refuses."""
-    in_t = draw(st.booleans())
+    in_t = draw(in_t)
     lead = draw(st.sampled_from([(0, 1), (0, 2)] if in_t else [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]))
     later = [
         (es, et)
@@ -808,6 +809,12 @@ def _substitutable_series(draw):
     return LaurentSeries.exact({lead: ONE, **terms})
 
 
+@st.composite
+def _compose_window(draw):
+    min_s, min_t = draw(st.integers(-3, 0)), draw(st.integers(-4, 0))
+    return Window(min_s, min_t, draw(st.integers(max(min_s + min_t, 0), 6)))
+
+
 @settings(deadline=None, max_examples=100)
 @given(st.data(), _truncated_series(), _substitutable_series())
 def test_compose_window_sound_by_completion(data, a, u):
@@ -816,8 +823,8 @@ def test_compose_window_sound_by_completion(data, a, u):
     max_total change nothing it knows.  A u with a term in s is refused,
     and so is a composite whose window lies above the lead t^(i val(u))
     of u^i for a row i < 0 of a: that power is not honest in t."""
-    min_s, min_t = data.draw(st.integers(-3, 0)), data.draw(st.integers(-4, 0))
-    window = Window(min_s, min_t, data.draw(st.integers(max(min_s + min_t, 0), 6)))
+    window = data.draw(_compose_window())
+    min_t = window.min_t
     if any(es for es, _ in u.coeffs):
         with pytest.raises(NonComposableError):
             series_compose(a, u, window=window)
@@ -995,23 +1002,29 @@ def test_nishida_right_side_on_the_box_pinned(d, want):
     assert rhs.honest
 
 
-def _compose_by_products(a, u, window):
-    """a(u) in t the way series_compose forms it, except that every positive
-    power of u is the one before it times u, with no squaring.  u is
-    univariate in t, so a negative power needs no window wider than the
-    target."""
+def _compose_by_products(a, u, window, square=False):
+    """a(u) in t as a sum of series: every positive power of u is the one
+    before it times u, or with square an even one the square of its half,
+    as series_compose forms it, and each row i of a is multiplied by u^i on
+    its own and added to the rows before it.  u is univariate in t, so a
+    negative power needs no window wider than the target; with no target
+    window, a must have no negative row."""
     rows: dict = {}
     for (es, et), p in a.coeffs.items():
         rows.setdefault(et, {})[(es, 0)] = p
     pows = {0: LaurentSeries.one()}
-    for i in range(1, max(rows) + 1):
-        pows[i] = series_mul(pows[i - 1], u).restricted(window)
-    result = None
+    for i in range(1, max(rows, default=0) + 1):
+        pows[i] = pows[i // 2].square() if square and i % 2 == 0 else series_mul(pows[i - 1], u)
+        if window is not None:
+            pows[i] = pows[i].restricted(window)
+    result = LaurentSeries.zero() if not rows else None
     for i in sorted(rows):
         p = pows[i] if i >= 0 else series_pow(u, i, window).restricted(window)
         term = series_mul(p, LaurentSeries.exact(rows[i]))
         result = term if result is None else series_add(result, term)
-    return _cap_unknown_tail(result, a, u).restricted(window)
+    if a.window.max_total is not None:
+        result = _cap_unknown_tail(result, a, u)
+    return result if window is None else result.restricted(window)
 
 
 @pytest.mark.parametrize("d", [8, 16, 31, 48])
@@ -1026,3 +1039,51 @@ def test_compose_by_squares_matches_the_product_chain(d):
         want = _compose_by_products(a, zbar, tbox)
         assert repr(got) == repr(want)
         assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t)
+
+
+def _composite_or_refusal(compose, a, u, window):
+    try:
+        got = compose(a, u, window)
+    except LaurentError:
+        return "refused"
+    return repr(got), got.honest_s, got.honest_t
+
+
+# u in t alone: exact, known to a total, or the exact zero
+_U_IN_T = _substitutable_series(in_t=st.just(True)).flatmap(
+    lambda u: st.sampled_from(
+        [u, LaurentSeries.zero()] + [u.restricted(Window(0, 0, m)) for m in range(2, 7)]
+    )
+)
+# exact, and known in full below its support
+_T_ON_ITS_QUADRANT = LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, None))
+
+
+@settings(deadline=None, max_examples=300)
+@given(_truncated_series(), _U_IN_T, st.one_of(st.none(), _compose_window()))
+# with no target window and an exact u every term is exact: a single one
+# keeps its own window, the exact zero's included, and a sum follows its
+# support
+@example(LaurentSeries.truncated({(1, 2): ONE}, Window(0, 0, 4)), LaurentSeries.zero(), None)
+@example(
+    LaurentSeries.truncated({(1, 0): ONE, (0, 1): ONE}, Window(0, 0, 4)),
+    LaurentSeries.zero(),
+    None,
+)
+@example(LaurentSeries.truncated({(0, 2): ONE}, Window(0, 0, 4)), _T_ON_ITS_QUADRANT, None)
+def test_compose_matches_the_sum_of_row_products(a, u, window):
+    """One product over all rows of a gives the composite that the product
+    of each row by its power of u, summed row by row, gives: the same
+    coefficients, window and honesty flags, and the same refusals.  The
+    target window is drawn, or absent for an a with no negative row.  The
+    reference squares as series_compose does: for a u known to a total,
+    the square of a power is known further than its product by u."""
+    # test_compose_refuses_negative_powers_of_an_unknown_lead covers a zero
+    # u below e_t = 0
+    assume(u.coeffs or a.window.min_t >= 0)
+    if window is None:
+        assume(all(et >= 0 for _, et in a.coeffs))
+    by_rows = partial(_compose_by_products, square=True)
+    assert _composite_or_refusal(series_compose, a, u, window) == _composite_or_refusal(
+        by_rows, a, u, window
+    )

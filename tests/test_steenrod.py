@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -403,3 +405,87 @@ def test_identity_sides_on_the_box_match_those_built_past_it(d):
     assert verify._check("nishida", "", box, rhs, wide_rhs)["passed"]
     assert verify._check("identity (1)", "", box, verify._identity1_rhs(d),
                          verify._identity1_rhs(work), wide_lhs)["passed"]
+
+
+def _series_kernel_by_trials(instances=500, seed=2026):
+    """check_series_kernel as it was before it formed each distinct
+    reversion round trip once: every trial reverses and composes its own a."""
+    rng = random.Random(seed)
+    failures = []
+    box = Window(0, -8, 10)
+    ident = LaurentSeries.monomial(0, 1)
+    for trial in range(instances):
+        u = verify._random_unit(rng)
+        inv = verify.series_inverse(u, window=box)
+        prod = verify.series_mul(u, inv)
+        if not (
+            inv.covers(box) and prod.covers(box) and prod.agrees_with(LaurentSeries.one())
+        ):
+            failures.append(("inverse", trial))
+            continue
+        small = Window(0, -4, 5)
+        inv_small = verify.series_inverse(u, window=small)
+        if not (inv_small.covers(small) and inv_small.agrees_with(inv)):
+            failures.append(("window", trial))
+            continue
+        terms = {(0, 1): F2Poly.one()}
+        for _ in range(rng.randint(1, 4)):
+            terms[(0, rng.randint(2, 5))] = F2Poly.one()
+        a = LaurentSeries.exact(terms)
+        b = verify.series_reversion(a, max_total=9)
+        back = verify.series_compose(a, b, window=Window(0, 0, 9))
+        if not (back.covers(Window(0, 1, 9)) and back.agrees_with(ident)):
+            failures.append(("reversion", trial))
+    return verify._record(
+        "series-kernel", failures, f"{instances} randomized round-trip instances"
+    )
+
+
+def _compose_wrong_on_t_plus_t3(monkeypatch):
+    # one of the 15 reversion inputs, a = t + t^3, comes back off by t^2
+    compose = verify.series_compose
+
+    def wrong(a, b, window=None):
+        back = compose(a, b, window=window)
+        if set(a.coeffs) == {(0, 1), (0, 3)}:
+            back = back + LaurentSeries.monomial(0, 2)
+        return back
+
+    monkeypatch.setattr(verify, "series_compose", wrong)
+
+
+def _inverse_wrong_on_units_with_st(on):
+    # every unit with a term s t, inverted on the window on, is off by t
+    def patch(monkeypatch):
+        inverse = verify.series_inverse
+
+        def wrong(u, window=None):
+            inv = inverse(u, window=window)
+            return inv.shift(0, 1) if (1, 1) in u.coeffs and window == on else inv
+
+        monkeypatch.setattr(verify, "series_inverse", wrong)
+
+    return patch
+
+
+@pytest.mark.parametrize("instances", [500, 40])
+@pytest.mark.parametrize(
+    "mutant, failing",
+    [
+        pytest.param(None, None, id="clean"),
+        pytest.param(_compose_wrong_on_t_plus_t3, "reversion", id="compose"),
+        # a failed inverse skips the trial's reversion draws
+        pytest.param(_inverse_wrong_on_units_with_st(Window(0, -8, 10)), "inverse", id="inverse"),
+        pytest.param(_inverse_wrong_on_units_with_st(Window(0, -4, 5)), "window", id="window"),
+    ],
+)
+def test_series_kernel_matches_the_loop_over_trials(monkeypatch, instances, mutant, failing):
+    """Forming each distinct round trip once hides no failure: the record
+    is the one the per-trial loop gives, clean and under each mutant."""
+    if mutant is not None:
+        mutant(monkeypatch)
+    want = _series_kernel_by_trials(instances)
+    assert verify.check_series_kernel(instances) == want
+    assert want["passed"] is (failing is None)
+    if failing is not None:
+        assert want["first_mismatch"][0] == failing
