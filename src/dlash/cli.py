@@ -168,7 +168,8 @@ def symmetry(ctx, degree, bound):
     rels = symmetry_extract_relations(x, window)
 
     def rendered() -> list:
-        return sorted({str(r) for r in rels})
+        # equal relations render equally, so each distinct one renders once
+        return sorted({str(r) for r in set(rels)})
 
     def lines() -> list:
         distinct = rendered()

@@ -21,9 +21,10 @@ from typing import Iterable
 # and every index about log2 of it, and no command answers in reasonable
 # time at a bound near 2^15, let alone 2^63.  Only this module looks
 # inside a monomial: other code reads it through ``factors`` and
-# ``monomial_degree``, and multiplies through ``sum_of_products``, which
-# checks the guard once per sum: no factor's field reaches it, so nothing
-# carries before the check, and an overflow that cancels is no error.
+# ``monomial_degree``, and multiplies through ``sum_of_products`` and
+# ``map_product``, which check the guard once per sum: no factor's field
+# reaches it, so nothing carries before the check, and an overflow that
+# cancels is no error.
 Monomial = int
 _W = 16
 _MAX_INDEX = 64
@@ -101,6 +102,52 @@ def sum_of_products(pairs: Iterable[tuple]) -> "F2Poly":
         for ma in p.monomials:  # one row's products are distinct
             acc ^= {ma + mb for mb in qs}
     return _checked(acc)
+
+
+def _terms(coeffs: dict) -> list:
+    """(e_s, e_t, monomials, the one monomial or None) per coefficient."""
+    return [
+        (es, et, p.monomials, next(iter(p.monomials)) if len(p.monomials) == 1 else None)
+        for (es, et), p in coeffs.items()
+    ]
+
+
+def map_product(factor_pairs: Iterable[tuple], keep) -> dict:
+    """The sum of the products of the coefficient maps in each (a, b) of
+    factor_pairs, maps from exponents (e_s, e_t) to nonzero polynomials.
+
+    Each output coefficient is formed in one set as the pairs arrive and
+    checked once; a sum that cancels is dropped.  keep(e_s, e_t) is asked
+    once per distinct exponent, and an exponent it rejects is skipped."""
+    sums: dict = {}
+    rejected: set = set()
+    for a, b in factor_pairs:
+        rows = _terms(b)
+        for es1, et1, ps, m1 in _terms(a):
+            for es2, et2, qs, m2 in rows:
+                e = (es1 + es2, et1 + et2)
+                acc = sums.get(e)
+                if acc is None:
+                    if e in rejected:
+                        continue
+                    if not keep(*e):
+                        rejected.add(e)
+                        continue
+                    acc = sums[e] = set()
+                if m1 == 0:  # the constant 1
+                    acc ^= qs
+                elif m2 == 0:
+                    acc ^= ps
+                elif m1 is not None:
+                    acc ^= {m1 + mb for mb in qs}
+                elif m2 is not None:
+                    acc ^= {ma + m2 for ma in ps}
+                else:
+                    for ma in ps:  # one row's products are distinct
+                        acc ^= {ma + mb for mb in qs}
+    # each set is freed as its polynomial is made, so no two copies of the
+    # product are held at once
+    return {e: _checked(acc) for e in list(sums) if (acc := sums.pop(e))}
 
 
 class F2Poly:

@@ -26,20 +26,21 @@ in s.
 A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
 truncated (so also _known) drops zeros and keys outside the window, exact
-and map_coeffs drop zeros, _product drops the sums that cancel and the
-exponents keep rejects, and the other operations build clean maps.
+and map_coeffs drop zeros, f2.map_product drops the sums that cancel and
+the exponents keep rejects, and the other operations build clean maps.
 
-_product is the one product kernel: it sums the products of pairs of
-coefficient maps at the exponents that pass a keep(e_s, e_t) test.
-series_mul and each factor of the Frobenius product in series_inverse
-pass it one pair, and series_compose makes one call with the pair
-(u^i, row i) for every row i of a.  Every sum of coefficient products,
-there and in series_reversion's column recurrence, is one
-f2.sum_of_products call per output coefficient, and a coefficient that
-cancels is dropped.  _window builds the derived windows of sums,
-inverses, restrictions and composites, and keeps an honest axis' zeros
-when nothing else is left; _sum_window is the window of a sum, for
-series_add and for the rows that series_compose sums.
+f2.map_product is the one product kernel: it sums the products of pairs
+of coefficient maps at the exponents that pass a keep(e_s, e_t) test,
+forming each output coefficient in one set as the pairs arrive and
+asking keep once per exponent.  series_mul and each factor of the
+Frobenius product in series_inverse pass it one pair, and
+series_compose makes one call with the pair (u^i, row i) for every row
+i of a.  series_reversion's column recurrence sums its coefficient
+products with one f2.sum_of_products call per output coefficient.  A
+coefficient that cancels is dropped.  _window builds the derived windows
+of sums, inverses, restrictions and composites, and keeps an honest
+axis' zeros when nothing else is left; _sum_window is the window of a
+sum, for series_add and for the rows that series_compose sums.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
 powers r^(2^k) of series_inverse, and the even powers of series_compose
@@ -53,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .f2 import F2Poly, sum_of_products
+from .f2 import F2Poly, map_product, sum_of_products
 
 
 class LaurentError(Exception):
@@ -356,20 +357,6 @@ def _known(
     )
 
 
-def _product(factor_pairs, keep) -> dict:
-    """The sum of the products of the coefficient maps in each
-    (a_coeffs, b_coeffs) of factor_pairs, at the exponents where keep(es, et)."""
-    groups: dict = {}
-    for a_coeffs, b_coeffs in factor_pairs:
-        for (es1, et1), p1 in a_coeffs.items():
-            for (es2, et2), p2 in b_coeffs.items():
-                es, et = es1 + es2, et1 + et2
-                if keep(es, et):
-                    groups.setdefault((es, et), []).append((p1, p2))
-    sums = {e: sum_of_products(pairs) for e, pairs in groups.items()}
-    return {e: p for e, p in sums.items() if not p.is_zero()}
-
-
 def _require_honest(a: LaurentSeries, b: LaurentSeries) -> None:
     if not (a.honest and b.honest):
         raise LaurentError("sums and products need series honest in both axes")
@@ -412,7 +399,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         _add_total(wb.max_total, a.certified_min_total()),
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    return LaurentSeries(w, _product(((a.coeffs, b.coeffs),), w.contains))
+    return LaurentSeries(w, map_product(((a.coeffs, b.coeffs),), w.contains))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -515,7 +502,7 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     acc = {(0, 0): F2Poly.one()}
     q = {e: p for e, p in r.items() if keep(*e)}
     while q:
-        acc = _product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
+        acc = map_product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
     # a product with an unknown term of r lies above rel's max_total plus
     # its known factors of negative total, whose e_s sum to at most bs
@@ -635,11 +622,11 @@ def series_compose(
     if w is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
     elif w.max_total is None:
-        coeffs = _product(pairs, lambda es, et: True)
+        coeffs = map_product(pairs, lambda es, et: True)
         result = LaurentSeries(w, coeffs) if len(rows) == 1 else LaurentSeries.exact(coeffs)
     else:
         limit = w.max_total if window is None else _min_total(w.max_total, window.max_total)
-        result = LaurentSeries(w, _product(pairs, lambda es, et: es + et <= limit))
+        result = LaurentSeries(w, map_product(pairs, lambda es, et: es + et <= limit))
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)
     if window is not None:

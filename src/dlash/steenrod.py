@@ -8,7 +8,11 @@ closed form
                        + z(t)^{-1} (sum_{i>=n} z_i^2 t^{2^{i+1}})
 
 and extended multiplicatively; conjugates come from compositional
-reversion of z(t).  This module holds only the algebra: the checks of
+reversion of z(t).  z(t)^{-1} is formed once per command where it can
+be: zeta_inverse keeps the largest inverse formed so far and restricts
+it for a smaller request, which gives exactly the inverse formed to that
+total (see its docstring), so a caller that needs several totals asks
+for the largest first.  This module holds only the algebra: the checks of
 the paper's identities against it live in ``verify``.
 """
 
@@ -45,10 +49,33 @@ def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
     return LaurentSeries(w, terms)
 
 
+# the largest z(t)^{-1} formed so far, by its max_total: one entry at most
+_largest_inverse: dict = {}
+
+
 def zeta_inverse(max_total: int) -> LaurentSeries:
-    """z(t)^{-1} = t^{-1} + z1 + z1^2 t + (z1^3 + z2) t^2 + ..."""
+    """z(t)^{-1} = t^{-1} + z1 + z1^2 t + (z1^3 + z2) t^2 + ..., known to
+    total max_total.
+
+    The largest inverse formed so far is kept, and a smaller request is
+    answered by restricting it.  That is exact: each coefficient a window
+    claims is the true one, and the inverse of z(t), a series in t alone
+    with positive exponents, is honest in both axes, so restriction keeps
+    the window's axes and cuts only its total.  The result, its window and
+    both flags are those of the inverse formed to max_total directly, and
+    no answer depends on what ran before.
+    """
+    if _largest_inverse:
+        ((largest, inverse),) = _largest_inverse.items()
+        if max_total == largest:
+            return inverse
+        if max_total < largest:
+            return inverse.restricted(Window(0, -1, max_total))
     # the inverse of a series known to degree m is guaranteed to m - 2
-    return series_inverse(zeta_series(max_total + 2))
+    inverse = series_inverse(zeta_series(max_total + 2))
+    _largest_inverse.clear()
+    _largest_inverse[max_total] = inverse
+    return inverse
 
 
 def conjugate_zeta(max_i: int) -> list:

@@ -216,6 +216,26 @@ def test_output_is_rendered_once(runner, monkeypatch, args, printed):
     assert len(calls) == len({id(p) for p in calls})
 
 
+@pytest.mark.parametrize("bound", [18, 24, 256])
+@pytest.mark.parametrize("degree", range(5))
+def test_symmetry_renders_each_distinct_relation_once(runner, monkeypatch, degree, bound):
+    """The relations printed are the distinct renderings of those
+    extracted, and each distinct relation is rendered once."""
+    from dlash import cli
+    from dlash.dyer_lashof import DLSum
+
+    extracted, rendered = [], []
+    extract, to_str = cli.symmetry_extract_relations, DLSum.__str__
+    monkeypatch.setattr(cli, "symmetry_extract_relations",
+                        lambda *a: extracted.append(extract(*a)) or extracted[-1])
+    monkeypatch.setattr(DLSum, "__str__", lambda r: rendered.append(r) or to_str(r))
+    r = invoke(runner, "--json", "symmetry", str(degree), str(bound))
+    assert r.exit_code == 0
+    (rels,) = extracted
+    assert json.loads(r.output)["relations"] == sorted({to_str(rel) for rel in rels})
+    assert len(rendered) == len(set(rels))
+
+
 def test_degree_bound_env_var(runner):
     r = invoke(runner, "zeta-action", "1", env={"DLASH_DEGREE_BOUND": "4"})
     assert "e_s+e_t<=4" in r.output

@@ -5,7 +5,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dlash.f2 import F2Poly
+from dlash.f2 import F2Poly, map_product, sum_of_products
 from dlash.laurent import (
     _cap_unknown_tail,
     BadValuationError,
@@ -963,6 +963,67 @@ def test_mul_lowers_an_empty_window_like_the_sum_of_shifts(honest_s):
     a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0, 2), honest_s=honest_s, honest_t=False)
     b = exact((0, 0), (0, 3))
     assert _product_or_error(a, b, series_mul) == _product_or_error(a, b, _mul_by_shifts) == LaurentError
+
+
+def _product_by_groups(factor_pairs, keep):
+    """The product kernel as it was before it formed each coefficient in
+    place: every pair that keep admits is grouped by its exponent, and each
+    group summed by one sum_of_products call."""
+    groups: dict = {}
+    for a_coeffs, b_coeffs in factor_pairs:
+        for (es1, et1), p1 in a_coeffs.items():
+            for (es2, et2), p2 in b_coeffs.items():
+                es, et = es1 + es2, et1 + et2
+                if keep(es, et):
+                    groups.setdefault((es, et), []).append((p1, p2))
+    sums = {e: sum_of_products(pairs) for e, pairs in groups.items()}
+    return {e: p for e, p in sums.items() if not p.is_zero()}
+
+
+# the constant 1, single monomials, and sums of several monomials
+_KERNEL_MONOMIALS = [ONE, F2Poly.zeta(1), F2Poly.zeta(2), F2Poly.zeta(1, 3),
+                     F2Poly.zeta(1) * F2Poly.zeta(2), F2Poly.zeta(3, 2)]
+_KERNEL_COEFF = st.one_of(
+    st.just(ONE),
+    st.sampled_from(_KERNEL_MONOMIALS),
+    st.sets(st.sampled_from(_KERNEL_MONOMIALS), min_size=2, max_size=4).map(
+        lambda ms: sum(ms, F2Poly.zero())
+    ),
+)
+_KERNEL_MAP = st.dictionaries(
+    st.tuples(st.integers(-2, 3), st.integers(-3, 3)), _KERNEL_COEFF, max_size=5
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.lists(st.tuples(_KERNEL_MAP, _KERNEL_MAP), min_size=1, max_size=4),
+       st.booleans(), st.data())
+def test_map_product_matches_the_grouping_kernel(factor_pairs, repeat, data):
+    """The same map as the grouping kernel, with keep asked once per
+    distinct exponent and rejecting the same exponents.  A repeated pair
+    makes every sum it reaches cancel."""
+    if repeat:
+        factor_pairs = factor_pairs + factor_pairs[:1]
+    exponents = sorted(
+        (es1 + es2, et1 + et2)
+        for a, b in factor_pairs
+        for es1, et1 in a
+        for es2, et2 in b
+    )
+    rejects = data.draw(st.sets(st.sampled_from(exponents)) if exponents else st.just(set()))
+
+    def recording(asked):
+        def keep(es, et):
+            asked.append((es, et))
+            return (es, et) not in rejects
+        return keep
+
+    got_asked, want_asked = [], []
+    got = map_product(factor_pairs, recording(got_asked))
+    assert got == _product_by_groups(factor_pairs, recording(want_asked))
+    assert len(got_asked) == len(set(got_asked)) == len(set(exponents))
+    assert set(got_asked) & rejects == set(want_asked) & rejects
+    assert all(not p.is_zero() for p in got.values())
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from dlash.laurent import (
     Window,
     WindowMissError,
     series_compose,
+    series_inverse,
     series_mul,
     series_pow,
     series_reversion,
@@ -114,6 +115,25 @@ def test_closed_form_cache_is_bounded():
     info = steenrod._q_total_closed_form.cache_info()
     assert info.misses == 200 and info.currsize <= 128
     assert q_total_on_zeta(4, 64) is q_total_on_zeta(4, 64)
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
+    """Each answer, formed afresh or restricted from the stored inverse, is
+    the inverse formed directly to that total, window and flags included,
+    and the store holds one series at most."""
+    totals = list(range(-1, 41)) + [62, 128, 130]
+    if order == "descending":
+        totals.reverse()
+    elif order == "shuffled":
+        random.Random(19).shuffle(totals)
+    steenrod._largest_inverse.clear()
+    for m in totals:
+        got = zeta_inverse(m)
+        want = series_inverse(zeta_series(m + 2))
+        assert got == want, m
+        assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t), m
+        assert len(steenrod._largest_inverse) <= 1
 
 
 @pytest.mark.parametrize(
@@ -252,6 +272,27 @@ def test_steinberger_checks_reverse_z_once(monkeypatch):
     calls.clear()
     assert all(r["passed"] for r in verify_steinberger_successor(3))
     assert calls == [4]
+
+
+def test_steinberger_inverts_z_once(monkeypatch):
+    """steinberger asks for its largest z(t)^{-1} first, so every smaller
+    one is restricted from it."""
+    from click.testing import CliRunner
+
+    from dlash.cli import main
+
+    inverted = []
+
+    def counted(a, window=None):
+        inverted.append(a.window.max_total)
+        return series_inverse(a, window=window)
+
+    monkeypatch.setattr(steenrod, "series_inverse", counted)
+    steenrod._q_total_closed_form.cache_clear()
+    steenrod._largest_inverse.clear()
+    r = CliRunner().invoke(main, ["steinberger", "4"])
+    assert r.exit_code == 0
+    assert inverted == [18]
 
 
 def test_bisson_joyal_report():
@@ -468,6 +509,41 @@ def _inverse_wrong_on_units_with_st(on):
     return patch
 
 
+def _inverse_wrong_on(*units):
+    # these units, inverted on the box, are off by t
+    def patch(monkeypatch):
+        inverse = verify.series_inverse
+
+        def wrong(u, window=None):
+            inv = inverse(u, window=window)
+            return inv.shift(0, 1) if u in units and window == Window(0, -8, 10) else inv
+
+        monkeypatch.setattr(verify, "series_inverse", wrong)
+
+    return patch
+
+
+# 1 + s^2 and 1 + s^2 t^2 recur among the first failures, and units drawn
+# before them share their exponents with other coefficients: a memo keyed
+# on the exponents alone, or one that reports only a unit's first trial,
+# gives another record
+_RECURRING_UNITS = (
+    LaurentSeries.exact({(0, 0): F2Poly.one(), (2, 0): F2Poly.one()}),
+    LaurentSeries.exact({(0, 0): F2Poly.one(), (2, 2): F2Poly.one()}),
+)
+
+
+def _mul_wrong_on_units_with_s2(monkeypatch):
+    # every unit with a term s^2, times its inverse, is off by t
+    mul = verify.series_mul
+
+    def wrong(a, b):
+        prod = mul(a, b)
+        return prod.shift(0, 1) if (2, 0) in a.coeffs else prod
+
+    monkeypatch.setattr(verify, "series_mul", wrong)
+
+
 @pytest.mark.parametrize("instances", [500, 40])
 @pytest.mark.parametrize(
     "mutant, failing",
@@ -477,6 +553,8 @@ def _inverse_wrong_on_units_with_st(on):
         # a failed inverse skips the trial's reversion draws
         pytest.param(_inverse_wrong_on_units_with_st(Window(0, -8, 10)), "inverse", id="inverse"),
         pytest.param(_inverse_wrong_on_units_with_st(Window(0, -4, 5)), "window", id="window"),
+        pytest.param(_mul_wrong_on_units_with_s2, "inverse", id="mul"),
+        pytest.param(_inverse_wrong_on(*_RECURRING_UNITS), "inverse", id="recurring-units"),
     ],
 )
 def test_series_kernel_matches_the_loop_over_trials(monkeypatch, instances, mutant, failing):
