@@ -14,14 +14,17 @@ describing where its coefficients are guaranteed exact:
     t-exponents, so they are exact inside their window but not honest in
     t.
 
-max_total = None means the series is exact (known in full).
+max_total = None means the series is exact (known in full).  An inverse
+or a composite is formed on a finite window only: series_inverse and
+series_compose take one, and series_pow takes one for a negative power.
 
 coefficient, shift, square, restricted, map_coeffs and residue take a
 series that is not honest in both axes; series_add, series_mul (so also
 series_pow from the first product on), series_inverse, series_compose and
-series_reversion refuse one.  series_compose substitutes a series in t alone for t,
-series_reversion reverses a series in t, and residue takes the residue
-in s.
+series_reversion refuse one.  series_inverse also refuses a unit with a
+term of lower total than its lead, series_compose substitutes a series
+in t alone for t, series_reversion reverses a series in t, and residue
+takes the residue in s.
 
 A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
@@ -403,9 +406,10 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
-    """a**k for k >= 0; negative k inverts a**(-k) on the given window."""
+    """a**k, restricted to window if one is given; a negative k inverts
+    a**(-k) on window, which must then be given and finite."""
     if k < 0:
-        return series_inverse(series_pow(a, -k), window=window)
+        return series_inverse(series_pow(a, -k), window)
     result = LaurentSeries.one()
     base = a
     while k:
@@ -419,22 +423,25 @@ def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> Lauren
     return result
 
 
-def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSeries:
-    """Multiplicative inverse with series_mul(a, result) = 1 on the window.
+def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
+    """Multiplicative inverse with series_mul(a, result) = 1 on the finite
+    window.
 
     The leading term in the s-small order must be a bare monomial with
-    coefficient 1 that no unknown term can undercut.  For a = lead (1 + r)
-    it is lead^-1 prod_k (1 + r^(2^k)) over F2, each r^(2^k) the square of
-    the one before, formed where it can still reach the window: at an e_s
-    no larger than the window's, and at an e_t and a total above the
-    window's by no more than r's terms can take away over the e_s still
-    to come.  The terms of r are lexicographically positive, so after
-    about log2 of the window's extent nothing is left.  It is known to
-    total a.max_total - 2 total(lead), less what r's terms of negative
-    total can take away at the window's largest e_s; an axis loses honesty
-    when the product reaches below it, and t also when r has a term of
-    negative e_t.
+    coefficient 1 that no unknown term can undercut, and no term may have
+    a lower total than the lead.  For a = lead (1 + r) it is
+    lead^-1 prod_k (1 + r^(2^k)) over F2, each r^(2^k) the square of the
+    one before, formed where it can still reach the window: at an e_s no
+    larger than the window's, at a total no larger than the window's, and
+    at an e_t above the window's by no more than r's terms of negative e_t
+    can take away over the e_s still to come.  The terms of r are
+    lexicographically positive, so after about log2 of the window's extent
+    nothing is left.  It is known to total a.max_total - 2 total(lead); an
+    axis loses honesty when the product reaches below it, and t also when
+    r has a term of negative e_t.
     """
+    if window is None or window.max_total is None:
+        raise NotInvertibleError("the inverse needs a finite window")
     if not a.honest:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
     if a.is_zero():
@@ -445,26 +452,13 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
             f"leading coefficient at s^{lead[0]} t^{lead[1]} is "
             f"{a.coeffs[lead]}, not 1"
         )
-    if window is None:
-        window = a.window.shifted(-2 * lead[0], -2 * lead[1])
-    if window.max_total is None and a.window.max_total is None:
-        # exact inputs still give an infinite inverse unless a is a monomial
-        if len(a.coeffs) > 1:
-            raise NotInvertibleError(
-                "inverse of a non-monomial series needs a finite window"
-            )
-        return LaurentSeries.monomial(-lead[0], -lead[1])
-    if window.max_total is None:
-        window = Window(
-            window.min_s,
-            window.min_t,
-            a.window.max_total - 2 * (lead[0] + lead[1]),
-        )
 
     # relative series r with a = lead * (1 + r); every term of r is
     # lexicographically positive, so the product converges per window
     rel = a.shift(-lead[0], -lead[1])
     r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
+    if any(es + et < 0 for es, et in r):
+        raise NotInvertibleError("a term has a lower total than the leading term")
     if a.window.max_total is not None and a.window.min_s < lead[0]:
         # an unknown term of lower e_s, above max_total, would lead instead
         raise NotInvertibleError("leading term is not minimal in the s-small order")
@@ -474,24 +468,21 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     bs = box.max_total - box.min_t  # largest reachable e_s
     neg_drop = max((-et for _, et in r if et < 0), default=0)
 
-    # a term of r with negative e_t or negative total has e_s >= 1; the
-    # powers of one with negative e_t fall ever lower in t, below any
-    # t-axis, after keep has dropped them
-    negative = [(es, es + et) for es, et in r if es + et < 0]
-    total_drop = max((-(total // es) for es, total in negative), default=0)
+    # a term of r with negative e_t has e_s >= 1; its powers fall ever
+    # lower in t, below any t-axis, after keep has dropped them
     lost_s, lost_t = False, neg_drop > 0
 
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
-        # multiplications by r (e_s never decreases; e_t drops at most
-        # neg_drop and the total at most total_drop per unit of e_s
-        # growth), so also under squaring; a dropped position below the
-        # box costs honesty in that axis
+        # multiplications by r (e_s and the total never decrease; e_t
+        # drops at most neg_drop per unit of e_s growth), so also under
+        # squaring; a dropped position below the box costs honesty in
+        # that axis
         nonlocal lost_s, lost_t
         if (
             es <= bs
             and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
-            and es + et <= box.max_total + (bs - es) * total_drop
+            and es + et <= box.max_total
         ):
             return True
         lost_s = lost_s or es < box.min_s
@@ -504,16 +495,12 @@ def series_inverse(a: LaurentSeries, window: Window | None = None) -> LaurentSer
     while q:
         acc = map_product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
-    # a product with an unknown term of r lies above rel's max_total plus
-    # its known factors of negative total, whose e_s sum to at most bs
-    lowest = max((-total * max(bs, 0) // es for es, total in negative), default=0)
-    max_total = _add_total(rel.window.max_total, -lowest)
-
     for es, et in acc:
         lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
+    # a product with an unknown term of r lies above rel's max_total
     c = _known(
-        acc, box.min_s, box.min_t, _min_total(box.max_total, max_total),
+        acc, box.min_s, box.min_t, _min_total(box.max_total, rel.window.max_total),
         honest_s=not lost_s, honest_t=not lost_t,
     )
     return c.shift(-lead[0], -lead[1]).restricted(window)
@@ -538,10 +525,8 @@ def _cap_unknown_tail(
     return _known(result.coeffs, w.min_s, w.min_t, _min_total(w.max_total, cap))
 
 
-def series_compose(
-    a: LaurentSeries, u: LaurentSeries, window: Window | None = None
-) -> LaurentSeries:
-    """Substitute u for t in a.
+def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> LaurentSeries:
+    """Substitute u for t in a, on the finite window.
 
     a must be honest in both axes, and u must be an honest series in t
     alone (no known term off e_s = 0) with certified valuation >= 1, so
@@ -549,12 +534,14 @@ def series_compose(
     sums are finite; anything else is refused.  Row i of a, its
     coefficients at t^i, is an exact polynomial in s: the result sums u^i
     times row i in one product, with each power of u formed once (an even
-    one by squaring), and is then cut to what a's unknown tail cannot
-    reach and to the window.  A negative power is formed on the window,
-    and is refused with NonComposableError when that leaves it not honest:
-    when the window lies above e_s = 0 or above the power's lead
-    t^(i val(u)).
+    one by squaring) and restricted to the window, and is then cut to what
+    a's unknown tail cannot reach and to the window.  A negative power is
+    formed on the window, and is refused with NonComposableError when that
+    leaves it not honest: when the window lies above e_s = 0 or above the
+    power's lead t^(i val(u)).
     """
+    if window.max_total is None:
+        raise NonComposableError("composition needs a finite window")
     if not (a.honest and u.honest):
         raise NonComposableError("composition needs series honest in both axes")
     if any(es for es, _ in u.coeffs):
@@ -572,13 +559,6 @@ def series_compose(
         raise NonComposableError(
             "negative powers of t need a known leading term of u"
         )
-    if window is None and min(rows, default=0) < 0:
-        if u.window.max_total is None:
-            raise NonComposableError(
-                "negative exponents with an exact substituted series need "
-                "an explicit target window"
-            )
-        window = u.window
 
     pows: dict = {0: LaurentSeries.one()}
 
@@ -597,41 +577,30 @@ def series_compose(
                     f"u^{i} is not honest on the target window {window.describe()}: "
                     f"the window must reach e_s = 0 and e_t = {i * mt_u}"
                 )
-        if window is not None:
-            p = p.restricted(window)
-        pows[i] = p
+        pows[i] = p = p.restricted(window)
         return p
 
     # One product sums u^i times row i over the rows, on the window that
     # series_add gives the series_mul terms in row order: a term's is u^i's
-    # shifted by s^lo, lo the least e_s of its row.  Unless u is exact only
-    # row 0's term is, so either all are and the sum's window follows its
-    # support, or the term windows alone decide it, and no product past its
+    # shifted by s^lo, lo the least e_s of its row.  No product past its
     # max_total or the target window's is formed.
     pairs, w = [], None
     for i in sorted(rows):
         p = power(i)
         pairs.append((p.coeffs, rows[i]))
-        if p.is_exact() and not p.coeffs:
-            term = Window(0, 0, None)  # series_mul's exact zero
-        else:
-            lo = min(es for es, _ in rows[i])
-            pw = p.window
-            term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
+        lo = min(es for es, _ in rows[i])
+        pw = p.window
+        term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
         w = term if w is None else _sum_window(w, term)
     if w is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
-    elif w.max_total is None:
-        coeffs = map_product(pairs, lambda es, et: True)
-        result = LaurentSeries(w, coeffs) if len(rows) == 1 else LaurentSeries.exact(coeffs)
     else:
-        limit = w.max_total if window is None else _min_total(w.max_total, window.max_total)
-        result = LaurentSeries(w, map_product(pairs, lambda es, et: es + et <= limit))
+        limit = _min_total(w.max_total, window.max_total)
+        coeffs = map_product(pairs, lambda es, et: es + et <= limit)
+        result = LaurentSeries(_window(w.min_s, w.min_t, limit), coeffs)
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)
-    if window is not None:
-        result = result.restricted(window)
-    return result
+    return result.restricted(window)
 
 
 def series_reversion(a: LaurentSeries, max_total: int | None = None) -> LaurentSeries:

@@ -72,7 +72,7 @@ def zeta_inverse(max_total: int) -> LaurentSeries:
         if max_total < largest:
             return inverse.restricted(Window(0, -1, max_total))
     # the inverse of a series known to degree m is guaranteed to m - 2
-    inverse = series_inverse(zeta_series(max_total + 2))
+    inverse = series_inverse(zeta_series(max_total + 2), Window(0, -1, max_total))
     _largest_inverse.clear()
     _largest_inverse[max_total] = inverse
     return inverse
@@ -122,8 +122,9 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
     return LaurentSeries.one() if n == 0 else _q_total_closed_form(n, max_total)
 
 
-# 128 entries hold every (n, max_total) one command asks for (at most 43,
-# for verify-all at bound 32), and cache_info() reports hits and size
+# 128 entries hold every (n, max_total) one command asks for (verify-all
+# asks for 41 at bound 32 and 44 at its limit 192), and cache_info()
+# reports hits and size
 @lru_cache(maxsize=128)
 def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     """Q(t) z_n for n >= 1 from the closed form in the module docstring."""

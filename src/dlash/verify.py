@@ -491,7 +491,12 @@ def check_property_laws(seed: int = 7, samples: int = 24) -> dict:
 
 
 def run_all(degree_bound: int = 16) -> list:
-    """Run every acceptance suite; identity suites honour degree_bound."""
+    """Run every acceptance suite; identity suites honour degree_bound.
+
+    check_steinberger needs z(t)^{-1} to total 2^5, and the identity suites
+    to degree_bound: the larger is formed first, so every other request
+    restricts it and z(t) is inverted once."""
+    zeta_inverse(max(degree_bound, 2**5))
     reports = [
         check_adem_soundness(),
         check_adem_completeness(),

@@ -4,9 +4,16 @@ import time
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import assume, given, settings, strategies as st
 
 from dlash import verify
-from dlash.cli import main
+from dlash.cli import (
+    IDENTITY_BOUND_LIMIT,
+    SYMMETRY_BOUND_LIMIT,
+    ZETA_ACTION_BOUND_LIMIT,
+    main,
+)
+from dlash.dyer_lashof import ADEM_INDEX_BOUND
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -91,7 +98,7 @@ def test_window_error_exits_1(runner, args):
         ["steinberger", "1"],
         ["zeta-action", "--", "-1"],
         ["conjugate", "12"],
-        ["steinberger", "9"],
+        ["steinberger", "10"],
     ],
 )
 def test_out_of_range_argument_exits_2(runner, args):
@@ -166,6 +173,91 @@ def test_zeta_action_bound_past_the_limit_exits_1(runner, args, env):
     assert r.exit_code == 1
     assert r.stdout == ""
     assert r.stderr == "Error: zeta-action bound 3000 exceeds the limit 256\n"
+
+
+def test_steinberger_at_its_cap_passes(runner):
+    r = invoke(runner, "steinberger", "9")
+    assert r.exit_code == 0
+    assert r.stdout.splitlines()[-1] == "passed"
+
+
+_A = ADEM_INDEX_BOUND
+# each command's arguments at the edges of their ranges, just inside and
+# just past each limit, and the degree bounds it reads, at sizes that
+# answer in well under a second: a bound at symmetry's, nishida's or
+# verify-all's limit, steinberger 9, and zeta-action 1..8 at its limit
+# take longer, and are run elsewhere
+_ARGUMENTS = {
+    "adem": st.tuples(
+        st.sampled_from([-1, 0, 1, 2, _A - 1, _A, _A + 1]), st.sampled_from([-1, 0, 1, 2])
+    ),
+    "reduce": st.tuples(
+        st.builds(
+            "Q^{} Q^{} x[{}]".format,
+            st.sampled_from([0, 1, _A - 2, _A - 1, _A]),
+            st.sampled_from([0, 1, 2]),
+            st.sampled_from([-1, 0, 1]),
+        )
+    ),
+    "symmetry": st.tuples(st.sampled_from([-1, 0, 1, 2])).flatmap(
+        lambda d: st.sampled_from([d, *(d + (b,) for b in (-1, 0, 1, SYMMETRY_BOUND_LIMIT + 1))])
+    ),
+    "zeta-action": st.tuples(st.sampled_from([-1, 0, 1, 2, 8, 9, 64, 65])),
+    "conjugate": st.tuples(st.sampled_from([0, 1, 11, 12])),
+    "steinberger": st.tuples(st.sampled_from([1, 2, 10])),
+    "nishida": st.just(()),
+    "verify-all": st.just(()),
+}
+_BOUNDS = {
+    "zeta-action": [-1, 0, 1, 2, ZETA_ACTION_BOUND_LIMIT, ZETA_ACTION_BOUND_LIMIT + 1],
+    "nishida": [-1, 0, 1, 2, IDENTITY_BOUND_LIMIT + 1],
+    "verify-all": [-1, 0, 1, IDENTITY_BOUND_LIMIT + 1],
+    "symmetry": [-1, 0, 1, 2, SYMMETRY_BOUND_LIMIT + 1],
+}
+
+
+@st.composite
+def _edge_call(draw):
+    """A command line and its environment: the command's arguments, its
+    degree bound from --degree-bound, DLASH_DEGREE_BOUND or the default
+    (or one that is not an integer), and --json or --quiet."""
+    command = draw(st.sampled_from(sorted(_ARGUMENTS)))
+    args = [str(a) for a in draw(_ARGUMENTS[command])]
+    bound = draw(st.sampled_from([None, "x", *map(str, _BOUNDS.get(command, [3]))]))
+    if command == "zeta-action" and bound == str(ZETA_ACTION_BOUND_LIMIT):
+        assume(not 1 <= int(args[0]) <= 8)
+    options = [flag for flag in ("--json", "--quiet") if draw(st.booleans())]
+    env = {}
+    if bound is not None and draw(st.booleans()):
+        env["DLASH_DEGREE_BOUND"] = bound
+    elif bound is not None:
+        options += ["--degree-bound", bound]
+    # a negative argument is read as an option unless "--" comes first
+    separator = ["--"] if draw(st.booleans()) else []
+    return [*options, command, *separator, *args], env
+
+
+@settings(deadline=None, max_examples=200)
+@given(_edge_call())
+def test_arguments_at_the_edges_of_their_ranges_end_cleanly(call):
+    """Every call answers with status 0, or prints one `Error:` line (in a
+    usage message with status 2, alone with status 1) and nothing on
+    stdout; none raises or takes long."""
+    args, env = call
+    start = time.perf_counter()
+    r = invoke(CliRunner(), *args, env=env)
+    assert time.perf_counter() - start < 5
+    assert r.exception is None or isinstance(r.exception, SystemExit), r.exception
+    if r.exit_code == 0:
+        return
+    assert r.exit_code in (1, 2)
+    assert r.stdout == ""
+    errors = [l for l in r.stderr.splitlines() if l.startswith("Error: ")]
+    assert len(errors) == 1
+    if r.exit_code == 1:
+        assert r.stderr == errors[0] + "\n"
+    else:
+        assert r.stderr.startswith("Usage: ")
 
 
 def test_usage_error_exits_2(runner):

@@ -106,7 +106,7 @@ T_PLUS_S = exact((0, 1), (1, 0))
         (exact((0, 0), (1, -1)), Window(0, -8, 6), Window(0, -8, 6), True, False),
         (exact((0, 0), (1, -1)), Window(-1, -20, 12), Window(-1, -20, 12), True, False),
         (exact((0, 0), (0, 1)), Window(0, -8, 6), Window(0, -8, 6), True, True),
-        (T_PLUS_S.restricted(Window(0, 0, 5)), None, Window(0, -2, 3), True, False),
+        (T_PLUS_S.restricted(Window(0, 0, 5)), Window(0, -2, 3), Window(0, -2, 3), True, False),
         (T_PLUS_S.restricted(Window(0, 0, 5)), Window(0, -8, 6), Window(0, -8, 3), True, False),
         (
             LaurentSeries.exact(
@@ -167,12 +167,35 @@ def test_inverse_requires_unit_lead():
 
 def test_inverse_refuses_a_lead_a_completion_can_undercut():
     # s + O(total 2) from e_s = 0: the completion s + t^2 leads with t^2,
-    # and its inverse t^-2 + s t^-4 + ... has no s^-1
+    # and would have an inverse t^-2 + s t^-4 + ... with no s^-1 (it is
+    # refused too, as its term s has a lower total than its lead t^2)
     a = LaurentSeries.truncated({(1, 0): ONE}, Window(0, 0, 1))
-    box = Window(-2, -4, 4)
-    assert series_inverse(exact((1, 0), (0, 2)), window=box).coefficient(-1, 0).is_zero()
     with pytest.raises(NotInvertibleError):
-        series_inverse(a, window=box)
+        series_inverse(a, window=Window(-2, -4, 4))
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: series_inverse(exact((0, 0), (0, 1)), Window(0, 0)), NotInvertibleError),
+        (lambda: series_pow(exact((0, 0), (0, 1)), -1), NotInvertibleError),
+        (lambda: series_pow(exact((0, 0), (0, 1)), -2, Window(0, 0)), NotInvertibleError),
+        (lambda: series_compose(exact((0, 1)), exact((0, 1)), Window(0, 0)), NonComposableError),
+        (lambda: series_inverse(exact((1, 0), (0, 2)), Window(-2, -4, 4)), NotInvertibleError),
+    ],
+    ids=[
+        "inverse-on-an-infinite-window",
+        "negative-power-without-a-window",
+        "negative-power-on-an-infinite-window",
+        "compose-on-an-infinite-window",
+        "inverse-of-s-plus-t-squared",
+    ],
+)
+def test_inputs_with_no_finite_window_or_a_term_below_the_lead_are_refused(call, error):
+    """Inverses and composites are formed on a finite window only, and an
+    inverse of a unit with a term of lower total than its lead is refused."""
+    with pytest.raises(error):
+        call()
 
 
 def test_compose_refuses_negative_powers_of_an_unknown_lead():
@@ -191,7 +214,7 @@ def test_compose_valuation_check():
     a = exact((0, 1))
     u = exact((0, 0))  # constant: valuation 0
     with pytest.raises(NonComposableError):
-        series_compose(a, u)
+        series_compose(a, u, window=Window(0, 0, 6))
 
 
 @pytest.mark.parametrize(
@@ -430,13 +453,11 @@ def test_inverse_of_truncated_unit_stops_at_its_window():
     assert inv.coefficient(0, 0) == ONE
 
 
-def test_inverse_of_a_negative_total_term_is_not_honest_in_t():
-    # r = s^2 t^-3 leaves the window at once, but r^3 = s^6 t^-9 lies
-    # below its t-axis at a total the window covers
-    inv = series_inverse(exact((0, 0), (2, -3)), window=Window(0, -4, -3))
-    assert not inv.honest_t
-    with pytest.raises(WindowMissError):
-        inv.coefficient(6, -9)
+def test_inverse_refuses_a_term_of_negative_total():
+    # r = s^2 t^-3 has total -1: the powers of r fall back into the window
+    # from above its total, so an inverse on a finite window is refused
+    with pytest.raises(NotInvertibleError, match="lower total"):
+        series_inverse(exact((0, 0), (2, -3)), window=Window(0, -4, -3))
 
 
 def test_exact_sum_window_follows_its_support():
@@ -528,7 +549,7 @@ def _neumann_inverse(a, es_max, et_max):
 
 # relative terms of a unit lead (1 + r): all of them lexicographically
 # positive, of any e_t, of nonnegative e_t (the check_series_kernel
-# shape), and of negative total
+# shape), and of negative total, which an inverse refuses
 _REL_TERM = st.tuples(st.integers(0, 3), st.integers(-3, 3)).filter(lambda e: e > (0, 0))
 _REL_TERM_NONNEGATIVE = st.tuples(st.integers(0, 3), st.integers(0, 3)).filter(lambda e: e > (0, 0))
 _REL_TERM_NEGATIVE_TOTAL = st.tuples(st.integers(1, 3), st.integers(-7, -2)).filter(
@@ -568,24 +589,29 @@ def _target_window(draw):
 
 
 _INVERSE_CASES = st.one_of(
-    st.tuples(_unit_and_completion(), st.one_of(st.none(), _target_window())),
+    st.tuples(_unit_and_completion(), _target_window()),
     # no term of negative total, on a box whose e_s reaches much further
     # than its total, like check_series_kernel's Window(0, -8, 10)
     st.tuples(
         _unit_and_completion(_REL_TERM_NONNEGATIVE),
         st.builds(Window, st.integers(-1, 1), st.integers(-9, -6), st.integers(8, 11)),
     ),
-    # a term of negative total: the total may fall back into the box
-    st.tuples(
-        _unit_and_completion(negative_total=True), st.one_of(st.none(), _target_window())
-    ),
+    # a term of negative total: the total may fall back into the box, so
+    # the inverse is refused
+    st.tuples(_unit_and_completion(negative_total=True), _target_window()),
 )
 _KERNEL_UNIT = LaurentSeries.exact(
     {(0, 0): ONE, (0, 1): ONE, (1, 0): F2Poly.zeta(1), (2, 3): ONE}
 )
-# r = t + s^2 t^-3, total_drop = ceil(1/2): t^4 lies above the box's total
-# 3, and t^4 s^2 t^-3 inside it
+# r = t + s^2 t^-3: t^4 lies above the box's total 3, and t^4 s^2 t^-3
+# inside it, so the inverse is refused
 _TOTAL_DROP_UNIT = exact((0, 0), (0, 1), (2, -3))
+
+
+def _has_a_term_below_its_lead(a):
+    """Whether a term of a has a lower total than a's lead."""
+    lead = min(a.coeffs)
+    return any(es + et < sum(lead) for es, et in a.coeffs)
 
 
 @settings(deadline=None, max_examples=1000)
@@ -595,13 +621,15 @@ _TOTAL_DROP_UNIT = exact((0, 0), (0, 1), (2, -3))
 def test_inverse_window_sound_by_completion(case):
     """Every coefficient an inverse claims, inside its window or below an
     honest axis up to its max_total, is the coefficient of the exact
-    inverse of a completion of its input."""
+    inverse of a completion of its input; a unit with a term of lower
+    total than its lead is refused."""
     (a, full), window = case
+    if _has_a_term_below_its_lead(a):
+        with pytest.raises(NotInvertibleError, match="lower total"):
+            series_inverse(a, window=window)
+        return
     try:
         got = series_inverse(a, window=window)
-    except NotInvertibleError:  # an exact non-monomial with no window
-        assert window is None and a.is_exact()
-        return
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
     _assert_stored_inside(got)
@@ -623,8 +651,7 @@ def _assert_inverse_claims(got, full):
     """Every coefficient got claims, out to its window's extent, is that
     of the Neumann inverse of the exact series full."""
     w = got.window
-    top_s = 9 if w.max_total is None else max(9, w.max_total - w.min_t)
-    top_t = 9 if w.max_total is None else max(9, w.max_total - w.min_s)
+    top_s, top_t = max(9, w.max_total - w.min_t), max(9, w.max_total - w.min_s)
     want = _neumann_inverse(full, top_s, top_t)
     _assert_claims(got, want, range(-8, top_s + 1), range(-24, top_t + 1))
 
@@ -675,15 +702,16 @@ def test_pow_refuses_an_exact_dishonest_base():
 def test_negative_pow_window_sound_by_completion(k, case):
     """Every coefficient a negative power claims, inside its window or
     below an honest axis up to its max_total, is that of the Neumann
-    inverse of the same positive power of a completion of its input."""
+    inverse of the same positive power of a completion of its input; a
+    base with a term of lower total than its lead is refused, as is then
+    its power."""
     (a, full), window = case
+    if _has_a_term_below_its_lead(a):
+        with pytest.raises(NotInvertibleError):
+            series_pow(a, k, window)
+        return
     try:
         got = series_pow(a, k, window)
-    except NotInvertibleError:
-        # an exact non-monomial with no window, or a truncated power whose
-        # window cannot certify its lead
-        assert window is None or not a.is_exact()
-        return
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
     _assert_stored_inside(got)
@@ -1068,16 +1096,14 @@ def _compose_by_products(a, u, window, square=False):
     before it times u, or with square an even one the square of its half,
     as series_compose forms it, and each row i of a is multiplied by u^i on
     its own and added to the rows before it.  u is univariate in t, so a
-    negative power needs no window wider than the target; with no target
-    window, a must have no negative row."""
+    negative power needs no window wider than the target."""
     rows: dict = {}
     for (es, et), p in a.coeffs.items():
         rows.setdefault(et, {})[(es, 0)] = p
     pows = {0: LaurentSeries.one()}
     for i in range(1, max(rows, default=0) + 1):
         pows[i] = pows[i // 2].square() if square and i % 2 == 0 else series_mul(pows[i - 1], u)
-        if window is not None:
-            pows[i] = pows[i].restricted(window)
+        pows[i] = pows[i].restricted(window)
     result = LaurentSeries.zero() if not rows else None
     for i in sorted(rows):
         p = pows[i] if i >= 0 else series_pow(u, i, window).restricted(window)
@@ -1085,7 +1111,7 @@ def _compose_by_products(a, u, window, square=False):
         result = term if result is None else series_add(result, term)
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)
-    return result if window is None else result.restricted(window)
+    return result.restricted(window)
 
 
 @pytest.mark.parametrize("d", [8, 16, 31, 48])
@@ -1121,29 +1147,29 @@ _T_ON_ITS_QUADRANT = LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, None))
 
 
 @settings(deadline=None, max_examples=300)
-@given(_truncated_series(), _U_IN_T, st.one_of(st.none(), _compose_window()))
-# with no target window and an exact u every term is exact: a single one
-# keeps its own window, the exact zero's included, and a sum follows its
-# support
-@example(LaurentSeries.truncated({(1, 2): ONE}, Window(0, 0, 4)), LaurentSeries.zero(), None)
+@given(_truncated_series(), _U_IN_T, _compose_window())
+# an exact u: the zero, whose powers are zeros known to the target
+# window's total, and t known in full below its support
+@example(
+    LaurentSeries.truncated({(1, 2): ONE}, Window(0, 0, 4)), LaurentSeries.zero(), Window(0, 0, 6)
+)
 @example(
     LaurentSeries.truncated({(1, 0): ONE, (0, 1): ONE}, Window(0, 0, 4)),
     LaurentSeries.zero(),
-    None,
+    Window(0, 0, 6),
 )
-@example(LaurentSeries.truncated({(0, 2): ONE}, Window(0, 0, 4)), _T_ON_ITS_QUADRANT, None)
+@example(
+    LaurentSeries.truncated({(0, 2): ONE}, Window(0, 0, 4)), _T_ON_ITS_QUADRANT, Window(0, 0, 6)
+)
 def test_compose_matches_the_sum_of_row_products(a, u, window):
     """One product over all rows of a gives the composite that the product
     of each row by its power of u, summed row by row, gives: the same
     coefficients, window and honesty flags, and the same refusals.  The
-    target window is drawn, or absent for an a with no negative row.  The
     reference squares as series_compose does: for a u known to a total,
     the square of a power is known further than its product by u."""
     # test_compose_refuses_negative_powers_of_an_unknown_lead covers a zero
     # u below e_t = 0
     assume(u.coeffs or a.window.min_t >= 0)
-    if window is None:
-        assume(all(et >= 0 for _, et in a.coeffs))
     by_rows = partial(_compose_by_products, square=True)
     assert _composite_or_refusal(series_compose, a, u, window) == _composite_or_refusal(
         by_rows, a, u, window

@@ -130,7 +130,7 @@ def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
     steenrod._largest_inverse.clear()
     for m in totals:
         got = zeta_inverse(m)
-        want = series_inverse(zeta_series(m + 2))
+        want = series_inverse(zeta_series(m + 2), Window(0, -1, m))
         assert got == want, m
         assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t), m
         assert len(steenrod._largest_inverse) <= 1
@@ -274,6 +274,21 @@ def test_steinberger_checks_reverse_z_once(monkeypatch):
     assert calls == [4]
 
 
+def _counted_inversions(monkeypatch) -> list:
+    """The totals of the z(t) series steenrod inverts from now on, with
+    the closed-form cache and the stored inverse emptied."""
+    inverted = []
+
+    def counted(a, window):
+        inverted.append(a.window.max_total)
+        return series_inverse(a, window)
+
+    monkeypatch.setattr(steenrod, "series_inverse", counted)
+    steenrod._q_total_closed_form.cache_clear()
+    steenrod._largest_inverse.clear()
+    return inverted
+
+
 def test_steinberger_inverts_z_once(monkeypatch):
     """steinberger asks for its largest z(t)^{-1} first, so every smaller
     one is restricted from it."""
@@ -281,18 +296,20 @@ def test_steinberger_inverts_z_once(monkeypatch):
 
     from dlash.cli import main
 
-    inverted = []
-
-    def counted(a, window=None):
-        inverted.append(a.window.max_total)
-        return series_inverse(a, window=window)
-
-    monkeypatch.setattr(steenrod, "series_inverse", counted)
-    steenrod._q_total_closed_form.cache_clear()
-    steenrod._largest_inverse.clear()
+    inverted = _counted_inversions(monkeypatch)
     r = CliRunner().invoke(main, ["steinberger", "4"])
     assert r.exit_code == 0
     assert inverted == [18]
+
+
+@pytest.mark.parametrize("bound", [8, 16])
+def test_verify_all_inverts_z_once(monkeypatch, bound):
+    """verify-all asks for its largest z(t)^{-1} first, the one the
+    Steinberger suite needs to total 32 at these bounds, so every smaller
+    one is restricted from it."""
+    inverted = _counted_inversions(monkeypatch)
+    assert all(r["passed"] for r in verify.run_all(bound))
+    assert inverted == [34]
 
 
 def test_bisson_joyal_report():
