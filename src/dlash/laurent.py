@@ -121,13 +121,6 @@ class Window:
     def shifted(self, ds: int, dt: int) -> "Window":
         return Window(self.min_s + ds, self.min_t + dt, _add_total(self.max_total, ds + dt))
 
-    def intersect(self, other: "Window") -> "Window":
-        return Window(
-            max(self.min_s, other.min_s),
-            max(self.min_t, other.min_t),
-            _min_total(self.max_total, other.max_total),
-        )
-
     def describe(self) -> str:
         mx = "inf" if self.max_total is None else str(self.max_total)
         return f"[e_s>={self.min_s}, e_t>={self.min_t}, e_s+e_t<={mx}]"
@@ -282,19 +275,14 @@ class LaurentSeries:
             return NotImplemented
         return self.window == other.window and self.coeffs == other.coeffs
 
-    def agrees_with(self, other: "LaurentSeries") -> bool:
-        """Coefficient equality on the common guaranteed window."""
-        return self.first_disagreement(other) is None
-
-    def first_disagreement(self, other: "LaurentSeries", box: Window | None = None):
+    def first_disagreement(self, other: "LaurentSeries", box: Window):
         """The first exponent, by total degree and then e_s, where the
-        stored coefficients differ inside box (by default the common
-        guaranteed window), or None."""
-        w = self.window.intersect(other.window) if box is None else box
+        stored coefficients differ inside box, or None.  This compares
+        every coefficient of the box only when both series cover it."""
         diffs = [
             e
             for e in set(self.coeffs) | set(other.coeffs)
-            if w.contains(*e)
+            if box.contains(*e)
             and self.coeffs.get(e, F2Poly.zero()) != other.coeffs.get(e, F2Poly.zero())
         ]
         return min(diffs, key=lambda e: (e[0] + e[1], e[0])) if diffs else None

@@ -34,6 +34,11 @@ def exact(*exps):
     return LaurentSeries.exact({e: ONE for e in exps})
 
 
+def _agree_on(box, a, b):
+    """Both series cover box, and they agree at every position of it."""
+    return a.covers(box) and b.covers(box) and a.first_disagreement(b, box) is None
+
+
 def _assert_stored_inside(series):
     """The invariant every producer makes: no stored key outside the
     window, and no stored coefficient zero."""
@@ -254,7 +259,7 @@ def test_reversion_simple():
     a = exact((0, 1), (0, 2))
     b = series_reversion(a, max_total=12)
     back = series_compose(a, b, window=Window(0, 0, 12))
-    assert back.agrees_with(exact((0, 1)))
+    assert _agree_on(Window(0, 1, 12), back, exact((0, 1)))
 
 
 REVERSION_COEFFS = [
@@ -274,7 +279,7 @@ def test_reversion_round_trip(data, m):
     b = series_reversion(a, max_total=m)
     back = series_compose(a, b, window=Window(0, 0, m))
     assert back.window == Window(0, 1, m)
-    assert back.agrees_with(exact((0, 1)))
+    assert _agree_on(Window(0, 1, m), back, exact((0, 1)))
 
 
 def _reversion_by_columns(a, max_total):
@@ -793,14 +798,14 @@ def test_window_soundness_of_inverse():
         u = LaurentSeries.exact({(0, 0): ONE, **tail})
         inv_big = series_inverse(u, window=big)
         inv_small = series_inverse(u, window=small)
-        assert inv_small.agrees_with(inv_big)
+        assert _agree_on(small, inv_small, inv_big)
 
 
 def test_pow_negative_exponent():
     u = exact((0, 0), (0, 1))
     p = series_pow(u, -3, window=Window(0, 0, 10))
     q = series_inverse(series_pow(u, 3), window=Window(0, 0, 10))
-    assert p.agrees_with(q)
+    assert _agree_on(Window(0, 0, 10), p, q)
 
 
 COMPOSE_COEFFS = [ONE, F2Poly.zeta(1), F2Poly.zeta(1) + F2Poly.zeta(2)]

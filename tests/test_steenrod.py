@@ -347,9 +347,18 @@ def _nishida_sides(d):
 
 def _parent_check(box, *sides):
     """The comparison the checks made before they took a box: both sides
-    cut to the box, compared on their common window only."""
-    first = sides[0].restricted(box)
-    return all(first.first_disagreement(side.restricted(box)) is None for side in sides[1:])
+    cut to the box, compared on their common window only, from the larger
+    of their minima in each axis to the lesser of their totals."""
+    first, *rest = (side.restricted(box) for side in sides)
+    w = first.window
+    return all(
+        first.first_disagreement(side, Window(
+            max(w.min_s, side.window.min_s),
+            max(w.min_t, side.window.min_t),
+            min(w.max_total, side.window.max_total),
+        )) is None
+        for side in rest
+    )
 
 
 def _check_by_positions(box, *sides):
@@ -467,7 +476,8 @@ def test_identity_sides_on_the_box_match_those_built_past_it(d):
 
 def _series_kernel_by_trials(instances=500, seed=2026):
     """check_series_kernel as it was before it formed each distinct
-    reversion round trip once: every trial reverses and composes its own a."""
+    reversion round trip once: every trial reverses and composes its own a.
+    Each round trip is compared on the box the suite names."""
     rng = random.Random(seed)
     failures = []
     box = Window(0, -8, 10)
@@ -475,15 +485,11 @@ def _series_kernel_by_trials(instances=500, seed=2026):
     for trial in range(instances):
         u = verify._random_unit(rng)
         inv = verify.series_inverse(u, window=box)
-        prod = verify.series_mul(u, inv)
-        if not (
-            inv.covers(box) and prod.covers(box) and prod.agrees_with(LaurentSeries.one())
-        ):
+        if verify._box_failures(box, verify.series_mul(u, inv), LaurentSeries.one()):
             failures.append(("inverse", trial))
             continue
         small = Window(0, -4, 5)
-        inv_small = verify.series_inverse(u, window=small)
-        if not (inv_small.covers(small) and inv_small.agrees_with(inv)):
+        if verify._box_failures(small, verify.series_inverse(u, window=small), inv):
             failures.append(("window", trial))
             continue
         terms = {(0, 1): F2Poly.one()}
@@ -492,7 +498,7 @@ def _series_kernel_by_trials(instances=500, seed=2026):
         a = LaurentSeries.exact(terms)
         b = verify.series_reversion(a, max_total=9)
         back = verify.series_compose(a, b, window=Window(0, 0, 9))
-        if not (back.covers(Window(0, 1, 9)) and back.agrees_with(ident)):
+        if verify._box_failures(Window(0, 1, 9), back, ident):
             failures.append(("reversion", trial))
     return verify._record(
         "series-kernel", failures, f"{instances} randomized round-trip instances"
@@ -584,3 +590,97 @@ def test_series_kernel_matches_the_loop_over_trials(monkeypatch, instances, muta
     assert want["passed"] is (failing is None)
     if failing is not None:
         assert want["first_mismatch"][0] == failing
+
+
+# each suite compares on a box it names: a mutant of the series kernel
+# fails the suite that reads it, and a suite that raises fails alone
+
+
+def _residue_with_spurious_terms(monkeypatch):
+    # each t^e of the residue is copied to t^(e-1); the common window of
+    # the residue and t^i starts at t^i, so only a box from t^0 sees it
+    residue = verify.residue
+
+    def wrong(a):
+        got = residue(a)
+        coeffs = {**got.coeffs, **{(0, et - 1): p for (_, et), p in got.coeffs.items()}}
+        return LaurentSeries(got.window, coeffs, honest_t=got.honest_t)
+
+    monkeypatch.setattr(verify, "residue", wrong)
+
+
+def _residue_to_total_0(monkeypatch):
+    residue = verify.residue
+    monkeypatch.setattr(verify, "residue", lambda a: residue(a).restricted(Window(0, 0, 0)))
+
+
+def test_residue_replay_fails_spurious_terms_below_t_i(monkeypatch):
+    _residue_with_spurious_terms(monkeypatch)
+    record = verify.check_residue_replay()
+    assert record["passed"] is False
+    # the first triple with i >= 1 and an odd binomial: C(-1, 1) t
+    assert record["first_mismatch"] == ((1, 1, 1), (0, 0))
+
+
+def test_residue_replay_fails_a_residue_short_of_its_box(monkeypatch):
+    _residue_to_total_0(monkeypatch)
+    records = verify.run_all(8)
+    assert [r["name"] for r in records if not r["passed"]] == ["residue-replay"]
+    residue_record = records[2]
+    triple, message = residue_record["first_mismatch"]
+    assert triple == (0, 0, 0)
+    assert message == (
+        "side 0 window [e_s>=0, e_t>=0, e_s+e_t<=0] does not cover "
+        "[e_s>=0, e_t>=0, e_s+e_t<=36]"
+    )
+
+
+def test_a_suite_that_raises_is_its_own_failed_record(monkeypatch):
+    from click.testing import CliRunner
+
+    from dlash.cli import main
+
+    def raises(a):
+        raise WindowMissError("exponent -1 in s lies outside the window")
+
+    monkeypatch.setattr(verify, "residue", raises)
+    records = verify.run_all(8)
+    assert len(records) == 9
+    assert [r["name"] for r in records if not r["passed"]] == ["residue-replay"]
+    assert records[2]["first_mismatch"] == (
+        "WindowMissError: exponent -1 in s lies outside the window"
+    )
+    r = CliRunner().invoke(main, ["--degree-bound", "8", "verify-all"])
+    assert r.exit_code == 1
+    lines = r.stdout.splitlines()
+    assert len(lines) == 10
+    assert lines[2].startswith("FAIL  residue-replay: raised; failures: ['WindowMissError: ")
+    assert lines[-1] == "some suites FAILED"
+
+
+def test_binomial_oracle_fails_a_power_missing_one_term(monkeypatch):
+    power = verify.series_pow
+
+    def wrong(a, k, window=None):
+        p = power(a, k, window)
+        coeffs = {e: c for e, c in p.coeffs.items() if e != (0, 5)}
+        return LaurentSeries(p.window, coeffs, **p._flags())
+
+    monkeypatch.setattr(verify, "series_pow", wrong)
+    record = verify.check_binomial_oracle()
+    assert record["passed"] is False
+    # from top = -8 up, C(top, 5) is first odd at C(-3, 5) = -21
+    assert record["first_mismatch"] == (-3, (0, 5))
+
+
+def test_property_laws_fail_a_term_below_the_instability_line(monkeypatch):
+    total = verify.q_total_on_zeta
+
+    def wrong(n, max_total):
+        series = total(n, max_total)
+        return series + LaurentSeries.monomial(0, 2**n - 2) if n == 3 else series
+
+    monkeypatch.setattr(verify, "q_total_on_zeta", wrong)
+    record = verify.check_property_laws()
+    assert record["passed"] is False
+    assert record["first_mismatch"] == ("instability", 3, (0, 6))
