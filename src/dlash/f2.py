@@ -91,7 +91,7 @@ def _checked(monomials: set) -> "F2Poly":
     if high:
         i = (high & -high).bit_length() // _W
         raise ValueError(f"exponent of z{i} reaches 2^{_W - 1}: F2Poly overflow")
-    return F2Poly(monomials)
+    return _poly(frozenset(monomials))
 
 
 def sum_of_products(pairs: Iterable[tuple]) -> "F2Poly":
@@ -160,7 +160,7 @@ class F2Poly:
     __slots__ = ("monomials",)
 
     def __init__(self, monomials: Iterable[Monomial] = ()):
-        object.__setattr__(self, "monomials", frozenset(monomials))
+        _set_monomials(self, frozenset(monomials))
 
     def __setattr__(self, name, value):
         raise AttributeError("F2Poly is immutable")
@@ -185,7 +185,7 @@ class F2Poly:
     # -- ring structure -------------------------------------------------
 
     def __add__(self, other: "F2Poly") -> "F2Poly":
-        return F2Poly(self.monomials ^ other.monomials)
+        return _poly(self.monomials ^ other.monomials)
 
     def __mul__(self, other: "F2Poly") -> "F2Poly":
         return sum_of_products(((self, other),))
@@ -244,6 +244,17 @@ class F2Poly:
 
     def __repr__(self) -> str:
         return f"F2Poly({self})"
+
+
+# the slot's own setter stores a field past the refusing __setattr__
+_set_monomials = F2Poly.monomials.__set__
+
+
+def _poly(monomials: frozenset) -> F2Poly:
+    """The polynomial on a frozenset of monomials, built without __init__."""
+    p = object.__new__(F2Poly)
+    _set_monomials(p, monomials)
+    return p
 
 
 _ZERO = F2Poly()

@@ -19,8 +19,8 @@ or a composite is formed on a finite window only: series_inverse and
 series_compose take one, and series_pow takes one for a negative power.
 
 coefficient, shift, square, restricted, map_coeffs and residue take a
-series that is not honest in both axes; series_add, series_mul (so also
-series_pow from the first product on), series_inverse, series_compose and
+series that is not honest in both axes; series_add, series_mul,
+series_pow for any k >= 1, series_inverse, series_compose and
 series_reversion refuse one.  series_inverse also refuses a unit with a
 term of lower total than its lead, series_compose substitutes a series
 in t alone for t, series_reversion reverses a series in t, and residue
@@ -35,15 +35,18 @@ the exponents keep rejects, and the other operations build clean maps.
 f2.map_product is the one product kernel: it sums the products of pairs
 of coefficient maps at the exponents that pass a keep(e_s, e_t) test,
 forming each output coefficient in one set as the pairs arrive and
-asking keep once per exponent.  series_mul and each factor of the
-Frobenius product in series_inverse pass it one pair, and
+asking keep once per exponent.  No product chain starts from 1:
+series_pow, the Frobenius product of series_inverse and the powers of u
+in series_compose start from their first factor.  series_mul and each
+further factor of the Frobenius product pass map_product one pair, and
 series_compose makes one call with the pair (u^i, row i) for every row
-i of a.  series_reversion's column recurrence sums its coefficient
-products with one f2.sum_of_products call per output coefficient.  A
-coefficient that cancels is dropped.  _window builds the derived windows
-of sums, inverses, restrictions and composites, and keeps an honest
-axis' zeros when nothing else is left; _sum_window is the window of a
-sum, for series_add and for the rows that series_compose sums.
+i != 0 of a, and adds row 0 to it as it is.  series_reversion's column
+recurrence sums its coefficient products with one f2.sum_of_products
+call per output coefficient.  A coefficient that cancels is dropped.
+_window builds the derived windows of sums, inverses, restrictions and
+composites, and keeps an honest axis' zeros when nothing else is left;
+_sum_window is the window of a sum, for series_add and for the rows
+that series_compose sums.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
 powers r^(2^k) of series_inverse, and the even powers of series_compose
@@ -54,8 +57,6 @@ box, bounded in e_s, in e_t and in total.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .f2 import F2Poly, map_product, sum_of_products
 
@@ -98,20 +99,43 @@ def _add_total(m1, m2):
     return m1 + m2
 
 
-@dataclass(frozen=True)
 class Window:
-    """Exactness region: e_s >= min_s, e_t >= min_t, e_s + e_t <= max_total."""
+    """Exactness region: e_s >= min_s, e_t >= min_t, e_s + e_t <= max_total.
 
-    min_s: int
-    min_t: int
-    max_total: int | None = None  # None: exact series
+    An immutable value, equal and hashed by its three fields."""
 
-    def __post_init__(self):
-        if self.max_total is not None and self.min_s + self.min_t > self.max_total:
+    __slots__ = ("min_s", "min_t", "max_total")
+
+    def __init__(self, min_s: int, min_t: int, max_total: int | None = None):
+        # max_total None: exact series
+        if max_total is not None and min_s + min_t > max_total:
             raise EmptyWindowError(
-                f"empty window: min_s={self.min_s}, min_t={self.min_t}, "
-                f"max_total={self.max_total}"
+                f"empty window: min_s={min_s}, min_t={min_t}, max_total={max_total}"
             )
+        _set_min_s(self, min_s)
+        _set_min_t(self, min_t)
+        _set_max_total(self, max_total)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Window is immutable")
+
+    def _fields(self) -> tuple:
+        return self.min_s, self.min_t, self.max_total
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Window):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "Window(min_s={!r}, min_t={!r}, max_total={!r})".format(*self._fields())
+
+    def __reduce__(self):
+        # copy and pickle rebuild a window through __init__, past __setattr__
+        return Window, self._fields()
 
     def contains(self, es: int, et: int) -> bool:
         if es < self.min_s or et < self.min_t:
@@ -135,10 +159,10 @@ class LaurentSeries:
                  honest_s: bool = True, honest_t: bool = True):
         """Store the arguments as given: every key of coeffs lies inside
         window, no coefficient is zero, and nothing mutates coeffs later."""
-        object.__setattr__(self, "window", window)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "honest_s", honest_s)
-        object.__setattr__(self, "honest_t", honest_t)
+        _set_window(self, window)
+        _set_coeffs(self, coeffs)
+        _set_honest_s(self, honest_s)
+        _set_honest_t(self, honest_t)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
@@ -319,6 +343,17 @@ class LaurentSeries:
         ]
 
 
+# each slot's own setter stores a field past the refusing __setattr__, at
+# a fraction of the cost of object.__setattr__
+_set_min_s = Window.min_s.__set__
+_set_min_t = Window.min_t.__set__
+_set_max_total = Window.max_total.__set__
+_set_window = LaurentSeries.window.__set__
+_set_coeffs = LaurentSeries.coeffs.__set__
+_set_honest_s = LaurentSeries.honest_s.__set__
+_set_honest_t = LaurentSeries.honest_t.__set__
+
+
 def _window(
     min_s: int, min_t: int, max_total: int | None,
     honest_s: bool = True, honest_t: bool = True,
@@ -395,17 +430,27 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
     """a**k, restricted to window if one is given; a negative k inverts
-    a**(-k) on window, which must then be given and finite."""
+    a**(-k) on window, which must then be given and finite.
+
+    a**0 is 1.  For k >= 1 the square-and-multiply chain starts from its
+    first factor, so a**1 is a and a**2 its square, with no product; a
+    series that is not honest is refused, and an exact zero gives the exact
+    zero, as in series_mul."""
     if k < 0:
         return series_inverse(series_pow(a, -k), window)
-    result = LaurentSeries.one()
-    base = a
-    while k:
-        if k & 1:
-            result = series_mul(result, base)
-        k >>= 1
-        if k:
-            base = base.square()
+    if k == 0:
+        result = LaurentSeries.one()
+    else:
+        _require_honest(a, a)
+        if a.is_exact() and not a.coeffs:
+            a = LaurentSeries.zero()
+        result = None
+        while k:
+            if k & 1:
+                result = a if result is None else series_mul(result, a)
+            k >>= 1
+            if k:
+                a = a.square()
     if window is not None:
         result = result.restricted(window)
     return result
@@ -424,9 +469,11 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     at an e_t above the window's by no more than r's terms of negative e_t
     can take away over the e_s still to come.  The terms of r are
     lexicographically positive, so after about log2 of the window's extent
-    nothing is left.  It is known to total a.max_total - 2 total(lead); an
-    axis loses honesty when the product reaches below it, and t also when
-    r has a term of negative e_t.
+    nothing is left.  The product starts from its first factor, 1 + r cut
+    to those positions, and a lead at (0, 0) needs no shift.  It is known
+    to total a.max_total - 2 total(lead); an axis loses honesty when the
+    product reaches below it, and t also when r has a term of negative
+    e_t.
     """
     if window is None or window.max_total is None:
         raise NotInvertibleError("the inverse needs a finite window")
@@ -443,7 +490,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
 
     # relative series r with a = lead * (1 + r); every term of r is
     # lexicographically positive, so the product converges per window
-    rel = a.shift(-lead[0], -lead[1])
+    rel = a if lead == (0, 0) else a.shift(-lead[0], -lead[1])
     r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
     if any(es + et < 0 for es, et in r):
         raise NotInvertibleError("a term has a lower total than the leading term")
@@ -477,12 +524,12 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
         lost_t = lost_t or et < box.min_t
         return False
 
-    # q is r^(2^k) on keep; its square is the Frobenius, with no product
-    acc = {(0, 0): F2Poly.one()}
+    # q is r^(2^k) on keep, and its square is the Frobenius, with no
+    # product; the product starts from its first factor 1 + r cut by keep
     q = {e: p for e, p in r.items() if keep(*e)}
-    while q:
+    acc = {(0, 0): F2Poly.one(), **q} if keep(0, 0) else q
+    while q := {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}:
         acc = map_product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
-        q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
     for es, et in acc:
         lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
@@ -491,7 +538,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
         acc, box.min_s, box.min_t, _min_total(box.max_total, rel.window.max_total),
         honest_s=not lost_s, honest_t=not lost_t,
     )
-    return c.shift(-lead[0], -lead[1]).restricted(window)
+    return (c if lead == (0, 0) else c.shift(-lead[0], -lead[1])).restricted(window)
 
 
 def _cap_unknown_tail(
@@ -557,7 +604,8 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
             # Frobenius: u^(2k) = (u^k)^2 needs no product
             p = power(i // 2).square()
         elif i > 0:
-            p = series_mul(power(i - 1), u)
+            # u^1 is u, with no product by 1
+            p = series_mul(power(i - 1), u) if i > 1 else series_pow(u, 1)
         else:
             p = series_pow(u, i, window)
             if not p.honest:
@@ -568,14 +616,16 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
         pows[i] = p = p.restricted(window)
         return p
 
-    # One product sums u^i times row i over the rows, on the window that
-    # series_add gives the series_mul terms in row order: a term's is u^i's
-    # shifted by s^lo, lo the least e_s of its row.  No product past its
-    # max_total or the target window's is formed.
+    # One product sums u^i times row i over the rows i != 0, and row 0
+    # (times u^0 = 1) is added to it, on the window that series_add gives
+    # the series_mul terms in row order: a term's is u^i's shifted by s^lo,
+    # lo the least e_s of its row.  No product past its max_total or the
+    # target window's is formed.
     pairs, w = [], None
     for i in sorted(rows):
         p = power(i)
-        pairs.append((p.coeffs, rows[i]))
+        if i:
+            pairs.append((p.coeffs, rows[i]))
         lo = min(es for es, _ in rows[i])
         pw = p.window
         term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
@@ -585,6 +635,10 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     else:
         limit = _min_total(w.max_total, window.max_total)
         coeffs = map_product(pairs, lambda es, et: es + et <= limit)
+        for e, c in rows.get(0, {}).items():
+            c += coeffs.pop(e, F2Poly.zero())
+            if e[0] <= limit and not c.is_zero():
+                coeffs[e] = c
         result = LaurentSeries(_window(w.min_s, w.min_t, limit), coeffs)
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)

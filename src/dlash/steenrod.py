@@ -160,16 +160,20 @@ def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
 
     Q(t)(xy) = (Q(t)x)(Q(t)y), and Q(t) z_n vanishes below t^{2^n - 1}: so
     for a monomial m, each factor is needed only to its valuation plus
-    i - |m|, and the windows of the product certify the answer."""
+    i - |m|, and the windows of the product certify the answer.  The
+    product starts from the first factor's power, and Q(t) 1 = 1."""
     if max_total is None:
         max_total = max(i, 0) + 1
     result = F2Poly.zero()
     for monomial in a.monomials:
         slack = max(i - monomial_degree(monomial), 0)
-        term = LaurentSeries.one()
+        term = None
         for n, e in factors(monomial):
             bound = min(max_total, (1 << n) - 1 + slack)
-            term = series_mul(term, series_pow(q_total_on_zeta(n, bound), e))
+            power = series_pow(q_total_on_zeta(n, bound), e)
+            term = power if term is None else series_mul(term, power)
+        if term is None:  # the monomial 1, and Q(t) 1 = 1
+            term = LaurentSeries.one()
         try:
             result = result + term.coefficient(0, i)
         except WindowMissError:

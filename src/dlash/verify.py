@@ -24,6 +24,7 @@ overflow, into that suite's failed record, and runs the others.
 from __future__ import annotations
 
 import random
+from functools import cache
 
 from .f2 import F2Poly, binom_exact_parity, binom_mod2
 from .laurent import (
@@ -204,37 +205,51 @@ def _augmentation_collapse(series: LaurentSeries, box: Window, detail: str) -> d
     )
 
 
-def verify_bisson_joyal_identity1(max_total: int) -> list:
+def verify_bisson_joyal_identity1(
+    max_total: int, identity1_rhs: LaurentSeries | None = None
+) -> list:
     """z(s) + z(s)^2 z(t)^{-1} = sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})
     on the box e_s >= 1, e_t >= -max_total, total <= max_total, plus its
-    augmentation collapse to s + s^2 t^{-1}."""
+    augmentation collapse to s + s^2 t^{-1}.
+
+    identity1_rhs, if given, is _identity1_rhs(max_total), formed once by
+    a caller that also runs the nishida check.
+    """
     d = max_total
     box = _identity_box(d)
     zs = zeta_series(d, var="s")
     lhs = zs + series_mul(zs.square(), zeta_inverse(d))
+    if identity1_rhs is None:
+        identity1_rhs = _identity1_rhs(d)
     detail = f"degree bound {d}"
     return [
-        _check("bisson-joyal identity (1)", detail, box, lhs, _identity1_rhs(d)),
+        _check("bisson-joyal identity (1)", detail, box, lhs, identity1_rhs),
         _augmentation_collapse(lhs, box, detail),
     ]
 
 
-def verify_nishida_conjugate_form(max_total: int) -> list:
+def verify_nishida_conjugate_form(
+    max_total: int, identity1_rhs: LaurentSeries | None = None
+) -> list:
     """The conjugate (Nishida) form of the total-operation identity for
     x = s: Q(zbar(t)) applied to psi_R(s) = z(s) must equal
     sum_i psi_R(Q^i s) t^i = z(s) + z(s)^2 t^{-1}, since z(zbar(t)) = t.
 
-    Both sides are checked on the box of identity (1); z(zbar(t)) = t is
-    checked on its own window, to total 2 max_total + 4."""
+    Both sides are checked on the box of identity (1), formed first so
+    that a degree bound below 1 is refused with that box named; z(zbar(t))
+    = t is checked on its own window, to total 2 max_total + 4.
+    identity1_rhs, if given, is _identity1_rhs(max_total)."""
     d = max_total
+    box = _identity_box(d)
     work = 2 * d + 4
     zbar = series_reversion(zeta_series(work))
-    box = _identity_box(d)
     tbox = Window(0, -(d + 1), work)
+    if identity1_rhs is None:
+        identity1_rhs = _identity1_rhs(d)
 
     # right side: Q(t) z(s) (which is identity (1)) with t -> zbar(t),
     # substituted stratum by stratum in s
-    rhs = series_compose(_identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
+    rhs = series_compose(identity1_rhs, zbar, window=Window(0, -(d + 1), d))
 
     # left side: Q^0 s = s and Q^{-1} s = s^2 are the only operations on s
     zs = zeta_series(d, var="s")
@@ -334,18 +349,22 @@ def check_residue_replay(bound: int = 16) -> dict:
     )
 
 
-def check_bisson_joyal(degree_bound: int = 16) -> dict:
+def check_bisson_joyal(
+    degree_bound: int = 16, identity1_rhs: LaurentSeries | None = None
+) -> dict:
     return _fold(
         "bisson-joyal-identity",
-        verify_bisson_joyal_identity1(degree_bound),
+        verify_bisson_joyal_identity1(degree_bound, identity1_rhs),
         f"at degree bound {degree_bound}",
     )
 
 
-def check_nishida(degree_bound: int = 16) -> dict:
+def check_nishida(
+    degree_bound: int = 16, identity1_rhs: LaurentSeries | None = None
+) -> dict:
     return _fold(
         "nishida-conjugate-form",
-        verify_nishida_conjugate_form(degree_bound),
+        verify_nishida_conjugate_form(degree_bound, identity1_rhs),
         f"at degree bound {degree_bound}",
     )
 
@@ -501,16 +520,19 @@ def run_all(degree_bound: int = 16) -> list:
 
     check_steinberger needs z(t)^{-1} to total 2^5, and the identity suites
     to degree_bound: the larger is formed first, so every other request
-    restricts it and z(t) is inverted once."""
+    restricts it and z(t) is inverted once.  The right side of identity (1)
+    is formed once, by the first identity suite, and handed to the other;
+    if forming it raises, each of the two suites fails with that error."""
     _identity_box(degree_bound)  # an empty box raises here, not as a suite's record
     zeta_inverse(max(degree_bound, 2**5))
+    identity1_rhs = cache(lambda: _identity1_rhs(degree_bound))
     reports = []
     for name, suite in [
         ("adem-soundness", check_adem_soundness),
         ("adem-completeness", check_adem_completeness),
         ("residue-replay", check_residue_replay),
-        ("bisson-joyal-identity", lambda: check_bisson_joyal(degree_bound)),
-        ("nishida-conjugate-form", lambda: check_nishida(degree_bound)),
+        ("bisson-joyal-identity", lambda: check_bisson_joyal(degree_bound, identity1_rhs())),
+        ("nishida-conjugate-form", lambda: check_nishida(degree_bound, identity1_rhs())),
         ("steinberger-identities", check_steinberger),
         ("binomial-oracle", check_binomial_oracle),
         ("series-kernel", check_series_kernel),

@@ -90,6 +90,18 @@ def test_window_error_exits_1(runner, args):
     assert len(r.stderr.splitlines()) == 1
 
 
+@pytest.mark.parametrize("bound", ["-2", "-3", "-5"])
+def test_nishida_and_verify_all_name_the_same_empty_box(runner, bound):
+    """Both refuse a bound below 1 by naming the identity box e_s >= 1,
+    e_t >= -d, e_s + e_t <= d."""
+    nishida = invoke(runner, "--degree-bound", bound, "nishida")
+    verify_all = invoke(runner, "--degree-bound", bound, "verify-all")
+    assert nishida.exit_code == verify_all.exit_code == 1
+    assert nishida.stderr == verify_all.stderr
+    d = -int(bound)
+    assert nishida.stderr == f"Error: empty window: min_s=1, min_t={d}, max_total={-d}\n"
+
+
 @pytest.mark.parametrize(
     "args",
     [

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 import re
 from functools import partial
@@ -6,8 +8,11 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dlash.f2 import F2Poly, map_product, sum_of_products
+from dlash import laurent
 from dlash.laurent import (
     _cap_unknown_tail,
+    _known,
+    _min_total,
     BadValuationError,
     EmptyWindowError,
     LaurentError,
@@ -24,7 +29,7 @@ from dlash.laurent import (
     series_pow,
     series_reversion,
 )
-from dlash.steenrod import _conjugates_by_recursion, zeta_series
+from dlash.steenrod import _conjugates_by_recursion, q_op, zeta_series
 from dlash.verify import _identity1_rhs
 
 ONE = F2Poly.one()
@@ -702,6 +707,15 @@ def test_pow_refuses_an_exact_dishonest_base():
         series_pow(a, 1)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_pow_of_a_dishonest_base_is_refused_for_every_positive_power(k):
+    """a**1 and a**2 take no product, and are refused all the same."""
+    a = LaurentSeries.truncated({(0, 0): ONE, (1, 0): ONE}, Window(0, 0, 4), honest_t=False)
+    with pytest.raises(LaurentError):
+        series_pow(a, k)
+    assert series_pow(a, 0) == LaurentSeries.one()
+
+
 @settings(deadline=None, max_examples=300)
 @given(st.integers(-3, -1), _INVERSE_CASES)
 def test_negative_pow_window_sound_by_completion(k, case):
@@ -1179,3 +1193,257 @@ def test_compose_matches_the_sum_of_row_products(a, u, window):
     assert _composite_or_refusal(series_compose, a, u, window) == _composite_or_refusal(
         by_rows, a, u, window
     )
+
+
+# -- every product chain starts from its first factor ----------------------
+#
+# The references below form each chain as it was formed from 1: a power,
+# the Frobenius product of an inverse and the powers of a composite each
+# multiply the bare one map {(0, 0): 1} by their first factor.
+
+
+def _outcome(op, *args):
+    """The repr and honesty flags of op(*args), or its refusal."""
+    try:
+        got = op(*args)
+    except LaurentError as e:
+        return type(e).__name__, str(e)
+    return repr(got), got.window, got.honest_s, got.honest_t
+
+
+def _pow_from_one(a, k, window=None):
+    """series_pow with its square-and-multiply chain started from 1."""
+    if k < 0:
+        return series_inverse(_pow_from_one(a, -k), window)
+    result, base = LaurentSeries.one(), a
+    while k:
+        if k & 1:
+            result = series_mul(result, base)
+        k >>= 1
+        if k:
+            base = base.square()
+    return result if window is None else result.restricted(window)
+
+
+def _inverse_from_one(a, window):
+    """series_inverse with its Frobenius product started from 1, and a
+    shifted to and from its lead even when the lead is (0, 0)."""
+    if window is None or window.max_total is None:
+        raise NotInvertibleError("the inverse needs a finite window")
+    if not a.honest:
+        raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
+    if a.is_zero():
+        raise NotInvertibleError("zero series has no inverse")
+    lead = min(a.coeffs)
+    if not a.coeffs[lead].is_one():
+        raise NotInvertibleError("leading coefficient is not 1")
+    rel = a.shift(-lead[0], -lead[1])
+    r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
+    if any(es + et < 0 for es, et in r):
+        raise NotInvertibleError("a term has a lower total than the leading term")
+    if a.window.max_total is not None and a.window.min_s < lead[0]:
+        raise NotInvertibleError("leading term is not minimal in the s-small order")
+    box = window.shifted(lead[0], lead[1])
+    bs = box.max_total - box.min_t
+    neg_drop = max((-et for _, et in r if et < 0), default=0)
+    lost = {"s": False, "t": neg_drop > 0}
+
+    def keep(es, et):
+        if (
+            es <= bs
+            and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
+            and es + et <= box.max_total
+        ):
+            return True
+        lost["s"] = lost["s"] or es < box.min_s
+        lost["t"] = lost["t"] or et < box.min_t
+        return False
+
+    acc = {(0, 0): ONE}
+    q = {e: p for e, p in r.items() if keep(*e)}
+    while q:
+        acc = map_product(((acc, {(0, 0): ONE, **q}),), keep)
+        q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
+    for es, et in acc:
+        lost["s"] = lost["s"] or es < box.min_s
+        lost["t"] = lost["t"] or et < box.min_t
+    c = _known(
+        acc, box.min_s, box.min_t, _min_total(box.max_total, rel.window.max_total),
+        honest_s=not lost["s"], honest_t=not lost["t"],
+    )
+    return c.shift(-lead[0], -lead[1]).restricted(window)
+
+
+_POW_BASES = [
+    exact((0, 0), (0, 1)),
+    T_PLUS_S,
+    LaurentSeries.exact({(0, 1): F2Poly.zeta(1), (1, -1): ONE, (2, 0): ONE}),
+    T_PLUS_S.restricted(Window(0, 0, 5)),
+    zeta_series(9),
+    LaurentSeries.truncated({}, Window(0, 3, 5)),
+    LaurentSeries.zero(),
+    # an exact zero away from (0, 0), as shift leaves one
+    LaurentSeries.zero().shift(1, 2),
+]
+
+
+@pytest.mark.parametrize("a", _POW_BASES)
+@pytest.mark.parametrize("window", [None, Window(0, -2, 12), Window(1, 1, 6)])
+def test_pow_matches_the_chain_from_one(a, window):
+    for k in range(10):
+        assert _outcome(series_pow, a, k, window) == _outcome(_pow_from_one, a, k, window), k
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(-3, 9), _SUMMANDS, st.one_of(st.none(), _target_window()))
+def test_pow_matches_the_chain_from_one_on_drawn_bases(k, x, window):
+    """The same coefficients, window, flags and refusals, for honest and
+    dishonest, exact and truncated bases."""
+    a, _ = x
+    if k < 0 and window is None:
+        window = Window(0, -6, 6)
+    assert _outcome(series_pow, a, k, window) == _outcome(_pow_from_one, a, k, window)
+
+
+@pytest.mark.parametrize(
+    "u, window",
+    [
+        # lead (0, 0)
+        (exact((0, 0), (0, 1)), Window(0, 0, 20)),
+        (exact((0, 0), (1, -1)), Window(0, -8, 6)),
+        (exact((0, 0), (1, -1)), Window(0, -100, -99)),
+        (
+            LaurentSeries.exact({(0, 0): ONE, (1, 0): ONE, (0, 1): F2Poly.zeta(1)})
+            .restricted(Window(0, 0, 5)),
+            Window(-1, -20, 12),
+        ),
+        # keep rejects (0, 0): below the box's total, and past its e_s with
+        # (0, 0) below its t-axis, which costs honesty in t
+        (exact((0, 0), (0, 1)), Window(0, -5, -2)),
+        (exact((0, 0), (0, 1)), Window(-3, 1, -1)),
+        (exact((0, 0), (1, -1)), Window(-4, 2, -1)),
+        # other leads
+        (T_PLUS_S, Window(0, -8, 6)),
+        (T_PLUS_S.restricted(Window(0, 0, 5)), Window(0, -8, 6)),
+        (zeta_series(34), Window(0, -1, 32)),
+        (exact((1, 1), (2, 1), (1, 3)), Window(-1, -4, 6)),
+    ],
+)
+def test_inverse_matches_the_product_from_one(u, window):
+    assert _outcome(series_inverse, u, window) == _outcome(_inverse_from_one, u, window)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_INVERSE_CASES)
+def test_inverse_matches_the_product_from_one_on_drawn_units(case):
+    (a, _), window = case
+    assert _outcome(series_inverse, a, window) == _outcome(_inverse_from_one, a, window)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        # rows at t^0 and t^1, and one below
+        LaurentSeries.exact({(1, 0): ONE, (0, 1): ONE, (2, 1): F2Poly.zeta(1), (2, -1): ONE}),
+        LaurentSeries.exact({(0, 0): ONE, (0, 1): F2Poly.zeta(2), (1, 2): ONE})
+        .restricted(Window(0, 0, 5)),
+        zeta_series(12),
+        _identity1_rhs(6),
+    ],
+)
+@pytest.mark.parametrize(
+    "u", [zeta_series(14), exact((0, 1), (0, 2)), LaurentSeries.zero().shift(0, 2)]
+)
+def test_compose_matches_the_powers_from_one(a, u):
+    window = Window(0, -3, 10)
+    got = _composite_or_refusal(series_compose, a, u, window)
+    assert got == _composite_or_refusal(_compose_by_products, a, u, window)
+
+
+def _count_products(monkeypatch):
+    """Every map_product call the laurent layer makes, as its pair list."""
+    calls = []
+
+    def counted(factor_pairs, keep):
+        factor_pairs = list(factor_pairs)
+        calls.append(factor_pairs)
+        return map_product(factor_pairs, keep)
+
+    monkeypatch.setattr(laurent, "map_product", counted)
+    return calls
+
+
+def test_pow_makes_a_product_only_past_its_first_factor(monkeypatch):
+    calls = _count_products(monkeypatch)
+    a = LaurentSeries.exact({(0, 0): ONE, (1, 0): F2Poly.zeta(1), (0, 1): ONE})
+    counts = []
+    for k in (0, 1, 2, 3, 4, 5):
+        calls.clear()
+        series_pow(a, k)
+        counts.append(len(calls))
+    assert counts == [0, 0, 0, 1, 0, 1]
+
+
+_BARE_ONE = {(0, 0): ONE}
+
+
+def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
+    """No product that q_op or series_inverse makes has the bare one map
+    as a factor, and none that series_compose makes has it as its power of
+    u; a row of a that is 1 is a's own coefficient, not a chain's seed."""
+    calls = _count_products(monkeypatch)
+    z = F2Poly.zeta
+    for i, m in [(3, ONE), (5, z(1)), (9, z(1) * z(2, 2)), (12, z(1, 2) * z(2) * z(3))]:
+        q_op(i, m, 40)
+    for u, window in [
+        (exact((0, 0), (0, 1)), Window(0, 0, 20)),
+        (exact((0, 0), (1, -1)), Window(0, -8, 6)),
+        (zeta_series(34), Window(0, -1, 32)),
+    ]:
+        series_inverse(u, window)
+    assert calls and not any(_BARE_ONE in pair for pairs in calls for pair in pairs)
+    calls.clear()
+    zbar = series_reversion(zeta_series(20))
+    series_compose(_identity1_rhs(8), zbar, Window(0, -9, 8))
+    series_compose(zeta_series(20), zbar, Window(0, -9, 20))
+    assert calls and not any(power == _BARE_ONE for pairs in calls for power, _ in pairs)
+
+
+def test_inverse_shifts_only_a_lead_off_the_origin(monkeypatch):
+    shifts = []
+    shift = LaurentSeries.shift
+
+    def counted(self, ds, dt):
+        shifts.append((ds, dt))
+        return shift(self, ds, dt)
+
+    monkeypatch.setattr(LaurentSeries, "shift", counted)
+    series_inverse(exact((0, 0), (0, 1)), Window(0, 0, 8))
+    assert shifts == []
+    series_inverse(T_PLUS_S, Window(0, -8, 6))
+    assert shifts == [(0, -1), (0, -1)]  # to the lead t and then by t^-1
+
+
+def test_window_is_an_immutable_value():
+    w = Window(0, -8, 10)
+    for name in ("min_s", "min_t", "max_total", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, 3)
+    assert w == Window(0, -8, 10) and hash(w) == hash(Window(0, -8, 10))
+    assert w != Window(0, -8, 11) and w != (0, -8, 10)
+    assert {w: "box"}[Window(0, -8, 10)] == "box"
+    assert repr(w) == "Window(min_s=0, min_t=-8, max_total=10)"
+    assert Window(1, 2).max_total is None
+    assert copy.deepcopy(w) == w == pickle.loads(pickle.dumps(w))
+    assert repr(Window(1, 2)) == "Window(min_s=1, min_t=2, max_total=None)"
+    with pytest.raises(EmptyWindowError, match="min_s=1, min_t=2, max_total=2"):
+        Window(1, 2, 2)
+
+
+def test_series_and_polynomials_are_immutable():
+    a = exact((0, 0), (0, 1))
+    for name in ("window", "coeffs", "honest_s", "honest_t"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        ONE.monomials = frozenset()

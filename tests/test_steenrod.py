@@ -201,6 +201,58 @@ def test_q_op_matches_full_width_factors(monomials, data):
     assert got == want
 
 
+def _q_op_from_one(i, a, max_total):
+    """q_op with each monomial's product started from 1."""
+    result = F2Poly.zero()
+    for monomial in a.monomials:
+        slack = max(i - _degree_of(monomial), 0)
+        term = LaurentSeries.one()
+        for n, e in factors(monomial):
+            bound = min(max_total, (1 << n) - 1 + slack)
+            term = series_mul(term, series_pow(q_total_on_zeta(n, bound), e))
+        try:
+            result = result + term.coefficient(0, i)
+        except WindowMissError:
+            raise WindowTooSmallError(term.window.describe()) from None
+    return result
+
+
+def _degree_of(monomial):
+    return sum(((1 << n) - 1) * e for n, e in factors(monomial))
+
+
+def _q_op_outcome(q, i, a, max_total):
+    try:
+        return q(i, a, max_total)
+    except WindowTooSmallError as e:
+        return e.args[0].rsplit("window ", 1)[-1]
+
+
+_Z = F2Poly.zeta
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        F2Poly.one(),
+        _Z(1),
+        _Z(3, 2),
+        _Z(1, 3) * _Z(2),
+        _Z(2, 2) * _Z(3),
+        _Z(1) * _Z(2, 2) * _Z(3),
+        _Z(1, 2) * _Z(2) * _Z(4) + _Z(1),
+    ],
+    ids=["1", "z1", "z3^2", "z1^3 z2", "z2^2 z3", "z1 z2^2 z3", "sum"],
+)
+def test_q_op_matches_the_product_from_one(a):
+    """Monomials of 0 to 3 factors: the same answer, and the same window
+    named when t^i lies outside it."""
+    for i in range(-2, 30, 3):
+        for max_total in (i - 3, i, i + 1, 40):
+            want = _q_op_outcome(_q_op_from_one, i, a, max_total)
+            assert _q_op_outcome(q_op, i, a, max_total) == want, (i, max_total)
+
+
 def test_q_op_squaring():
     # Q^{deg a}(a) = a^2
     z2 = F2Poly.zeta(2)
@@ -310,6 +362,34 @@ def test_verify_all_inverts_z_once(monkeypatch, bound):
     inverted = _counted_inversions(monkeypatch)
     assert all(r["passed"] for r in verify.run_all(bound))
     assert inverted == [34]
+
+
+@pytest.mark.parametrize("bound", [1, 8])
+def test_verify_all_forms_the_identity_right_side_once(monkeypatch, bound):
+    """The Bisson-Joyal and nishida suites share one right side of
+    identity (1), and their records are those each forms on its own."""
+    formed = []
+    rhs = verify._identity1_rhs
+
+    def counted(d):
+        formed.append(d)
+        return rhs(d)
+
+    monkeypatch.setattr(verify, "_identity1_rhs", counted)
+    reports = {r["name"]: r for r in verify.run_all(bound)}
+    assert formed == [bound]
+    assert reports["bisson-joyal-identity"] == verify.check_bisson_joyal(bound)
+    assert reports["nishida-conjugate-form"] == verify.check_nishida(bound)
+    assert all(r["passed"] for r in reports.values())
+
+
+def test_an_identity_right_side_that_raises_fails_both_identity_suites(monkeypatch):
+    def raises(d):
+        raise WindowMissError("no right side")
+
+    monkeypatch.setattr(verify, "_identity1_rhs", raises)
+    failed = [r["name"] for r in verify.run_all(8) if not r["passed"]]
+    assert failed == ["bisson-joyal-identity", "nishida-conjugate-form"]
 
 
 def test_bisson_joyal_report():
