@@ -82,6 +82,10 @@ class DLSum:
     def __setattr__(self, name, value):
         raise AttributeError("DLSum is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild a sum through __init__, past __setattr__
+        return DLSum, (self.klass, self.words)
+
     @staticmethod
     def of(*monomials: DLMonomial) -> "DLSum":
         if not monomials:

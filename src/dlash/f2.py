@@ -165,6 +165,10 @@ class F2Poly:
     def __setattr__(self, name, value):
         raise AttributeError("F2Poly is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild a polynomial through __init__, past __setattr__
+        return F2Poly, (self.monomials,)
+
     # -- constructors ---------------------------------------------------
 
     @staticmethod

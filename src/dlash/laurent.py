@@ -8,23 +8,25 @@ describing where its coefficients are guaranteed exact:
     e_s + e_t <= max_total is exactly the stored one (absent means zero);
   * coefficients with total degree above max_total are unknown, never
     assumed zero;
-  * when the series is "honest" in an axis, the true series is known to
-    vanish below that axis' minimum, at every total degree.  Inverses of
-    genuinely bivariate series (like t + s) have unboundedly negative
-    t-exponents, so they are exact inside their window but not honest in
-    t.
+  * every series is honest in s: the true series is known to vanish
+    below min_s, at every total degree, as each element of k((t))((s))
+    has a least power of s;
+  * a series "honest" in t is known to vanish below min_t as well.
+    Inverses of genuinely bivariate series (like t + s) have unboundedly
+    negative t-exponents, so they are exact inside their window but not
+    honest in t.
 
 max_total = None means the series is exact (known in full).  An inverse
 or a composite is formed on a finite window only: series_inverse and
 series_compose take one, and series_pow takes one for a negative power.
 
 coefficient, shift, square, restricted, map_coeffs and residue take a
-series that is not honest in both axes; series_add, series_mul,
-series_pow for any k >= 1, series_inverse, series_compose and
-series_reversion refuse one.  series_inverse also refuses a unit with a
-term of lower total than its lead, series_compose substitutes a series
-in t alone for t, series_reversion reverses a series in t, and residue
-takes the residue in s.
+series that is not honest in t; series_add, series_mul, series_pow for
+any k >= 1, series_inverse, series_compose and series_reversion refuse
+one.  series_inverse also refuses a unit with a term of lower total than
+its lead, series_compose substitutes a series in t alone for t,
+series_reversion reverses a series in t, and residue takes the residue
+in s.
 
 A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
@@ -44,9 +46,9 @@ i != 0 of a, and adds row 0 to it as it is.  series_reversion's column
 recurrence sums its coefficient products with one f2.sum_of_products
 call per output coefficient.  A coefficient that cancels is dropped.
 _window builds the derived windows of sums, inverses, restrictions and
-composites, and keeps an honest axis' zeros when nothing else is left;
-_sum_window is the window of a sum, for series_add and for the rows
-that series_compose sums.
+composites, and keeps the zeros below the s-axis when nothing else is
+left; _sum_window is the window of a sum, for series_add and for the
+rows that series_compose sums.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
 powers r^(2^k) of series_inverse, and the even powers of series_compose
@@ -153,26 +155,21 @@ class Window:
 class LaurentSeries:
     """Sparse bivariate Laurent series with an exactness window."""
 
-    __slots__ = ("window", "coeffs", "honest_s", "honest_t")
+    __slots__ = ("window", "coeffs", "honest_t")
 
-    def __init__(self, window: Window, coeffs: dict,
-                 honest_s: bool = True, honest_t: bool = True):
+    def __init__(self, window: Window, coeffs: dict, honest_t: bool = True):
         """Store the arguments as given: every key of coeffs lies inside
         window, no coefficient is zero, and nothing mutates coeffs later."""
         _set_window(self, window)
         _set_coeffs(self, coeffs)
-        _set_honest_s(self, honest_s)
         _set_honest_t(self, honest_t)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
 
-    @property
-    def honest(self) -> bool:
-        return self.honest_s and self.honest_t
-
-    def _flags(self) -> dict:
-        return {"honest_s": self.honest_s, "honest_t": self.honest_t}
+    def __reduce__(self):
+        # copy and pickle rebuild a series through __init__, past __setattr__
+        return LaurentSeries, (self.window, self.coeffs, self.honest_t)
 
     # -- constructors ---------------------------------------------------
 
@@ -200,10 +197,10 @@ class LaurentSeries:
         return LaurentSeries.exact({(es, et): poly})
 
     @staticmethod
-    def truncated(terms: dict, window: Window, **flags) -> "LaurentSeries":
+    def truncated(terms: dict, window: Window, honest_t: bool = True) -> "LaurentSeries":
         """A series known exactly on the given window, unknown above."""
         kept = {e: p for e, p in terms.items() if window.contains(*e) and not p.is_zero()}
-        return LaurentSeries(window, kept, **flags)
+        return LaurentSeries(window, kept, honest_t)
 
     def is_exact(self) -> bool:
         return self.window.max_total is None
@@ -217,7 +214,7 @@ class LaurentSeries:
         """A lower bound for the total degree of the true series.
 
         Everything below it is known to vanish; None means the series is
-        zero in full.  Valid only for series honest in both axes.
+        zero in full.  Valid only for series honest in t.
         """
         supp_min = min((es + et for es, et in self.coeffs), default=None)
         if supp_min is not None:
@@ -229,9 +226,7 @@ class LaurentSeries:
     def coefficient(self, es: int, et: int) -> F2Poly:
         if not self.window.contains(es, et):
             w = self.window
-            below_axis = (self.honest_s and es < w.min_s) or (
-                self.honest_t and et < w.min_t
-            )
+            below_axis = es < w.min_s or (self.honest_t and et < w.min_t)
             if below_axis and (w.max_total is None or es + et <= w.max_total):
                 return F2Poly.zero()  # certified vanishing below an honest axis
             raise WindowMissError(
@@ -246,7 +241,6 @@ class LaurentSeries:
         return (
             (w.max_total is None
              or box.max_total is not None and box.max_total <= w.max_total)
-            and (self.honest_s or w.min_s <= box.min_s)
             and (self.honest_t or w.min_t <= box.min_t)
         )
 
@@ -261,7 +255,7 @@ class LaurentSeries:
     def shift(self, ds: int, dt: int) -> "LaurentSeries":
         """Multiply by the monomial s^ds t^dt."""
         coeffs = {(es + ds, et + dt): p for (es, et), p in self.coeffs.items()}
-        return LaurentSeries(self.window.shifted(ds, dt), coeffs, **self._flags())
+        return LaurentSeries(self.window.shifted(ds, dt), coeffs, self.honest_t)
 
     def square(self) -> "LaurentSeries":
         # Frobenius: cross terms cancel in pairs, so (sum)^2 = sum of squares
@@ -271,7 +265,7 @@ class LaurentSeries:
             2 * w.min_s, 2 * w.min_t, _add_total(_add_total(w.max_total, w.max_total), 1)
         )
         coeffs = {(2 * es, 2 * et): p.square() for (es, et), p in self.coeffs.items()}
-        return LaurentSeries(new_w, coeffs, **self._flags())
+        return LaurentSeries(new_w, coeffs, self.honest_t)
 
     def restricted(self, window: Window) -> "LaurentSeries":
         """Forget knowledge outside the given window."""
@@ -280,16 +274,16 @@ class LaurentSeries:
         w = self.window
         return _known(
             self.coeffs,
-            w.min_s if self.honest_s else max(w.min_s, window.min_s),
+            w.min_s,
             w.min_t if self.honest_t else max(w.min_t, window.min_t),
             _min_total(w.max_total, window.max_total),
-            **self._flags(),
+            self.honest_t,
         )
 
     def map_coeffs(self, fn) -> "LaurentSeries":
         """Apply fn to every coefficient, dropping those it sends to zero."""
         mapped = {e: q for e, p in self.coeffs.items() if not (q := fn(p)).is_zero()}
-        return LaurentSeries(self.window, mapped, **self._flags())
+        return LaurentSeries(self.window, mapped, self.honest_t)
 
     # -- comparison and rendering ---------------------------------------
 
@@ -350,42 +344,31 @@ _set_min_t = Window.min_t.__set__
 _set_max_total = Window.max_total.__set__
 _set_window = LaurentSeries.window.__set__
 _set_coeffs = LaurentSeries.coeffs.__set__
-_set_honest_s = LaurentSeries.honest_s.__set__
 _set_honest_t = LaurentSeries.honest_t.__set__
 
 
-def _window(
-    min_s: int, min_t: int, max_total: int | None,
-    honest_s: bool = True, honest_t: bool = True,
-) -> Window:
-    """The window [min_s, min_t, max_total] of a series with these flags.
+def _window(min_s: int, min_t: int, max_total: int | None) -> Window:
+    """The window [min_s, min_t, max_total] of a series.
 
-    When that window is empty but an axis is honest, the axis is lowered
-    until the window holds one position: every coefficient below an
-    honest axis is a known zero, so this claims nothing new.
+    When that window is empty, the s-axis is lowered until the window
+    holds one position: every series is honest in s, so each coefficient
+    below its s-axis is a known zero, and this claims nothing new.
     """
     if max_total is not None and min_s + min_t > max_total:
-        if honest_s:
-            min_s = max_total - min_t
-        elif honest_t:
-            min_t = max_total - min_s
+        min_s = max_total - min_t
     return Window(min_s, min_t, max_total)
 
 
 def _known(
-    coeffs: dict, min_s: int, min_t: int, max_total: int | None,
-    honest_s: bool = True, honest_t: bool = True,
+    coeffs: dict, min_s: int, min_t: int, max_total: int | None, honest_t: bool = True
 ) -> LaurentSeries:
     """The series known to be coeffs on the window [min_s, min_t, max_total]."""
-    return LaurentSeries.truncated(
-        coeffs, _window(min_s, min_t, max_total, honest_s, honest_t),
-        honest_s=honest_s, honest_t=honest_t,
-    )
+    return LaurentSeries.truncated(coeffs, _window(min_s, min_t, max_total), honest_t)
 
 
 def _require_honest(a: LaurentSeries, b: LaurentSeries) -> None:
-    if not (a.honest and b.honest):
-        raise LaurentError("sums and products need series honest in both axes")
+    if not (a.honest_t and b.honest_t):
+        raise LaurentError("sums and products need series honest in t")
 
 
 def _sum_window(wa: Window, wb: Window) -> Window:
@@ -471,13 +454,15 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     lexicographically positive, so after about log2 of the window's extent
     nothing is left.  The product starts from its first factor, 1 + r cut
     to those positions, and a lead at (0, 0) needs no shift.  It is known
-    to total a.max_total - 2 total(lead); an axis loses honesty when the
-    product reaches below it, and t also when r has a term of negative
-    e_t.
+    to total a.max_total - 2 total(lead).  It is honest in s, like every
+    series, and a window above the lead's s-axis is lowered to start at
+    s^-lead_s, below which the inverse has no term; it loses honesty in t
+    when the product reaches below the t-axis, or when r has a term of
+    negative e_t.
     """
     if window is None or window.max_total is None:
         raise NotInvertibleError("the inverse needs a finite window")
-    if not a.honest:
+    if not a.honest_t:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
     if a.is_zero():
         raise NotInvertibleError("zero series has no inverse")
@@ -498,29 +483,30 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
         # an unknown term of lower e_s, above max_total, would lead instead
         raise NotInvertibleError("leading term is not minimal in the s-small order")
 
-    # target window for the relative inverse c = (1 + r)^{-1}
+    # target window for the relative inverse c = (1 + r)^{-1}; c has no
+    # term below e_s = 0, so its s-axis is lowered to min_s <= 0, as
+    # restricted keeps an honest axis
     box = window.shifted(lead[0], lead[1])
+    min_s = min(box.min_s, 0)
     bs = box.max_total - box.min_t  # largest reachable e_s
     neg_drop = max((-et for _, et in r if et < 0), default=0)
 
     # a term of r with negative e_t has e_s >= 1; its powers fall ever
     # lower in t, below any t-axis, after keep has dropped them
-    lost_s, lost_t = False, neg_drop > 0
+    lost_t = neg_drop > 0
 
     def keep(es: int, et: int) -> bool:
         # positions that can still flow back into the box under further
         # multiplications by r (e_s and the total never decrease; e_t
         # drops at most neg_drop per unit of e_s growth), so also under
-        # squaring; a dropped position below the box costs honesty in
-        # that axis
-        nonlocal lost_s, lost_t
+        # squaring; a dropped position below the t-axis costs honesty in t
+        nonlocal lost_t
         if (
             es <= bs
-            and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
+            and et <= (box.max_total - min_s) + (bs - es) * neg_drop
             and es + et <= box.max_total
         ):
             return True
-        lost_s = lost_s or es < box.min_s
         lost_t = lost_t or et < box.min_t
         return False
 
@@ -530,13 +516,10 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     acc = {(0, 0): F2Poly.one(), **q} if keep(0, 0) else q
     while q := {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}:
         acc = map_product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
-    for es, et in acc:
-        lost_s = lost_s or es < box.min_s
-        lost_t = lost_t or et < box.min_t
+    lost_t = lost_t or any(et < box.min_t for _, et in acc)
     # a product with an unknown term of r lies above rel's max_total
     c = _known(
-        acc, box.min_s, box.min_t, _min_total(box.max_total, rel.window.max_total),
-        honest_s=not lost_s, honest_t=not lost_t,
+        acc, min_s, box.min_t, _min_total(box.max_total, rel.window.max_total), not lost_t
     )
     return (c if lead == (0, 0) else c.shift(-lead[0], -lead[1])).restricted(window)
 
@@ -563,8 +546,8 @@ def _cap_unknown_tail(
 def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> LaurentSeries:
     """Substitute u for t in a, on the finite window.
 
-    a must be honest in both axes, and u must be an honest series in t
-    alone (no known term off e_s = 0) with certified valuation >= 1, so
+    a and u must be honest in t, and u must be a series in t alone (no
+    known term off e_s = 0) with certified valuation >= 1, so
     that its powers eventually leave every window and all per-bidegree
     sums are finite; anything else is refused.  Row i of a, its
     coefficients at t^i, is an exact polynomial in s: the result sums u^i
@@ -572,13 +555,13 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     one by squaring) and restricted to the window, and is then cut to what
     a's unknown tail cannot reach and to the window.  A negative power is
     formed on the window, and is refused with NonComposableError when that
-    leaves it not honest: when the window lies above e_s = 0 or above the
-    power's lead t^(i val(u)).
+    leaves it not honest in t: when the window lies above the power's lead
+    t^(i val(u)) in t.
     """
     if window.max_total is None:
         raise NonComposableError("composition needs a finite window")
-    if not (a.honest and u.honest):
-        raise NonComposableError("composition needs series honest in both axes")
+    if not (a.honest_t and u.honest_t):
+        raise NonComposableError("composition needs series honest in t")
     if any(es for es, _ in u.coeffs):
         raise NonComposableError("the substituted series must be a series in t alone")
     mt_u = u.certified_min_total()
@@ -608,10 +591,10 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
             p = series_mul(power(i - 1), u) if i > 1 else series_pow(u, 1)
         else:
             p = series_pow(u, i, window)
-            if not p.honest:
+            if not p.honest_t:
                 raise NonComposableError(
-                    f"u^{i} is not honest on the target window {window.describe()}: "
-                    f"the window must reach e_s = 0 and e_t = {i * mt_u}"
+                    f"u^{i} is not honest in t on the target window {window.describe()}: "
+                    f"the window must reach e_t = {i * mt_u}"
                 )
         pows[i] = p = p.restricted(window)
         return p
@@ -658,7 +641,7 @@ def series_reversion(a: LaurentSeries, max_total: int | None = None) -> LaurentS
     is b^(j-1) b, one sum over the terms of b.  For z(t) only the b^(2^k)
     are formed, all by squaring.  b and pows hold no zeros.
     """
-    if not a.honest or any(es for es, _ in a.coeffs):
+    if not a.honest_t or any(es for es, _ in a.coeffs):
         raise BadValuationError("reversion needs an honest series in t alone")
     coeffs = {et: p for (_, et), p in a.coeffs.items()}
     if min(coeffs, default=0) < 1 or coeffs.get(1) != F2Poly.one():

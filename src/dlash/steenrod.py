@@ -62,8 +62,8 @@ def zeta_inverse(max_total: int) -> LaurentSeries:
     claims is the true one, and the inverse of z(t), a series in t alone
     with positive exponents, is honest in both axes, so restriction keeps
     the window's axes and cuts only its total.  The result, its window and
-    both flags are those of the inverse formed to max_total directly, and
-    no answer depends on what ran before.
+    its honesty in t are those of the inverse formed to max_total
+    directly, and no answer depends on what ran before.
     """
     if _largest_inverse:
         ((largest, inverse),) = _largest_inverse.items()
@@ -116,9 +116,7 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
     if n >= 1 and max(max_total + 1, 0).bit_length() <= n:
         # 2^n - 1 > max_total (tested without forming 2^n): every
         # requested coefficient lies below the instability line
-        return LaurentSeries.truncated(
-            {}, Window(0, max_total, max_total), honest_s=True, honest_t=True
-        )
+        return LaurentSeries.truncated({}, Window(0, max_total, max_total))
     return LaurentSeries.one() if n == 0 else _q_total_closed_form(n, max_total)
 
 
@@ -148,10 +146,7 @@ def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     min_t = result.window.min_t
     if min_t > max_total:
         # everything requested lies below the certified vanishing line
-        return LaurentSeries.truncated(
-            {}, Window(0, max_total, max_total),
-            honest_s=result.honest_s, honest_t=result.honest_t,
-        )
+        return LaurentSeries.truncated({}, Window(0, max_total, max_total), result.honest_t)
     return result.restricted(Window(0, min_t, max_total))
 
 

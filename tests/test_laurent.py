@@ -7,6 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from dlash.dyer_lashof import DLMonomial, DLSum, GradedClass
 from dlash.f2 import F2Poly, map_product, sum_of_products
 from dlash import laurent
 from dlash.laurent import (
@@ -102,14 +103,14 @@ def test_inverse_with_negative_lead():
     for k in range(0, 6):
         assert inv.coefficient(k, -k - 1) == ONE
     assert inv.coefficient(0, 0).is_zero()
-    assert inv.honest_s and not inv.honest_t
+    assert inv.coefficient(-1, 0).is_zero() and not inv.honest_t
 
 
 T_PLUS_S = exact((0, 1), (1, 0))
 
 
 @pytest.mark.parametrize(
-    "u, window, want_window, honest_s, honest_t",
+    "u, window, want_window, zero_below_s, zero_below_t",
     [
         (T_PLUS_S, Window(0, -8, 6), Window(0, -8, 6), True, False),
         (T_PLUS_S, Window(-1, -20, 12), Window(-1, -20, 12), True, False),
@@ -132,10 +133,38 @@ T_PLUS_S = exact((0, 1), (1, 0))
         (exact((0, 0), (1, -1)), Window(0, -100, -99), Window(0, -100, -99), True, False),
     ],
 )
-def test_inverse_window_and_honesty(u, window, want_window, honest_s, honest_t):
+def test_inverse_window_and_honesty(u, window, want_window, zero_below_s, zero_below_t):
+    """The window, and whether coefficient answers zero just below each
+    axis: below the s-axis always, below the t-axis when honest in t."""
     inv = series_inverse(u, window=window)
-    assert inv.window == want_window
-    assert (inv.honest_s, inv.honest_t) == (honest_s, honest_t)
+    w = inv.window
+    assert w == want_window
+    assert _answers_zero_at(inv, w.min_s - 1, w.min_t) == zero_below_s
+    assert _answers_zero_at(inv, w.min_s, w.min_t - 1) == zero_below_t == inv.honest_t
+
+
+def _answers_zero_at(series, es, et):
+    """Whether coefficient answers at (es, et), and with zero."""
+    try:
+        return series.coefficient(es, et).is_zero()
+    except WindowMissError:
+        return False
+
+
+@pytest.mark.parametrize(
+    "u, window, want_window",
+    [
+        (exact((0, 0), (1, 0)), Window(1, 0, 5), Window(0, 0, 5)),
+        (exact((1, 0), (2, 0)), Window(0, 0, 5), Window(-1, 0, 5)),
+    ],
+)
+def test_inverse_on_a_window_above_the_lead_s_axis_starts_at_its_lead(u, window, want_window):
+    """1 + s and s + s^2 on a window above e_s = -lead_s: the inverse is
+    honest, starts at s^-lead_s, and is the inverse on that window."""
+    inv = series_inverse(u, window=window)
+    assert inv.window == want_window and inv.honest_t
+    assert inv.coefficient(want_window.min_s, 0) == ONE
+    assert inv == series_inverse(u, window=want_window)
 
 
 def _answers_on(series, box):
@@ -233,8 +262,8 @@ def test_compose_valuation_check():
         # u = t^2 + s is not a series in t alone
         (LaurentSeries.truncated({}, Window(0, -1, 2)), exact((0, 2), (1, 0))),
         (LaurentSeries.truncated({(0, -1): ONE}, Window(0, -1, 2)), exact((0, 2), (1, 0))),
-        # a is not honest in s
-        (LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, 2), honest_s=False), exact((0, 2))),
+        # a is not honest in t
+        (LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, 2), honest_t=False), exact((0, 2))),
     ],
 )
 def test_compose_refuses_what_it_cannot_substitute_for_t(a, u):
@@ -242,12 +271,21 @@ def test_compose_refuses_what_it_cannot_substitute_for_t(a, u):
         series_compose(a, u, window=Window(0, -8, 6))
 
 
-@pytest.mark.parametrize("window", [Window(1, -4, 6), Window(0, 0, 6)])
+@pytest.mark.parametrize("window", [Window(1, 0, 6), Window(0, 0, 6)])
 def test_compose_names_the_window_that_leaves_a_negative_power_dishonest(window):
-    # both inputs are honest, but u^-1 = t^-1 lies below e_s = 1, or below
-    # e_t = 0, of the target window
+    # both inputs are honest, but u^-1 = t^-1 lies below e_t = 0 of the
+    # target window, above e_s = 0 or not
     with pytest.raises(NonComposableError, match=re.escape(window.describe())):
         series_compose(exact((1, -1)), exact((0, 1)), window=window)
+
+
+def test_compose_on_a_window_above_e_s_0_is_the_composite_from_e_s_0():
+    # u^-1 = t^-1 is formed from e_s = 0 on, and stays honest
+    a, u, window = exact((1, -1)), exact((0, 1)), Window(1, -4, 6)
+    got = series_compose(a, u, window=window)
+    want = series_compose(a, u, window=Window(0, -4, 6)).restricted(window)
+    assert got == want and got.honest_t == want.honest_t
+    assert got.coefficient(1, -1) == ONE
 
 
 def test_reversion_requires_unit_linear_term():
@@ -255,8 +293,8 @@ def test_reversion_requires_unit_linear_term():
         series_reversion(exact((0, 2)))
     with pytest.raises(BadValuationError):  # a series in s: reversion is in t
         series_reversion(exact((1, 0)), max_total=4)
-    with pytest.raises(BadValuationError):  # its tail may hold s^-1 t^2
-        series_reversion(LaurentSeries.truncated({(0, 1): ONE}, Window(0, 1, 4), honest_s=False))
+    with pytest.raises(BadValuationError):  # not honest in t: it may hold t^0
+        series_reversion(LaurentSeries.truncated({(0, 1): ONE}, Window(0, 1, 4), honest_t=False))
 
 
 def test_reversion_simple():
@@ -331,7 +369,7 @@ def test_reversion_matches_the_column_reference(cs, known, max_total):
     got = series_reversion(a, max_total=max_total)
     _assert_stored_inside(got)
     assert repr(got) == repr(_reversion_by_columns(a, max_total))
-    assert got.honest
+    assert got.honest_t
 
 
 REVERSION_OF_ZETA_128 = (
@@ -364,7 +402,7 @@ REVERSION_OF_ZETA_128 = (
 def test_reversion_of_zeta_pinned():
     b = series_reversion(zeta_series(128))
     assert repr(b) == REVERSION_OF_ZETA_128
-    assert b.honest
+    assert b.honest_t
 
 
 def test_reversion_of_zeta_gives_the_conjugates_of_the_recursion():
@@ -388,7 +426,7 @@ def test_reversion_of_sparse_series_matches_the_column_reference(cs, known, max_
     got = series_reversion(a, max_total=max_total)
     _assert_stored_inside(got)
     assert repr(got) == repr(_reversion_by_columns(a, max_total))
-    assert got.honest
+    assert got.honest_t
 
 
 @settings(deadline=None, max_examples=300)
@@ -451,7 +489,7 @@ def test_restricted_past_an_honest_axis_keeps_its_zeros():
     # 2, nothing of its window is left, but its zeros below the axis are
     s = exact((3, 0)).restricted(Window(3, 0, 4))
     r = s.restricted(Window(0, 0, 2))
-    assert r.window.max_total == 2 and r.honest
+    assert r.window.max_total == 2 and r.honest_t
     assert r.coefficient(1, 0).is_zero()
 
 
@@ -482,28 +520,27 @@ def test_exact_sum_that_cancels_is_the_exact_zero():
 
 @st.composite
 def _summand_and_completion(draw, honesty=st.booleans()):
-    """A series known on a window, exact or truncated, honest or not in
-    each axis (each flag drawn from honesty), and the terms of an exact
-    completion of it: random terms at positions it does not know, above
-    its max_total or below a dishonest axis."""
+    """A series known on a window, exact or truncated, honest in t or not
+    (the flag drawn from honesty), and the terms of an exact completion of
+    it: random terms at positions it does not know, above its max_total
+    or below a dishonest t-axis, and never below its s-axis."""
     min_s, min_t = draw(st.integers(-2, 1)), draw(st.integers(-2, 1))
     w = Window(min_s, min_t, draw(st.one_of(st.none(), st.integers(min_s + min_t, 4))))
-    honest_s, honest_t = draw(honesty), draw(honesty)
+    honest_t = draw(honesty)
     box = [(es, et) for es in range(-4, 7) for et in range(-4, 7)]
     inside = [e for e in box if w.contains(*e)]
     unknown = [
         (es, et) for es, et in box
-        if not (w.contains(es, et) or honest_s and es < min_s or honest_t and et < min_t)
+        if not (w.contains(es, et) or es < min_s or honest_t and et < min_t)
     ]
     coeffs = st.sampled_from(COMPOSE_COEFFS)
     terms = draw(st.dictionaries(st.sampled_from(inside), coeffs, max_size=4))
-    a = LaurentSeries.truncated(terms, w, honest_s=honest_s, honest_t=honest_t)
+    a = LaurentSeries.truncated(terms, w, honest_t=honest_t)
     extra = draw(st.dictionaries(st.sampled_from(unknown), coeffs, max_size=4)) if unknown else {}
     return a, {**a.coeffs, **extra}
 
 
-# honest in both axes more often than not, since sums and products refuse
-# the rest
+# honest in t more often than not, since sums and products refuse the rest
 _SUMMANDS = st.one_of(_summand_and_completion(st.just(True)), _summand_and_completion())
 
 
@@ -512,10 +549,10 @@ _SUMMANDS = st.one_of(_summand_and_completion(st.just(True)), _summand_and_compl
 def test_add_window_sound_by_completion(x, y):
     """Every coefficient a sum claims, in its window or below an honest
     axis up to its max_total, is that of the sum of completions of its
-    summands, and below an honest axis that sum vanishes at every total;
-    a summand that is not honest in both axes is refused."""
+    summands, and below its s-axis, and its t-axis if honest in t, that
+    sum vanishes at every total; a summand not honest in t is refused."""
     (a, full_a), (b, full_b) = x, y
-    if not (a.honest and b.honest):
+    if not (a.honest_t and b.honest_t):
         with pytest.raises(LaurentError):
             series_add(a, b)
         return
@@ -525,7 +562,7 @@ def test_add_window_sound_by_completion(x, y):
     for es in range(-6, 9):
         for et in range(-6, 9):
             true = full_a.get((es, et), zero) + full_b.get((es, et), zero)
-            if got.honest_s and es < w.min_s or got.honest_t and et < w.min_t:
+            if es < w.min_s or got.honest_t and et < w.min_t:
                 assert true.is_zero(), (es, et)
             try:
                 claimed = got.coefficient(es, et)
@@ -628,6 +665,9 @@ def _has_a_term_below_its_lead(a):
 @given(_INVERSE_CASES)
 @example(((_KERNEL_UNIT, _KERNEL_UNIT), Window(0, -8, 10)))
 @example(((_TOTAL_DROP_UNIT, _TOTAL_DROP_UNIT), Window(0, -6, 3)))
+# a window above e_s = 0: the inverse, 1, is honest in s only if its window
+# reaches down to e_s = 0
+@example(((LaurentSeries.one(), LaurentSeries.one()), Window(1, 0, 1)))
 def test_inverse_window_sound_by_completion(case):
     """Every coefficient an inverse claims, inside its window or below an
     honest axis up to its max_total, is the coefficient of the exact
@@ -684,25 +724,25 @@ def _plain_power(terms, k):
 def test_pow_window_sound_by_completion(k, x, window):
     """Every coefficient a power claims, in its window or below an honest
     axis up to its max_total, is that of the same power of a completion
-    of its base; a base dishonest in an axis is refused from the first
-    product on."""
+    of its base; a base dishonest in t is refused from the first product
+    on."""
     a, full = x
     try:
         got = series_pow(a, k, window)
     except EmptyWindowError:  # it knows nothing, not even below an axis
         return
     except LaurentError:  # a dishonest base: it claims nothing
-        assert k > 0 and not a.honest
+        assert k > 0 and not a.honest_t
         return
     _assert_stored_inside(got)
     _assert_claims(got, _plain_power(full, k), range(-20, 30), range(-20, 30))
 
 
 def test_pow_refuses_an_exact_dishonest_base():
-    # exact but not honest in s: a product once carried it over as honest
-    # and certified coefficient(-1, 0) == 0, which a completion below the
-    # s-axis contradicts
-    a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0), honest_s=False)
+    # exact but not honest in t: a product once carried it over as honest
+    # and certified coefficient(0, -1) == 0, which a completion below the
+    # t-axis contradicts
+    a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0), honest_t=False)
     with pytest.raises(LaurentError):
         series_pow(a, 1)
 
@@ -858,7 +898,7 @@ def _substitutable_series(draw, in_t=st.booleans()):
 
 @st.composite
 def _compose_window(draw):
-    min_s, min_t = draw(st.integers(-3, 0)), draw(st.integers(-4, 0))
+    min_s, min_t = draw(st.integers(-3, 1)), draw(st.integers(-4, 0))
     return Window(min_s, min_t, draw(st.integers(max(min_s + min_t, 0), 6)))
 
 
@@ -929,8 +969,8 @@ def _mul_by_shifts(a, b):
     """series_mul as a sum of copies of one factor, each shifted and scaled
     by one term of the other, folded by series_add; a product of two
     truncated factors is then cut to the window both certify."""
-    if not (a.honest and b.honest):
-        raise LaurentError("a product needs factors honest in both axes")
+    if not (a.honest_t and b.honest_t):
+        raise LaurentError("a product needs factors honest in t")
     if a.is_exact() and not (b.is_exact() and a.coeffs):
         a, b = b, a
     if b.is_exact() and not b.coeffs:
@@ -962,7 +1002,7 @@ def test_exact_zero_factor_gives_the_exact_zero(b):
 @st.composite
 def _mul_factor(draw):
     """An exact series (1 to 4 terms, or zero), (t + s)^-1, which is not
-    honest in t, or a truncated series honest in both axes or not."""
+    honest in t, or a truncated series honest in t or not."""
     kind = draw(st.sampled_from(["exact", "zero", "inverse", "honest", "dishonest"]))
     if kind == "exact":
         exps = st.tuples(st.integers(-2, 3), st.integers(-2, 3))
@@ -977,8 +1017,7 @@ def _mul_factor(draw):
     a = draw(_truncated_series())
     if kind == "honest":
         return a
-    flags = draw(st.sampled_from([(True, False), (False, True), (False, False)]))
-    return LaurentSeries(a.window, a.coeffs, honest_s=flags[0], honest_t=flags[1])
+    return LaurentSeries(a.window, a.coeffs, honest_t=False)
 
 
 def _product_or_error(a, b, mul):
@@ -987,28 +1026,30 @@ def _product_or_error(a, b, mul):
     except LaurentError as e:
         return type(e)
     _assert_stored_inside(c)
-    return c.window, c.honest_s, c.honest_t, c.coeffs
+    return c.window, c.honest_t, c.coeffs
 
 
 @settings(deadline=None, max_examples=300)
 @given(_mul_factor(), _mul_factor())
 def test_mul_matches_sum_of_shifts(a, b):
-    """Same window, flags and coefficients as the sum of shifts for exact
-    and honest truncated factors; a factor that is not honest in both
-    axes, exact or not, is refused."""
+    """Same window, honesty and coefficients as the sum of shifts for exact
+    and honest truncated factors; a factor that is not honest in t, exact
+    or not, is refused."""
     got = _product_or_error(a, b, series_mul)
     assert got == _product_or_error(a, b, _mul_by_shifts)
-    assert (got is LaurentError) == (not (a.honest and b.honest))
+    assert (got is LaurentError) == (not (a.honest_t and b.honest_t))
 
 
-@pytest.mark.parametrize("honest_s", [True, False])
-def test_mul_lowers_an_empty_window_like_the_sum_of_shifts(honest_s):
+@pytest.mark.parametrize("dishonest_first", [True, False])
+def test_mul_lowers_an_empty_window_like_the_sum_of_shifts(dishonest_first):
     # a known to total 2, not honest in t, times 1 + t^3 knew only
-    # e_t >= 3, an empty window that an honest s-axis lowered to -1; a
-    # factor not honest in t is now refused, and a product of honest
-    # factors never has an empty window
-    a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0, 2), honest_s=honest_s, honest_t=False)
+    # e_t >= 3, an empty window that the s-axis lowered to -1; a factor
+    # not honest in t is now refused, on either side, and a product of
+    # honest factors never has an empty window
+    a = LaurentSeries.truncated({(0, 0): ONE}, Window(0, 0, 2), honest_t=False)
     b = exact((0, 0), (0, 3))
+    if not dishonest_first:
+        a, b = b, a
     assert _product_or_error(a, b, series_mul) == _product_or_error(a, b, _mul_by_shifts) == LaurentError
 
 
@@ -1089,7 +1130,7 @@ def test_nishida_right_side_pinned(d, want):
     zbar = series_reversion(zeta_series(work))
     rhs = series_compose(_identity1_rhs(work), zbar, window=Window(0, -(d + 1), work))
     assert repr(rhs) == want
-    assert rhs.honest
+    assert rhs.honest_t
 
 
 @pytest.mark.parametrize(
@@ -1107,7 +1148,7 @@ def test_nishida_right_side_on_the_box_pinned(d, want):
     zbar = series_reversion(zeta_series(2 * d + 4))
     rhs = series_compose(_identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
     assert repr(rhs) == want
-    assert rhs.honest
+    assert rhs.honest_t
 
 
 def _compose_by_products(a, u, window, square=False):
@@ -1136,7 +1177,7 @@ def _compose_by_products(a, u, window, square=False):
 @pytest.mark.parametrize("d", [8, 16, 31, 48])
 def test_compose_by_squares_matches_the_product_chain(d):
     """Even powers formed as squares leave the Nishida composites unchanged,
-    window and honesty flags included."""
+    window and honesty in t included."""
     work = 2 * d + 4
     zbar = series_reversion(zeta_series(work))
     tbox = Window(0, -(d + 1), work)
@@ -1144,7 +1185,7 @@ def test_compose_by_squares_matches_the_product_chain(d):
         got = series_compose(a, zbar, window=tbox)
         want = _compose_by_products(a, zbar, tbox)
         assert repr(got) == repr(want)
-        assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t)
+        assert got.honest_t == want.honest_t
 
 
 def _composite_or_refusal(compose, a, u, window):
@@ -1152,7 +1193,7 @@ def _composite_or_refusal(compose, a, u, window):
         got = compose(a, u, window)
     except LaurentError:
         return "refused"
-    return repr(got), got.honest_s, got.honest_t
+    return repr(got), got.honest_t
 
 
 # u in t alone: exact, known to a total, or the exact zero
@@ -1183,7 +1224,7 @@ _T_ON_ITS_QUADRANT = LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, None))
 def test_compose_matches_the_sum_of_row_products(a, u, window):
     """One product over all rows of a gives the composite that the product
     of each row by its power of u, summed row by row, gives: the same
-    coefficients, window and honesty flags, and the same refusals.  The
+    coefficients, window and honesty in t, and the same refusals.  The
     reference squares as series_compose does: for a u known to a total,
     the square of a power is known further than its product by u."""
     # test_compose_refuses_negative_powers_of_an_unknown_lead covers a zero
@@ -1203,12 +1244,12 @@ def test_compose_matches_the_sum_of_row_products(a, u, window):
 
 
 def _outcome(op, *args):
-    """The repr and honesty flags of op(*args), or its refusal."""
+    """The repr, window and honesty in t of op(*args), or its refusal."""
     try:
         got = op(*args)
     except LaurentError as e:
         return type(e).__name__, str(e)
-    return repr(got), got.window, got.honest_s, got.honest_t
+    return repr(got), got.window, got.honest_t
 
 
 def _pow_from_one(a, k, window=None):
@@ -1230,7 +1271,7 @@ def _inverse_from_one(a, window):
     shifted to and from its lead even when the lead is (0, 0)."""
     if window is None or window.max_total is None:
         raise NotInvertibleError("the inverse needs a finite window")
-    if not a.honest:
+    if not a.honest_t:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
     if a.is_zero():
         raise NotInvertibleError("zero series has no inverse")
@@ -1244,19 +1285,20 @@ def _inverse_from_one(a, window):
     if a.window.max_total is not None and a.window.min_s < lead[0]:
         raise NotInvertibleError("leading term is not minimal in the s-small order")
     box = window.shifted(lead[0], lead[1])
+    min_s = min(box.min_s, 0)
     bs = box.max_total - box.min_t
     neg_drop = max((-et for _, et in r if et < 0), default=0)
-    lost = {"s": False, "t": neg_drop > 0}
+    lost_t = neg_drop > 0
 
     def keep(es, et):
+        nonlocal lost_t
         if (
             es <= bs
-            and et <= (box.max_total - box.min_s) + (bs - es) * neg_drop
+            and et <= (box.max_total - min_s) + (bs - es) * neg_drop
             and es + et <= box.max_total
         ):
             return True
-        lost["s"] = lost["s"] or es < box.min_s
-        lost["t"] = lost["t"] or et < box.min_t
+        lost_t = lost_t or et < box.min_t
         return False
 
     acc = {(0, 0): ONE}
@@ -1264,12 +1306,9 @@ def _inverse_from_one(a, window):
     while q:
         acc = map_product(((acc, {(0, 0): ONE, **q}),), keep)
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
-    for es, et in acc:
-        lost["s"] = lost["s"] or es < box.min_s
-        lost["t"] = lost["t"] or et < box.min_t
+    lost_t = lost_t or any(et < box.min_t for _, et in acc)
     c = _known(
-        acc, box.min_s, box.min_t, _min_total(box.max_total, rel.window.max_total),
-        honest_s=not lost["s"], honest_t=not lost["t"],
+        acc, min_s, box.min_t, _min_total(box.max_total, rel.window.max_total), not lost_t
     )
     return c.shift(-lead[0], -lead[1]).restricted(window)
 
@@ -1297,7 +1336,7 @@ def test_pow_matches_the_chain_from_one(a, window):
 @settings(deadline=None, max_examples=200)
 @given(st.integers(-3, 9), _SUMMANDS, st.one_of(st.none(), _target_window()))
 def test_pow_matches_the_chain_from_one_on_drawn_bases(k, x, window):
-    """The same coefficients, window, flags and refusals, for honest and
+    """The same coefficients, window, honesty in t and refusals, for honest and
     dishonest, exact and truncated bases."""
     a, _ = x
     if k < 0 and window is None:
@@ -1434,7 +1473,6 @@ def test_window_is_an_immutable_value():
     assert {w: "box"}[Window(0, -8, 10)] == "box"
     assert repr(w) == "Window(min_s=0, min_t=-8, max_total=10)"
     assert Window(1, 2).max_total is None
-    assert copy.deepcopy(w) == w == pickle.loads(pickle.dumps(w))
     assert repr(Window(1, 2)) == "Window(min_s=1, min_t=2, max_total=None)"
     with pytest.raises(EmptyWindowError, match="min_s=1, min_t=2, max_total=2"):
         Window(1, 2, 2)
@@ -1442,8 +1480,29 @@ def test_window_is_an_immutable_value():
 
 def test_series_and_polynomials_are_immutable():
     a = exact((0, 0), (0, 1))
-    for name in ("window", "coeffs", "honest_s", "honest_t"):
+    for name in ("window", "coeffs", "honest_t"):
         with pytest.raises(AttributeError):
             setattr(a, name, None)
     with pytest.raises(AttributeError):
         ONE.monomials = frozenset()
+
+
+_X = GradedClass("x", 2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Window(0, -8, 10),
+        F2Poly.zeta(1) * F2Poly.zeta(2) + ONE,
+        # not honest in t; == ignores the flag, so it is compared on its own
+        _T_PLUS_S_INVERSE,
+        DLMonomial((6, 2), _X),
+        DLSum.of(DLMonomial((6, 2), _X), DLMonomial((5, 3), _X)),
+    ],
+    ids=lambda v: type(v).__name__,
+)
+def test_value_objects_survive_copy_and_pickle(value):
+    for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(other) is type(value) and other == value
+        assert getattr(other, "honest_t", None) == getattr(value, "honest_t", None)

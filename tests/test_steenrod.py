@@ -96,7 +96,7 @@ def test_q_total_on_z1_head():
 
 def test_q_total_below_instability_line_matches_closed_form():
     """For 2^n - 1 > max_total the answer is known without the closed form;
-    it must equal the closed form, window and honesty flags included.
+    it must equal the closed form, window and honesty in t included.
     Every n <= 5, and the ends of the range for n = 6, 7."""
     cases = [(n, m) for n in range(1, 6) for m in range(0, 2**n - 1)]
     cases += [(6, 0), (6, 61), (7, 0), (7, 125)]
@@ -104,7 +104,7 @@ def test_q_total_below_instability_line_matches_closed_form():
         fast = q_total_on_zeta(n, m)
         full = steenrod._q_total_closed_form(n, m)
         assert fast == full, (n, m)
-        assert (fast.honest_s, fast.honest_t) == (full.honest_s, full.honest_t), (n, m)
+        assert fast.honest_t == full.honest_t, (n, m)
 
 
 def test_closed_form_cache_is_bounded():
@@ -120,7 +120,7 @@ def test_closed_form_cache_is_bounded():
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
     """Each answer, formed afresh or restricted from the stored inverse, is
-    the inverse formed directly to that total, window and flags included,
+    the inverse formed directly to that total, window and honesty included,
     and the store holds one series at most."""
     totals = list(range(-1, 41)) + [62, 128, 130]
     if order == "descending":
@@ -132,7 +132,7 @@ def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
         got = zeta_inverse(m)
         want = series_inverse(zeta_series(m + 2), Window(0, -1, m))
         assert got == want, m
-        assert (got.honest_s, got.honest_t) == (want.honest_s, want.honest_t), m
+        assert got.honest_t == want.honest_t, m
         assert len(steenrod._largest_inverse) <= 1
 
 
@@ -151,7 +151,7 @@ def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
 def test_q_total_on_zeta_pinned(n, max_total, want):
     total = q_total_on_zeta(n, max_total)
     assert repr(total) == f"LaurentSeries({want})"
-    assert total.honest
+    assert total.honest_t
 
 
 def _q_op_at_full_width(i, a, max_total):
@@ -744,7 +744,7 @@ def test_binomial_oracle_fails_a_power_missing_one_term(monkeypatch):
     def wrong(a, k, window=None):
         p = power(a, k, window)
         coeffs = {e: c for e, c in p.coeffs.items() if e != (0, 5)}
-        return LaurentSeries(p.window, coeffs, **p._flags())
+        return LaurentSeries(p.window, coeffs, honest_t=p.honest_t)
 
     monkeypatch.setattr(verify, "series_pow", wrong)
     record = verify.check_binomial_oracle()
