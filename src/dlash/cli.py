@@ -83,7 +83,7 @@ class _Main(click.Group):
     def invoke(self, ctx):
         try:
             return super().invoke(ctx)
-        except (LaurentError, ParseError, RewriteLimitError, steenrod.WindowTooSmallError) as e:
+        except (LaurentError, ParseError, RewriteLimitError) as e:
             raise click.ClickException(str(e)) from e
 
 

@@ -288,10 +288,14 @@ class LaurentSeries:
     # -- comparison and rendering ---------------------------------------
 
     def __eq__(self, other) -> bool:
-        """Structural equality: same window, same coefficients."""
+        """Structural equality: same window, coefficients and honesty in t."""
         if not isinstance(other, LaurentSeries):
             return NotImplemented
-        return self.window == other.window and self.coeffs == other.coeffs
+        return (
+            self.window == other.window
+            and self.coeffs == other.coeffs
+            and self.honest_t == other.honest_t
+        )
 
     def first_disagreement(self, other: "LaurentSeries", box: Window):
         """The first exponent, by total degree and then e_s, where the

@@ -32,10 +32,6 @@ from .laurent import (
 )
 
 
-class WindowTooSmallError(Exception):
-    pass
-
-
 def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
     """z(v) = v + z1 v^2 + z2 v^4 + ... truncated at the given total degree."""
     terms = {}
@@ -155,7 +151,8 @@ def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
 
     Q(t)(xy) = (Q(t)x)(Q(t)y), and Q(t) z_n vanishes below t^{2^n - 1}: so
     for a monomial m, each factor is needed only to its valuation plus
-    i - |m|, and the windows of the product certify the answer.  The
+    i - |m|, and the windows of the product certify the answer, or raise
+    WindowMissError naming t^i and the window it lies outside.  The
     product starts from the first factor's power, and Q(t) 1 = 1."""
     if max_total is None:
         max_total = max(i, 0) + 1
@@ -172,7 +169,7 @@ def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
         try:
             result = result + term.coefficient(0, i)
         except WindowMissError:
-            raise WindowTooSmallError(
+            raise WindowMissError(
                 f"t^{i} outside the guaranteed window {term.window.describe()}"
             ) from None
     return result

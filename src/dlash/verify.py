@@ -10,21 +10,23 @@ for an identity check, the exponent (e_s, e_t) of the first disagreeing
 coefficient, or the side whose window does not cover the check's box;
 for a suite, its first failing case, or the exception it raised.
 Identity checks return lists of records and the suites fold them.
-Everything is deterministic (randomized suites use a fixed seed).
+Everything is deterministic: randomized suites use a fixed seed, and
+only the identity suites and the series kernel take a size.
 
 Every comparison of series, in an identity check or in a suite, names
 the box it holds on, and every side must cover it: each position of the
 box is then answered from a side's map or as a certified zero, so
 comparing the maps cut to the box compares every coefficient there.
-Each side of an identity is built only to the box's total.  run_all
-turns a suite that raises a window or series error, or an F2Poly
-overflow, into that suite's failed record, and runs the others.
+Each side of an identity is built only to the box's total; identity
+(1)'s right side, shared by two checks, is cached for the last bound.
+run_all turns a suite that raises a series error (a window miss among
+them) or an F2Poly overflow into its failed record, and runs the rest.
 """
 
 from __future__ import annotations
 
 import random
-from functools import cache
+from functools import lru_cache
 
 from .f2 import F2Poly, binom_exact_parity, binom_mod2
 from .laurent import (
@@ -46,7 +48,6 @@ from .dyer_lashof import (
     symmetry_extract_relations,
 )
 from .steenrod import (
-    WindowTooSmallError,
     conjugate_zeta,
     q_op,
     q_total_on_zeta,
@@ -176,6 +177,8 @@ def _identity_box(d: int) -> Window:
     return Window(1, -d, d)
 
 
+# one entry: run_all forms it once for both identity suites at its bound
+@lru_cache(maxsize=1)
 def _identity1_rhs(max_total: int) -> LaurentSeries:
     """sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i}), known at least to
     total max_total: Q(t) z_i vanishes below t^{2^i - 1}, so a term with
@@ -205,51 +208,38 @@ def _augmentation_collapse(series: LaurentSeries, box: Window, detail: str) -> d
     )
 
 
-def verify_bisson_joyal_identity1(
-    max_total: int, identity1_rhs: LaurentSeries | None = None
-) -> list:
+def verify_bisson_joyal_identity1(max_total: int) -> list:
     """z(s) + z(s)^2 z(t)^{-1} = sum_i (Q(t) z_i)(s^{2^i} + s^{2^{i+1}} t^{-2^i})
     on the box e_s >= 1, e_t >= -max_total, total <= max_total, plus its
-    augmentation collapse to s + s^2 t^{-1}.
-
-    identity1_rhs, if given, is _identity1_rhs(max_total), formed once by
-    a caller that also runs the nishida check.
-    """
+    augmentation collapse to s + s^2 t^{-1}."""
     d = max_total
     box = _identity_box(d)
     zs = zeta_series(d, var="s")
     lhs = zs + series_mul(zs.square(), zeta_inverse(d))
-    if identity1_rhs is None:
-        identity1_rhs = _identity1_rhs(d)
     detail = f"degree bound {d}"
     return [
-        _check("bisson-joyal identity (1)", detail, box, lhs, identity1_rhs),
+        _check("bisson-joyal identity (1)", detail, box, lhs, _identity1_rhs(d)),
         _augmentation_collapse(lhs, box, detail),
     ]
 
 
-def verify_nishida_conjugate_form(
-    max_total: int, identity1_rhs: LaurentSeries | None = None
-) -> list:
+def verify_nishida_conjugate_form(max_total: int) -> list:
     """The conjugate (Nishida) form of the total-operation identity for
     x = s: Q(zbar(t)) applied to psi_R(s) = z(s) must equal
     sum_i psi_R(Q^i s) t^i = z(s) + z(s)^2 t^{-1}, since z(zbar(t)) = t.
 
     Both sides are checked on the box of identity (1), formed first so
     that a degree bound below 1 is refused with that box named; z(zbar(t))
-    = t is checked on its own window, to total 2 max_total + 4.
-    identity1_rhs, if given, is _identity1_rhs(max_total)."""
+    = t is checked on its own window, to total 2 max_total + 4."""
     d = max_total
     box = _identity_box(d)
     work = 2 * d + 4
     zbar = series_reversion(zeta_series(work))
     tbox = Window(0, -(d + 1), work)
-    if identity1_rhs is None:
-        identity1_rhs = _identity1_rhs(d)
 
     # right side: Q(t) z(s) (which is identity (1)) with t -> zbar(t),
     # substituted stratum by stratum in s
-    rhs = series_compose(identity1_rhs, zbar, window=Window(0, -(d + 1), d))
+    rhs = series_compose(_identity1_rhs(d), zbar, window=Window(0, -(d + 1), d))
 
     # left side: Q^0 s = s and Q^{-1} s = s^2 are the only operations on s
     zs = zeta_series(d, var="s")
@@ -267,8 +257,9 @@ def verify_nishida_conjugate_form(
 # -- acceptance suites ----------------------------------------------------
 
 
-def check_adem_soundness(bound: int = 20) -> dict:
+def check_adem_soundness() -> dict:
     """Every symmetry-extracted relation reduces to zero."""
+    bound = 20
     failures = []
     count = 0
     for n in range(0, 4):
@@ -285,9 +276,10 @@ def check_adem_soundness(bound: int = 20) -> dict:
     )
 
 
-def check_adem_completeness(bound: int = 16) -> dict:
+def check_adem_completeness() -> dict:
     """Gaussian elimination over F2 recovers adem_relation for every
-    non-admissible pair reachable at the given bound."""
+    non-admissible pair reachable at bound 16."""
+    bound = 16
     failures = []
     count = 0
     for n in (1, 2):
@@ -318,9 +310,10 @@ def check_adem_completeness(bound: int = 16) -> dict:
     )
 
 
-def check_residue_replay(bound: int = 16) -> dict:
+def check_residue_replay() -> dict:
     """The residue formula behind the Adem coefficients: the residue in s
     of t^{l+j+1} s^{i-2l-1} (t+s)^{l-j-1} is binom(l-j-1, 2l-i) t^i."""
+    bound = 16
     failures = []
     count = 0
     box = Window(-2 * bound - 4, -2 * bound - 4, 2 * bound + 4)
@@ -349,33 +342,35 @@ def check_residue_replay(bound: int = 16) -> dict:
     )
 
 
-def check_bisson_joyal(
-    degree_bound: int = 16, identity1_rhs: LaurentSeries | None = None
-) -> dict:
+def check_bisson_joyal(degree_bound: int = 16) -> dict:
     return _fold(
         "bisson-joyal-identity",
-        verify_bisson_joyal_identity1(degree_bound, identity1_rhs),
+        verify_bisson_joyal_identity1(degree_bound),
         f"at degree bound {degree_bound}",
     )
 
 
-def check_nishida(
-    degree_bound: int = 16, identity1_rhs: LaurentSeries | None = None
-) -> dict:
+def check_nishida(degree_bound: int = 16) -> dict:
     return _fold(
         "nishida-conjugate-form",
-        verify_nishida_conjugate_form(degree_bound, identity1_rhs),
+        verify_nishida_conjugate_form(degree_bound),
         f"at degree bound {degree_bound}",
     )
+
+
+# the largest index check_steinberger checks: it needs z(t)^{-1} to
+# total 2 to this power, which run_all forms first
+_STEINBERGER_INDEX = 5
 
 
 def check_steinberger() -> dict:
-    zbars = conjugate_zeta(5)
+    k = _STEINBERGER_INDEX
+    zbars = conjugate_zeta(k)
     return _fold(
         "steinberger-identities",
-        verify_steinberger_conjugate(5, zbars=zbars)
-        + verify_steinberger_successor(4, zbars=zbars),
-        "(conjugates through index 5, successors through 4)",
+        verify_steinberger_conjugate(k, zbars=zbars)
+        + verify_steinberger_successor(k - 1, zbars=zbars),
+        f"(conjugates through index {k}, successors through {k - 1})",
     )
 
 
@@ -425,8 +420,8 @@ def _unit_round_trip(u: LaurentSeries, box: Window, small: Window) -> str | None
     return None
 
 
-def check_series_kernel(instances: int = 500, seed: int = 2026) -> dict:
-    rng = random.Random(seed)
+def check_series_kernel(instances: int = 500) -> dict:
+    rng = random.Random(2026)
     failures = []
     box, small = Window(0, -8, 10), Window(0, -4, 5)
     ident = LaurentSeries.monomial(0, 1)
@@ -481,8 +476,9 @@ def _poly_degree(a: F2Poly) -> int:
     return max(parts) if parts else 0
 
 
-def check_property_laws(seed: int = 7, samples: int = 24) -> dict:
-    rng = random.Random(seed)
+def check_property_laws() -> dict:
+    rng = random.Random(7)
+    samples = 24
     failures = []
     count = 0
     # instability: Q^i z_n = 0 for 0 < i < 2^n - 1 (no i for n = 1)
@@ -518,21 +514,21 @@ def run_all(degree_bound: int = 16) -> list:
     """Run every acceptance suite; identity suites honour degree_bound,
     refused before any suite runs when their box is empty.
 
-    check_steinberger needs z(t)^{-1} to total 2^5, and the identity suites
-    to degree_bound: the larger is formed first, so every other request
-    restricts it and z(t) is inverted once.  The right side of identity (1)
-    is formed once, by the first identity suite, and handed to the other;
-    if forming it raises, each of the two suites fails with that error."""
+    check_steinberger needs z(t)^{-1} to total 2^_STEINBERGER_INDEX, and
+    the identity suites to degree_bound: the larger is formed first, so
+    every other request restricts it and z(t) is inverted once.  The right
+    side of identity (1) is formed once, by the first identity suite, and
+    the other reads it from _identity1_rhs's cache; if forming it raises,
+    nothing is cached and each of the two suites fails with that error."""
     _identity_box(degree_bound)  # an empty box raises here, not as a suite's record
-    zeta_inverse(max(degree_bound, 2**5))
-    identity1_rhs = cache(lambda: _identity1_rhs(degree_bound))
+    zeta_inverse(max(degree_bound, 2**_STEINBERGER_INDEX))
     reports = []
     for name, suite in [
         ("adem-soundness", check_adem_soundness),
         ("adem-completeness", check_adem_completeness),
         ("residue-replay", check_residue_replay),
-        ("bisson-joyal-identity", lambda: check_bisson_joyal(degree_bound, identity1_rhs())),
-        ("nishida-conjugate-form", lambda: check_nishida(degree_bound, identity1_rhs())),
+        ("bisson-joyal-identity", lambda: check_bisson_joyal(degree_bound)),
+        ("nishida-conjugate-form", lambda: check_nishida(degree_bound)),
         ("steinberger-identities", check_steinberger),
         ("binomial-oracle", check_binomial_oracle),
         ("series-kernel", check_series_kernel),
@@ -540,6 +536,6 @@ def run_all(degree_bound: int = 16) -> list:
     ]:
         try:
             reports.append(suite())
-        except (LaurentError, WindowTooSmallError, ValueError) as e:
+        except (LaurentError, ValueError) as e:
             reports.append(_record(name, [f"{type(e).__name__}: {e}"], "raised"))
     return reports

@@ -25,18 +25,18 @@ def _run(check, budget_seconds, *args):
 
 def test_acceptance_1_adem_soundness():
     """Symmetry-extracted relations reduce to 0 for degrees 0..3, i+j <= 20."""
-    _run(verify.check_adem_soundness, 30, 20)
+    _run(verify.check_adem_soundness, 30)
 
 
 def test_acceptance_2_adem_completeness():
     """F2 elimination on extracted relations recovers every Adem relation,
     i+j <= 16, degrees 1 and 2."""
-    _run(verify.check_adem_completeness, 60, 16)
+    _run(verify.check_adem_completeness, 60)
 
 
 def test_acceptance_3_residue_replay():
     """res_s t^{l+j+1} s^{i-2l-1} (t+s)^{l-j-1} = C(l-j-1, 2l-i) t^i."""
-    _run(verify.check_residue_replay, 5, 16)
+    _run(verify.check_residue_replay, 5)
 
 
 def test_acceptance_4_bisson_joyal_identity():

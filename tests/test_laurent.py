@@ -1495,7 +1495,7 @@ _X = GradedClass("x", 2)
     [
         Window(0, -8, 10),
         F2Poly.zeta(1) * F2Poly.zeta(2) + ONE,
-        # not honest in t; == ignores the flag, so it is compared on its own
+        # not honest in t; == compares the flag, and so does the check below
         _T_PLUS_S_INVERSE,
         DLMonomial((6, 2), _X),
         DLSum.of(DLMonomial((6, 2), _X), DLMonomial((5, 3), _X)),
@@ -1506,3 +1506,16 @@ def test_value_objects_survive_copy_and_pickle(value):
     for other in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
         assert type(other) is type(value) and other == value
         assert getattr(other, "honest_t", None) == getattr(value, "honest_t", None)
+
+
+def test_series_equality_compares_honesty_in_t():
+    """Two series with one window and one map that answer coefficient()
+    differently are unequal."""
+    inverse = _T_PLUS_S_INVERSE
+    honest = LaurentSeries(inverse.window, inverse.coeffs, honest_t=True)
+    assert not inverse.honest_t
+    assert inverse != honest and honest != inverse
+    assert honest.coefficient(0, -9).is_zero()
+    with pytest.raises(WindowMissError):
+        inverse.coefficient(0, -9)
+    assert inverse == LaurentSeries(inverse.window, inverse.coeffs, honest_t=False)

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from dlash import steenrod, verify
 from dlash.f2 import F2Poly, factors
 from dlash.laurent import (
+    LaurentError,
     LaurentSeries,
     Window,
     WindowMissError,
@@ -16,7 +17,6 @@ from dlash.laurent import (
     series_reversion,
 )
 from dlash.steenrod import (
-    WindowTooSmallError,
     conjugate_zeta,
     q_op,
     q_total_on_zeta,
@@ -196,7 +196,7 @@ def test_q_op_matches_full_width_factors(monomials, data):
     want = _q_op_at_full_width(i, a, max_total) if a.monomials else F2Poly.zero()
     try:
         got = q_op(i, a, max_total)
-    except WindowTooSmallError:
+    except WindowMissError:
         got = None
     assert got == want
 
@@ -213,7 +213,7 @@ def _q_op_from_one(i, a, max_total):
         try:
             result = result + term.coefficient(0, i)
         except WindowMissError:
-            raise WindowTooSmallError(term.window.describe()) from None
+            raise WindowMissError(term.window.describe()) from None
     return result
 
 
@@ -224,7 +224,7 @@ def _degree_of(monomial):
 def _q_op_outcome(q, i, a, max_total):
     try:
         return q(i, a, max_total)
-    except WindowTooSmallError as e:
+    except WindowMissError as e:
         return e.args[0].rsplit("window ", 1)[-1]
 
 
@@ -275,8 +275,14 @@ def test_q_op_additivity():
 
 
 def test_q_op_window_guard():
-    with pytest.raises(WindowTooSmallError):
+    """A t^i past the product's window is refused with a window miss, a
+    LaurentError, that names t^i and the window."""
+    with pytest.raises(WindowMissError) as refused:
         q_op(40, F2Poly.zeta(1), 4)
+    assert isinstance(refused.value, LaurentError)
+    assert str(refused.value) == (
+        "t^40 outside the guaranteed window " + q_total_on_zeta(1, 4).window.describe()
+    )
 
 
 def test_cartan_on_a_product():
@@ -338,6 +344,7 @@ def _counted_inversions(monkeypatch) -> list:
     monkeypatch.setattr(steenrod, "series_inverse", counted)
     steenrod._q_total_closed_form.cache_clear()
     steenrod._largest_inverse.clear()
+    verify._identity1_rhs.cache_clear()
     return inverted
 
 
@@ -365,22 +372,49 @@ def test_verify_all_inverts_z_once(monkeypatch, bound):
 
 
 @pytest.mark.parametrize("bound", [1, 8])
-def test_verify_all_forms_the_identity_right_side_once(monkeypatch, bound):
+def test_verify_all_forms_the_identity_right_side_once(bound):
     """The Bisson-Joyal and nishida suites share one right side of
-    identity (1), and their records are those each forms on its own."""
-    formed = []
-    rhs = verify._identity1_rhs
-
-    def counted(d):
-        formed.append(d)
-        return rhs(d)
-
-    monkeypatch.setattr(verify, "_identity1_rhs", counted)
+    identity (1): the first forms it and the second reads the cache.
+    Their records are those each suite gives on its own, from a cold cache."""
+    verify._identity1_rhs.cache_clear()
     reports = {r["name"]: r for r in verify.run_all(bound)}
-    assert formed == [bound]
+    info = verify._identity1_rhs.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    verify._identity1_rhs.cache_clear()
     assert reports["bisson-joyal-identity"] == verify.check_bisson_joyal(bound)
+    verify._identity1_rhs.cache_clear()
     assert reports["nishida-conjugate-form"] == verify.check_nishida(bound)
     assert all(r["passed"] for r in reports.values())
+
+
+def test_verify_all_never_reads_another_bounds_right_side():
+    """With one cache entry, a change of bound forms the right side anew:
+    each run gives the records of a cold run at its own bound."""
+
+    def cold(bound):
+        verify._identity1_rhs.cache_clear()
+        return verify.run_all(bound)
+
+    want = {bound: cold(bound) for bound in (8, 16)}
+    verify._identity1_rhs.cache_clear()
+    for bound in (8, 16, 8):
+        assert verify.run_all(bound) == want[bound]
+    info = verify._identity1_rhs.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (3, 3, 1)
+
+
+@pytest.mark.parametrize("d", [1, 8, 16])
+def test_the_cached_identity_right_side_is_the_one_formed_afresh(d):
+    verify._identity1_rhs.cache_clear()
+    cached = verify._identity1_rhs(d)
+    assert verify._identity1_rhs(d) is cached
+    steenrod._q_total_closed_form.cache_clear()
+    steenrod._largest_inverse.clear()
+    fresh = verify._identity1_rhs.__wrapped__(d)
+    assert fresh is not cached
+    assert fresh.coeffs == cached.coeffs
+    assert fresh.window == cached.window
+    assert fresh.honest_t == cached.honest_t
 
 
 def test_an_identity_right_side_that_raises_fails_both_identity_suites(monkeypatch):
@@ -390,6 +424,23 @@ def test_an_identity_right_side_that_raises_fails_both_identity_suites(monkeypat
     monkeypatch.setattr(verify, "_identity1_rhs", raises)
     failed = [r["name"] for r in verify.run_all(8) if not r["passed"]]
     assert failed == ["bisson-joyal-identity", "nishida-conjugate-form"]
+
+
+def test_a_q_op_past_its_window_fails_only_the_suite_that_asks(monkeypatch):
+    """The Cartan law asks each product at t^n to total n + 1; asked to
+    total n - 1 instead, q_op refuses with a window miss, which fails the
+    property-laws suite alone."""
+    q = verify.q_op
+
+    def short(i, a, max_total=None):
+        return q(i, a, i - 1 if max_total == i + 1 else max_total)
+
+    monkeypatch.setattr(verify, "q_op", short)
+    records = verify.run_all(8)
+    assert len(records) == 9
+    assert [r["name"] for r in records if not r["passed"]] == ["property-laws"]
+    assert records[-1]["first_mismatch"].startswith("WindowMissError: t^")
+    assert " outside the guaranteed window [" in records[-1]["first_mismatch"]
 
 
 def test_bisson_joyal_report():
