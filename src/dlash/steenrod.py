@@ -8,24 +8,27 @@ closed form
                        + z(t)^{-1} (sum_{i>=n} z_i^2 t^{2^{i+1}})
 
 and extended multiplicatively; conjugates come from compositional
-reversion of z(t).  z(t)^{-1} is formed once per command where it can
-be: zeta_inverse keeps the largest inverse formed so far and restricts
-it for a smaller request, which gives exactly the inverse formed to that
-total (see its docstring), so a caller that needs several totals asks
-for the largest first.  This module holds only the algebra: the checks of
-the paper's identities against it live in ``verify``.
+reversion of z(t).  In characteristic 2, z(t)^{-1} = z(t) (z(t)^{-1})^2,
+so the coefficients c_k of z(t)^{-1} = sum_{k>=-1} c_k t^k obey
+
+    c_k = sum_{i>=0, k - 2^i even} z_i c_{(k - 2^i)/2}^2    (z_0 = c_{-1} = 1)
+
+and each comes from squares of earlier ones (an odd k from the one
+square c_{(k-1)/2}^2).  They are kept in one append-only list, grown as
+far as any request has asked, which both zeta_inverse and the closed
+form read.  This module holds only the algebra: the checks of the
+paper's identities against it live in ``verify``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .f2 import F2Poly, factors, monomial_degree
+from .f2 import F2Poly, factors, monomial_degree, sum_of_products
 from .laurent import (
     LaurentSeries,
     Window,
     WindowMissError,
-    series_inverse,
     series_mul,
     series_pow,
     series_reversion,
@@ -45,33 +48,38 @@ def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
     return LaurentSeries(w, terms)
 
 
-# the largest z(t)^{-1} formed so far, by its max_total: one entry at most
-_largest_inverse: dict = {}
+# c_{-1}, c_0, c_1, ...: the coefficients of z(t)^{-1} formed so far
+_inverse: list = []
+
+
+def _inverse_coefficients(max_total: int) -> list:
+    """The list c_{-1}, c_0, ..., grown by the recurrence in the module
+    docstring until it holds c_{max_total}, so c_k is at index k + 1."""
+    c = _inverse
+    for k in range(len(c) - 1, max_total + 1):
+        c.append(
+            F2Poly.one() if k < 0 else sum_of_products(
+                (F2Poly.zeta(i) if i else F2Poly.one(), c[(k - 2**i) // 2 + 1].square())
+                for i in range((k + 2).bit_length())
+                if (k - 2**i) % 2 == 0
+            )
+        )
+    return c
 
 
 def zeta_inverse(max_total: int) -> LaurentSeries:
     """z(t)^{-1} = t^{-1} + z1 + z1^2 t + (z1^3 + z2) t^2 + ..., known to
     total max_total.
 
-    The largest inverse formed so far is kept, and a smaller request is
-    answered by restricting it.  That is exact: each coefficient a window
-    claims is the true one, and the inverse of z(t), a series in t alone
-    with positive exponents, is honest in both axes, so restriction keeps
-    the window's axes and cuts only its total.  The result, its window and
-    its honesty in t are those of the inverse formed to max_total
-    directly, and no answer depends on what ran before.
-    """
-    if _largest_inverse:
-        ((largest, inverse),) = _largest_inverse.items()
-        if max_total == largest:
-            return inverse
-        if max_total < largest:
-            return inverse.restricted(Window(0, -1, max_total))
-    # the inverse of a series known to degree m is guaranteed to m - 2
-    inverse = series_inverse(zeta_series(max_total + 2), Window(0, -1, max_total))
-    _largest_inverse.clear()
-    _largest_inverse[max_total] = inverse
-    return inverse
+    Every coefficient is read off the list, which holds exactly the true
+    ones, so the result does not depend on what ran before.  The inverse
+    of z(t), a series in t alone with positive exponents, is honest in
+    both axes."""
+    window = Window(0, -1, max_total)
+    c = _inverse_coefficients(max_total)
+    return LaurentSeries(
+        window, {(0, k): c[k + 1] for k in range(-1, max_total + 1) if not c[k + 1].is_zero()}
+    )
 
 
 def conjugate_zeta(max_i: int) -> list:
@@ -121,29 +129,29 @@ def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
 # reports hits and size
 @lru_cache(maxsize=128)
 def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
-    """Q(t) z_n for n >= 1 from the closed form in the module docstring."""
-    # the right side is needed to total P = max_total + 2^n; z(t)^{-1}
-    # (valuation -1) known to W times the squares (valuation 2^{n+1},
-    # known to S) is known to min(W + 2^{n+1}, S - 1) >= P; the clamps
-    # keep both windows non-empty below the instability line
-    p = max_total + 2**n
-    w = max(p - 2 ** (n + 1), -1)
-    s = max(p + 1, 2 ** (n + 1))
-    high, sq = {}, {}
-    i = n + 1
-    while 2**i <= s:
-        high[(0, 2**i)] = F2Poly.zeta(i)
-        sq[(0, 2**i)] = F2Poly.zeta(i - 1).square()
-        i += 1
-    first = LaurentSeries(Window(0, 2 ** (n + 1), s), high)
-    squares = LaurentSeries(Window(0, 2 ** (n + 1), s), sq)
-    rhs = first + series_mul(zeta_inverse(w), squares)
-    result = rhs.shift(0, -(2**n))
-    min_t = result.window.min_t
-    if min_t > max_total:
-        # everything requested lies below the certified vanishing line
-        return LaurentSeries.truncated({}, Window(0, max_total, max_total), result.honest_t)
-    return result.restricted(Window(0, min_t, max_total))
+    """Q(t) z_n for n >= 1 and max_total >= 2^n - 1, from the closed form
+    in the module docstring read at each t^m: with p = m + 2^n,
+
+        [t^m] Q(t) z_n = [z_j if p = 2^j] + sum_{j>=n} z_j^2 c_{p - 2^{j+1}}
+
+    (p >= 2^{n+1} - 1, so p = 2^j has j > n), on e_t >= 2^n - 1, below
+    which Q(t) z_n vanishes."""
+    # (2^{j+1}, z_j^2) for every j whose term reaches t^max_total
+    squares = [
+        (2 ** (j + 1), F2Poly.zeta(j, 2))
+        for j in range(n, (max_total + 2**n + 1).bit_length() - 1)
+    ]
+    c = _inverse_coefficients(max_total - 2**n)
+    coeffs = {}
+    for m in range(2**n - 1, max_total + 1):
+        p = m + 2**n
+        pairs = [(sq, c[p - e + 1]) for e, sq in squares if e <= p + 1]
+        if p & (p - 1) == 0:
+            pairs.append((F2Poly.zeta(p.bit_length() - 1), F2Poly.one()))
+        coeff = sum_of_products(pairs)
+        if not coeff.is_zero():
+            coeffs[(0, m)] = coeff
+    return LaurentSeries(Window(0, 2**n - 1, max_total), coeffs)
 
 
 def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:

@@ -96,19 +96,14 @@ def _fold(name: str, records: list, detail: str) -> dict:
 # -- the paper's identities ---------------------------------------------
 
 
-def verify_steinberger_conjugate(i_max: int, zbars: list | None = None) -> list:
+def verify_steinberger_conjugate(i_max: int, zbars: list) -> list:
     """Q^{2^i - 2} z_1 = zbar_i for 2 <= i <= i_max, via both the total
-    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt.
-
-    zbars, if given, is conjugate_zeta(k) for some k >= i_max, formed once
-    by a caller that runs more than one check on it.
+    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt; zbars
+    is conjugate_zeta(k) for some k >= i_max.
     """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
     max_total = 2**i_max
-    if zbars is None:
-        zbars = conjugate_zeta(i_max)
-    # the larger inverse first: q_total_on_zeta restricts it to 2^i_max - 2
     zinv = zeta_inverse(max_total)
     qz1 = q_total_on_zeta(1, max_total)
     records = []
@@ -128,26 +123,22 @@ def verify_steinberger_conjugate(i_max: int, zbars: list | None = None) -> list:
     return records
 
 
-def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
-    """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1}.
-
-    zbars, if given, is conjugate_zeta(k) for some k >= i_max + 1.
+def verify_steinberger_successor(i_max: int, zbars: list) -> list:
+    """Q^{2^i} z_i = z_{i+1} + z_i^2 z_1 and Q^{2^i} zbar_i = zbar_{i+1};
+    zbars is conjugate_zeta(k) for some k >= i_max + 1.
     """
     if i_max < 0:
         raise ValueError("i_max must be >= 0")
-    max_total = 2 ** (i_max + 1) + 2
-    if zbars is None:
-        zbars = conjugate_zeta(i_max + 1)
     zbars = [F2Poly.one()] + zbars
     records = []
     for i in range(0, i_max + 1):
         k = 2**i
         if i >= 1:
-            lhs = q_op(k, F2Poly.zeta(i), max_total)
+            lhs = q_op(k, F2Poly.zeta(i))
             rhs = F2Poly.zeta(i + 1) + F2Poly.zeta(i).square() * F2Poly.zeta(1)
         else:
             # Q^1(1) = 0 and z1 + z0^2 z1 = z1 + z1 = 0: both sides vanish
-            lhs = q_op(k, F2Poly.one(), max_total)
+            lhs = q_op(k, F2Poly.one())
             rhs = F2Poly.zero()
         records.append(
             _check(
@@ -165,7 +156,7 @@ def verify_steinberger_successor(i_max: int, zbars: list | None = None) -> list:
                     f"Q^(2^{i}) zbar_{i} = zbar_{i+1}",
                     f"i = {i}",
                     Window(0, k, k),
-                    LaurentSeries.monomial(0, k, q_op(k, zbars[i], max_total)),
+                    LaurentSeries.monomial(0, k, q_op(k, zbars[i])),
                     LaurentSeries.monomial(0, k, zbars[i + 1]),
                 )
             )
@@ -358,13 +349,8 @@ def check_nishida(degree_bound: int = 16) -> dict:
     )
 
 
-# the largest index check_steinberger checks: it needs z(t)^{-1} to
-# total 2 to this power, which run_all forms first
-_STEINBERGER_INDEX = 5
-
-
 def check_steinberger() -> dict:
-    k = _STEINBERGER_INDEX
+    k = 5
     zbars = conjugate_zeta(k)
     return _fold(
         "steinberger-identities",
@@ -493,14 +479,14 @@ def check_property_laws() -> dict:
         m = _random_milnor_monomial(rng)
         d = _poly_degree(m)
         count += 1
-        if q_op(d, m, 2 * d + 2) != m.square():
+        if q_op(d, m) != m.square():
             failures.append(("square", trial, str(m)))
     # Cartan: Q^n(ab) = sum_i Q^i(a) Q^{n-i}(b)
     for trial in range(samples):
         a = _random_milnor_monomial(rng, 8)
         b = _random_milnor_monomial(rng, 8)
         n = rng.randint(0, _poly_degree(a * b) + 2)
-        lhs = q_op(n, a * b, n + 1)
+        lhs = q_op(n, a * b)
         rhs = F2Poly.zero()
         for i in range(0, n + 1):
             rhs = rhs + q_op(i, a, n + 1) * q_op(n - i, b, n + 1)
@@ -514,14 +500,12 @@ def run_all(degree_bound: int = 16) -> list:
     """Run every acceptance suite; identity suites honour degree_bound,
     refused before any suite runs when their box is empty.
 
-    check_steinberger needs z(t)^{-1} to total 2^_STEINBERGER_INDEX, and
-    the identity suites to degree_bound: the larger is formed first, so
-    every other request restricts it and z(t) is inverted once.  The right
-    side of identity (1) is formed once, by the first identity suite, and
-    the other reads it from _identity1_rhs's cache; if forming it raises,
-    nothing is cached and each of the two suites fails with that error."""
+    Each coefficient of z(t)^{-1} is formed once, whatever order the
+    suites ask for them in.  The right side of identity (1) is formed
+    once, by the first identity suite, and the other reads it from
+    _identity1_rhs's cache; if forming it raises, nothing is cached and
+    each of the two suites fails with that error."""
     _identity_box(degree_bound)  # an empty box raises here, not as a suite's record
-    zeta_inverse(max(degree_bound, 2**_STEINBERGER_INDEX))
     reports = []
     for name, suite in [
         ("adem-soundness", check_adem_soundness),

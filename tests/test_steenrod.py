@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from dlash import steenrod, verify
+from dlash import laurent, steenrod, verify
 from dlash.f2 import F2Poly, factors
 from dlash.laurent import (
     LaurentError,
@@ -94,17 +94,55 @@ def test_q_total_on_z1_head():
     assert total.coefficient(0, 2) == F2Poly.zeta(1, 3) + F2Poly.zeta(2)
 
 
+def _closed_form_by_product(n, max_total):
+    """Q(t) z_n for n >= 1 from the closed form in the steenrod docstring
+    as a product of series: z(t)^{-1} times the squares, plus the high
+    terms, shifted down by t^{2^n}; also below the instability line."""
+    # the right side is needed to total P = max_total + 2^n; z(t)^{-1}
+    # (valuation -1) known to W times the squares (valuation 2^{n+1},
+    # known to S) is known to min(W + 2^{n+1}, S - 1) >= P; the clamps
+    # keep both windows non-empty below the instability line
+    p = max_total + 2**n
+    w = max(p - 2 ** (n + 1), -1)
+    s = max(p + 1, 2 ** (n + 1))
+    high, sq = {}, {}
+    i = n + 1
+    while 2**i <= s:
+        high[(0, 2**i)] = F2Poly.zeta(i)
+        sq[(0, 2**i)] = F2Poly.zeta(i - 1).square()
+        i += 1
+    first = LaurentSeries(Window(0, 2 ** (n + 1), s), high)
+    squares = LaurentSeries(Window(0, 2 ** (n + 1), s), sq)
+    rhs = first + series_mul(zeta_inverse(w), squares)
+    result = rhs.shift(0, -(2**n))
+    min_t = result.window.min_t
+    if min_t > max_total:
+        # everything requested lies below the certified vanishing line
+        return LaurentSeries.truncated({}, Window(0, max_total, max_total), result.honest_t)
+    return result.restricted(Window(0, min_t, max_total))
+
+
 def test_q_total_below_instability_line_matches_closed_form():
     """For 2^n - 1 > max_total the answer is known without the closed form;
-    it must equal the closed form, window and honesty in t included.
-    Every n <= 5, and the ends of the range for n = 6, 7."""
+    it must equal the closed form's product, window and honesty in t
+    included.  Every n <= 5, and the ends of the range for n = 6, 7."""
     cases = [(n, m) for n in range(1, 6) for m in range(0, 2**n - 1)]
     cases += [(6, 0), (6, 61), (7, 0), (7, 125)]
     for n, m in cases:
-        fast = q_total_on_zeta(n, m)
-        full = steenrod._q_total_closed_form(n, m)
-        assert fast == full, (n, m)
-        assert fast.honest_t == full.honest_t, (n, m)
+        assert q_total_on_zeta(n, m) == _closed_form_by_product(n, m), (n, m)
+
+
+def test_q_total_above_instability_line_matches_the_product():
+    """The closed form read coefficient by coefficient off z(t)^{-1}'s
+    list equals the closed form's product, window and honesty in t
+    included: from the instability line to 64 past t^{2^n} (which covers
+    every t^m with m + 2^n a power of 2 up to there), and at 128 and 256."""
+    for n in range(1, 8):
+        for m in list(range(2**n - 1, 2**n + 65)) + [128, 256]:
+            got = steenrod._q_total_closed_form(n, m)
+            want = _closed_form_by_product(n, m)
+            assert got == want, (n, m)
+            assert repr(got) == repr(want), (n, m)
 
 
 def test_closed_form_cache_is_bounded():
@@ -119,21 +157,23 @@ def test_closed_form_cache_is_bounded():
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
-    """Each answer, formed afresh or restricted from the stored inverse, is
+    """Each answer, read off z(t)^{-1}'s list however far it has grown, is
     the inverse formed directly to that total, window and honesty included,
-    and the store holds one series at most."""
+    and the list holds exactly c_{-1} .. c_M for the largest M asked."""
     totals = list(range(-1, 41)) + [62, 128, 130]
     if order == "descending":
         totals.reverse()
     elif order == "shuffled":
         random.Random(19).shuffle(totals)
-    steenrod._largest_inverse.clear()
+    steenrod._inverse.clear()
+    largest = -2
     for m in totals:
         got = zeta_inverse(m)
         want = series_inverse(zeta_series(m + 2), Window(0, -1, m))
         assert got == want, m
         assert got.honest_t == want.honest_t, m
-        assert len(steenrod._largest_inverse) <= 1
+        largest = max(largest, m)
+        assert len(steenrod._inverse) == largest + 2, m
 
 
 @pytest.mark.parametrize(
@@ -297,13 +337,13 @@ def test_cartan_on_a_product():
 
 
 def test_steinberger_conjugate_report():
-    records = verify_steinberger_conjugate(5)
+    records = verify_steinberger_conjugate(5, conjugate_zeta(5))
     assert all(r["passed"] for r in records)
     assert len(records) == 4
 
 
 def test_steinberger_successor_report():
-    records = verify_steinberger_successor(4)
+    records = verify_steinberger_successor(4, conjugate_zeta(5))
     assert all(r["passed"] for r in records)
 
 
@@ -326,31 +366,30 @@ def test_steinberger_checks_reverse_z_once(monkeypatch):
     r = CliRunner().invoke(main, ["steinberger", "4"])
     assert r.exit_code == 0
     assert calls == [5]
-    # a check run alone still forms the conjugates it needs
-    calls.clear()
-    assert all(r["passed"] for r in verify_steinberger_successor(3))
-    assert calls == [4]
 
 
 def _counted_inversions(monkeypatch) -> list:
-    """The totals of the z(t) series steenrod inverts from now on, with
-    the closed-form cache and the stored inverse emptied."""
+    """The totals of the z(t) series that series_inverse is handed from
+    now on, with the closed-form cache and z(t)^{-1}'s list emptied."""
     inverted = []
 
     def counted(a, window):
-        inverted.append(a.window.max_total)
+        top = max((et for _, et in a.coeffs), default=0)
+        if top >= 2 and a.coeffs == zeta_series(top).coeffs:  # z(t), cut past t^2
+            inverted.append(a.window.max_total)
         return series_inverse(a, window)
 
-    monkeypatch.setattr(steenrod, "series_inverse", counted)
+    monkeypatch.setattr(laurent, "series_inverse", counted)
+    monkeypatch.setattr(verify, "series_inverse", counted)
     steenrod._q_total_closed_form.cache_clear()
-    steenrod._largest_inverse.clear()
+    steenrod._inverse.clear()
     verify._identity1_rhs.cache_clear()
     return inverted
 
 
 def test_steinberger_inverts_z_once(monkeypatch):
-    """steinberger asks for its largest z(t)^{-1} first, so every smaller
-    one is restricted from it."""
+    """steinberger grows z(t)^{-1}'s list to the largest total it asks
+    for, 2^4 (c_{-1} .. c_16), and hands z(t) to no series_inverse."""
     from click.testing import CliRunner
 
     from dlash.cli import main
@@ -358,17 +397,19 @@ def test_steinberger_inverts_z_once(monkeypatch):
     inverted = _counted_inversions(monkeypatch)
     r = CliRunner().invoke(main, ["steinberger", "4"])
     assert r.exit_code == 0
-    assert inverted == [18]
+    assert len(steenrod._inverse) == 18
+    assert inverted == []
 
 
 @pytest.mark.parametrize("bound", [8, 16])
 def test_verify_all_inverts_z_once(monkeypatch, bound):
-    """verify-all asks for its largest z(t)^{-1} first, the one the
-    Steinberger suite needs to total 32 at these bounds, so every smaller
-    one is restricted from it."""
+    """verify-all grows z(t)^{-1}'s list to the total the Steinberger
+    suite needs at these bounds, 32 (c_{-1} .. c_32), and hands z(t) to no
+    series_inverse."""
     inverted = _counted_inversions(monkeypatch)
     assert all(r["passed"] for r in verify.run_all(bound))
-    assert inverted == [34]
+    assert len(steenrod._inverse) == 34
+    assert inverted == []
 
 
 @pytest.mark.parametrize("bound", [1, 8])
@@ -409,7 +450,7 @@ def test_the_cached_identity_right_side_is_the_one_formed_afresh(d):
     cached = verify._identity1_rhs(d)
     assert verify._identity1_rhs(d) is cached
     steenrod._q_total_closed_form.cache_clear()
-    steenrod._largest_inverse.clear()
+    steenrod._inverse.clear()
     fresh = verify._identity1_rhs.__wrapped__(d)
     assert fresh is not cached
     assert fresh.coeffs == cached.coeffs
