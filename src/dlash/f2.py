@@ -9,7 +9,8 @@ coefficient ring for everything else in the package.
 from __future__ import annotations
 
 from functools import reduce
-from math import comb, factorial
+from itertools import chain
+from math import comb, factorial, inf
 from operator import or_
 from typing import Iterable
 
@@ -21,15 +22,19 @@ from typing import Iterable
 # and every index about log2 of it, and no command answers in reasonable
 # time at a bound near 2^15, let alone 2^63.  Only this module looks
 # inside a monomial: other code reads it through ``factors`` and
-# ``monomial_degree``, and multiplies through ``sum_of_products`` and
-# ``map_product``, which check the guard once per sum: no factor's field
-# reaches it, so nothing carries before the check, and an overflow that
-# cancels is no error.
+# ``monomial_degree``, and multiplies through ``sum_of_products``,
+# ``map_product`` and ``map_inverse``.  The first two check the guard once
+# per call: no factor's field reaches it, so nothing carries before the
+# check, and an overflow that cancels is no error.  map_inverse squares
+# what it forms and multiplies the squares, so it checks each coefficient
+# it forms, and each square before a product: a field whose bit below the
+# guard is set reaches the guard when squared.
 Monomial = int
 _W = 16
 _MAX_INDEX = 64
 _FIELD = (1 << _W) - 1
 _GUARD = sum(1 << (_W * k + _W - 1) for k in range(_MAX_INDEX))
+_HALF_GUARD = _GUARD >> 1  # the bit below each guard, which a square moves up
 
 
 def binom_mod2(top: int, bottom: int) -> int:
@@ -112,32 +117,40 @@ def _terms(coeffs: dict) -> list:
     ]
 
 
-def map_product(factor_pairs: Iterable[tuple], keep) -> dict:
+def map_product(
+    factor_pairs: Iterable[tuple], min_s: int, min_t: int, max_total: int | None
+) -> dict:
     """The sum of the products of the coefficient maps in each (a, b) of
-    factor_pairs, maps from exponents (e_s, e_t) to nonzero polynomials.
+    factor_pairs, maps from exponents (e_s, e_t) to nonzero polynomials,
+    at the exponents of the box e_s >= min_s, e_t >= min_t and
+    e_s + e_t <= max_total (None: no bound on the total).
 
-    Each output coefficient is formed in one set as the pairs arrive and
-    checked once; a sum that cancels is dropped.  keep(e_s, e_t) is asked
-    once per distinct exponent, and an exponent it rejects is skipped."""
+    Each output coefficient is formed in one set as the pairs arrive, and
+    a pair outside the box forms no product; a sum that cancels is
+    dropped."""
+    if max_total is None:
+        max_total = inf
     sums: dict = {}
-    rejected: set = set()
     for a, b in factor_pairs:
         rows = _terms(b)
         for es1, et1, ps, m1 in _terms(a):
             for es2, et2, qs, m2 in rows:
-                e = (es1 + es2, et1 + et2)
-                acc = sums.get(e)
+                es, et = es1 + es2, et1 + et2
+                if es < min_s or et < min_t or es + et > max_total:
+                    continue
+                acc = sums.get((es, et))
                 if acc is None:
-                    if e in rejected:
-                        continue
-                    if not keep(*e):
-                        rejected.add(e)
-                        continue
-                    acc = sums[e] = set()
+                    acc = sums[(es, et)] = set()
                 if m1 == 0:  # the constant 1
                     acc ^= qs
                 elif m2 == 0:
                     acc ^= ps
+                elif m1 is not None and m2 is not None:
+                    m = m1 + m2
+                    if m in acc:
+                        acc.remove(m)
+                    else:
+                        acc.add(m)
                 elif m1 is not None:
                     acc ^= {m1 + mb for mb in qs}
                 elif m2 is not None:
@@ -145,9 +158,80 @@ def map_product(factor_pairs: Iterable[tuple], keep) -> dict:
                 else:
                     for ma in ps:  # one row's products are distinct
                         acc ^= {ma + mb for mb in qs}
+    # one check over all sums; the first sum past the guard is named
+    if reduce(or_, chain.from_iterable(sums.values()), 0) & _GUARD:
+        for acc in sums.values():
+            _checked(acc)
     # each set is freed as its polynomial is made, so no two copies of the
     # product are held at once
-    return {e: _checked(acc) for e in list(sums) if (acc := sums.pop(e))}
+    return {e: _poly(frozenset(acc)) for e in list(sums) if (acc := sums.pop(e))}
+
+
+def map_inverse(r: dict, max_s: int, min_t: int, max_total: int) -> dict:
+    """The coefficients of c = (1 + r)^{-1} at e_s <= max_s, e_t >= min_t
+    and e_s + e_t <= max_total, for a map r from exponents (e_s, e_t) to
+    nonzero polynomials whose keys are lexicographically positive and of
+    total >= 0.
+
+    c = sum_n r^n has no term below e_s = 0, e_t = 0 on row e_s = 0, or
+    total 0.  In characteristic 2, c = (1 + r) c^2, so
+
+        c_e = sum_f a_f c_{(e - f)/2}^2
+
+    over the terms a_f s^f_s t^f_t of 1 + r with e - f even in both
+    exponents, and c_0 = 1.  Each c_g, once final, adds a_f c_g^2 at 2g + f
+    for every f.  A row e_s > 0 is fed only from rows at or below e_s/2,
+    and row 0 only from lower e_t in row 0, so the rows, and row 0 by
+    increasing e_t, are final in order.  Every feeder of a position has at
+    most half its e_s and its total, so the recurrence forms c at
+    e_s <= max_s and total <= max_total and nothing outside.  Each
+    coefficient is checked for the guard as it becomes final, and its
+    square before it is multiplied, and made a polynomial only at
+    e_t >= min_t."""
+    if max_s < 0 or max_total < 0:
+        return {}
+    # (f_s, f_t, monomials, or None for the constant 1) by increasing f_s
+    terms = sorted(
+        (fs, ft, None if p.is_one() else p.monomials)
+        for (fs, ft), p in r.items()
+        if fs <= max_s and fs + ft <= max_total
+    )
+    rows: list = [{} for _ in range(max_s + 1)]
+    rows[0][0] = {0}
+    out = {}
+    for es, row in enumerate(rows):
+        # row 0 gains positions as it is read, all at higher e_t; every
+        # other row is final when it is reached
+        cells = ((et, row.get(et)) for et in range(max_total + 1)) if es == 0 else row.items()
+        for et, c in cells:
+            if not c:
+                continue
+            high = reduce(or_, c, 0)
+            if high & _GUARD:
+                _checked(c)  # raises, naming the field
+            if et >= min_t:
+                out[(es, et)] = _poly(frozenset(c))
+            gs, gt = 2 * es, 2 * et
+            if gs > max_s or gs + gt > max_total:
+                continue  # c^2 reaches no position formed
+            sq = {m << 1 for m in c}
+            if high & _HALF_GUARD:
+                _checked(sq)  # the square reaches the guard: raises
+            if es or et:  # the term 1 of 1 + r: c_0 is 1 already
+                acc = rows[gs].setdefault(gt, set())
+                acc ^= sq
+            for fs, ft, ps in terms:
+                if gs + fs > max_s:
+                    break
+                if gs + gt + fs + ft > max_total:
+                    continue
+                acc = rows[gs + fs].setdefault(gt + ft, set())
+                if ps is None:
+                    acc ^= sq
+                else:
+                    for ma in ps:  # one row's products are distinct
+                        acc ^= {ma + m for m in sq}
+    return out
 
 
 class F2Poly:

@@ -32,35 +32,37 @@ A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
 truncated (so also _known) drops zeros and keys outside the window, exact
 and map_coeffs drop zeros, f2.map_product drops the sums that cancel and
-the exponents keep rejects, and the other operations build clean maps.
+the exponents outside its box, and the other operations build clean maps.
 
 f2.map_product is the one product kernel: it sums the products of pairs
-of coefficient maps at the exponents that pass a keep(e_s, e_t) test,
-forming each output coefficient in one set as the pairs arrive and
-asking keep once per exponent.  No product chain starts from 1:
-series_pow, the Frobenius product of series_inverse and the powers of u
-in series_compose start from their first factor.  series_mul and each
-further factor of the Frobenius product pass map_product one pair, and
-series_compose makes one call with the pair (u^i, row i) for every row
-i != 0 of a, and adds row 0 to it as it is.  series_reversion's column
-recurrence sums its coefficient products with one f2.sum_of_products
-call per output coefficient.  A coefficient that cancels is dropped.
-_window builds the derived windows of sums, inverses, restrictions and
-composites, and keeps the zeros below the s-axis when nothing else is
-left; _sum_window is the window of a sum, for series_add and for the
-rows that series_compose sums.
+of coefficient maps at the exponents of a box (e_s >= min_s, e_t >= min_t,
+e_s + e_t <= max_total), tested before a product is formed, and forms
+each output coefficient in one set as the pairs arrive.  No product chain
+starts from 1: series_pow and the powers of u in series_compose start
+from their first factor.  series_mul passes map_product one pair on its
+window, and series_compose makes one call with the pair (u^i, row i) for
+every row i of a that is neither row 0 nor the bare 1, on a total bound,
+and adds row 0 and the u^i of each bare 1 row to it as they are.
+series_reversion's column recurrence sums its coefficient products with
+one f2.sum_of_products call per output coefficient.  A coefficient that
+cancels is dropped.  _window builds the derived windows of sums,
+inverses, restrictions and composites, and keeps the zeros below the
+s-axis when nothing else is left; _sum_window is the window of a sum, for
+series_add and for the rows that series_compose sums.
 
 Squaring is the Frobenius of characteristic 2 and takes no product: the
-powers r^(2^k) of series_inverse, and the even powers of series_compose
-and series_reversion, are squares.  Each operation forms only what its
-window reads: series_reversion only the powers of b that a's terms need,
-and series_inverse only the positions that can still flow back into its
-box, bounded in e_s, in e_t and in total.
+even powers of series_compose and series_reversion are squares, and so
+is every feeder of series_inverse, which forms c = (1 + r)^{-1} by
+f2.map_inverse from c = (1 + r) c^2, one coefficient from the squares of
+coefficients at half its e_s and total.  Each operation forms only what
+its window reads: series_reversion only the powers of b that a's terms
+need, and series_inverse only the rows e_s the box reaches, to the total
+it is known to.
 """
 
 from __future__ import annotations
 
-from .f2 import F2Poly, map_product, sum_of_products
+from .f2 import F2Poly, map_inverse, map_product, sum_of_products
 
 
 class LaurentError(Exception):
@@ -412,7 +414,7 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         _add_total(wb.max_total, a.certified_min_total()),
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    return LaurentSeries(w, map_product(((a.coeffs, b.coeffs),), w.contains))
+    return LaurentSeries(w, map_product(((a.coeffs, b.coeffs),), w.min_s, w.min_t, w.max_total))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -449,20 +451,18 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
 
     The leading term in the s-small order must be a bare monomial with
     coefficient 1 that no unknown term can undercut, and no term may have
-    a lower total than the lead.  For a = lead (1 + r) it is
-    lead^-1 prod_k (1 + r^(2^k)) over F2, each r^(2^k) the square of the
-    one before, formed where it can still reach the window: at an e_s no
-    larger than the window's, at a total no larger than the window's, and
-    at an e_t above the window's by no more than r's terms of negative e_t
-    can take away over the e_s still to come.  The terms of r are
-    lexicographically positive, so after about log2 of the window's extent
-    nothing is left.  The product starts from its first factor, 1 + r cut
-    to those positions, and a lead at (0, 0) needs no shift.  It is known
-    to total a.max_total - 2 total(lead).  It is honest in s, like every
-    series, and a window above the lead's s-axis is lowered to start at
-    s^-lead_s, below which the inverse has no term; it loses honesty in t
-    when the product reaches below the t-axis, or when r has a term of
-    negative e_t.
+    a lower total than the lead.  For a = lead (1 + r) it is lead^-1 c,
+    c = (1 + r)^{-1}, which over F2 obeys c = (1 + r) c^2: f2.map_inverse
+    forms c row by row in e_s up to the largest e_s of the window, each
+    coefficient from squares of ones at half its e_s and total, and a lead
+    at (0, 0) needs no shift.  The terms of r are lexicographically
+    positive and of total >= 0, so c has none below e_s = 0 or total 0.
+    It is known to total a.max_total - 2 total(lead).  It is honest in s,
+    like every series, and a window above the lead's s-axis is lowered to
+    start at s^-lead_s, below which the inverse has no term.  It is honest
+    in t when r has no term of negative e_t and the window, moved to the
+    lead, reaches down to e_t = 0, where c holds 1: a term of negative e_t
+    has e_s >= 1, and its powers fall ever lower in t.
     """
     if window is None or window.max_total is None:
         raise NotInvertibleError("the inverse needs a finite window")
@@ -478,7 +478,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
         )
 
     # relative series r with a = lead * (1 + r); every term of r is
-    # lexicographically positive, so the product converges per window
+    # lexicographically positive, so the inverse converges per window
     rel = a if lead == (0, 0) else a.shift(-lead[0], -lead[1])
     r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
     if any(es + et < 0 for es, et in r):
@@ -492,40 +492,22 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     # restricted keeps an honest axis
     box = window.shifted(lead[0], lead[1])
     min_s = min(box.min_s, 0)
-    bs = box.max_total - box.min_t  # largest reachable e_s
-    neg_drop = max((-et for _, et in r if et < 0), default=0)
-
-    # a term of r with negative e_t has e_s >= 1; its powers fall ever
-    # lower in t, below any t-axis, after keep has dropped them
-    lost_t = neg_drop > 0
-
-    def keep(es: int, et: int) -> bool:
-        # positions that can still flow back into the box under further
-        # multiplications by r (e_s and the total never decrease; e_t
-        # drops at most neg_drop per unit of e_s growth), so also under
-        # squaring; a dropped position below the t-axis costs honesty in t
-        nonlocal lost_t
-        if (
-            es <= bs
-            and et <= (box.max_total - min_s) + (bs - es) * neg_drop
-            and es + et <= box.max_total
-        ):
-            return True
-        lost_t = lost_t or et < box.min_t
-        return False
-
-    # q is r^(2^k) on keep, and its square is the Frobenius, with no
-    # product; the product starts from its first factor 1 + r cut by keep
-    q = {e: p for e, p in r.items() if keep(*e)}
-    acc = {(0, 0): F2Poly.one(), **q} if keep(0, 0) else q
-    while q := {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}:
-        acc = map_product(((acc, {(0, 0): F2Poly.one(), **q}),), keep)
-    lost_t = lost_t or any(et < box.min_t for _, et in acc)
+    bs = box.max_total - box.min_t  # largest e_s in the box
     # a product with an unknown term of r lies above rel's max_total
-    c = _known(
-        acc, min_s, box.min_t, _min_total(box.max_total, rel.window.max_total), not lost_t
+    max_total = _min_total(box.max_total, rel.window.max_total)
+    # c holds 1 at (0, 0); a term of r with negative e_t has e_s >= 1, and
+    # its powers fall ever lower in t, below any t-axis
+    honest_t = box.min_t <= 0 and not any(et < 0 for _, et in r)
+    c = LaurentSeries(
+        _window(min_s, box.min_t, max_total),
+        map_inverse(r, bs, box.min_t, max_total),
+        honest_t,
     )
-    return (c if lead == (0, 0) else c.shift(-lead[0], -lead[1])).restricted(window)
+    return c if lead == (0, 0) else c.shift(-lead[0], -lead[1])
+
+
+# a row of a that is the constant 1, whose product by u^i is u^i itself
+_BARE_ONE = {(0, 0): F2Poly.one()}
 
 
 def _cap_unknown_tail(
@@ -603,29 +585,37 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
         pows[i] = p = p.restricted(window)
         return p
 
-    # One product sums u^i times row i over the rows i != 0, and row 0
-    # (times u^0 = 1) is added to it, on the window that series_add gives
-    # the series_mul terms in row order: a term's is u^i's shifted by s^lo,
-    # lo the least e_s of its row.  No product past its max_total or the
-    # target window's is formed.
-    pairs, w = [], None
+    # One product sums u^i times row i over the rows i that are neither
+    # row 0 nor the bare 1, and row 0 (times u^0 = 1) and the u^i of a bare
+    # 1 row are added to it as they are, on the window that series_add
+    # gives the series_mul terms in row order: a term's is u^i's shifted by
+    # s^lo, lo the least e_s of its row.  No product past its max_total or
+    # the target window's is formed.
+    pairs, addends, w = [], [], None
     for i in sorted(rows):
-        p = power(i)
-        if i:
-            pairs.append((p.coeffs, rows[i]))
-        lo = min(es for es, _ in rows[i])
+        p, row = power(i), rows[i]
+        if row == _BARE_ONE:
+            addends.append(p.coeffs)
+        elif i == 0:
+            addends.append(row)
+        else:
+            pairs.append((p.coeffs, row))
+        lo = min(es for es, _ in row)
         pw = p.window
         term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
         w = term if w is None else _sum_window(w, term)
     if w is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
     else:
+        # every product lies on or above the axes of w
         limit = _min_total(w.max_total, window.max_total)
-        coeffs = map_product(pairs, lambda es, et: es + et <= limit)
-        for e, c in rows.get(0, {}).items():
-            c += coeffs.pop(e, F2Poly.zero())
-            if e[0] <= limit and not c.is_zero():
-                coeffs[e] = c
+        coeffs = map_product(pairs, w.min_s, w.min_t, limit)
+        for addend in addends:
+            for e, c in addend.items():
+                if e[0] + e[1] <= limit:
+                    c += coeffs.pop(e, F2Poly.zero())
+                    if not c.is_zero():
+                        coeffs[e] = c
         result = LaurentSeries(_window(w.min_s, w.min_t, limit), coeffs)
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)

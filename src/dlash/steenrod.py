@@ -161,16 +161,21 @@ def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
     for a monomial m, each factor is needed only to its valuation plus
     i - |m|, and the windows of the product certify the answer, or raise
     WindowMissError naming t^i and the window it lies outside.  The
-    product starts from the first factor's power, and Q(t) 1 = 1."""
+    product starts from the first factor's power, and Q(t) 1 = 1.  Each
+    power (Q(t) z_n)^e is formed once per call at each bound, which the
+    monomials of a homogeneous a share."""
     if max_total is None:
         max_total = max(i, 0) + 1
     result = F2Poly.zero()
+    powers: dict = {}
     for monomial in a.monomials:
         slack = max(i - monomial_degree(monomial), 0)
         term = None
         for n, e in factors(monomial):
             bound = min(max_total, (1 << n) - 1 + slack)
-            power = series_pow(q_total_on_zeta(n, bound), e)
+            power = powers.get((n, bound, e))
+            if power is None:
+                power = powers[(n, bound, e)] = series_pow(q_total_on_zeta(n, bound), e)
             term = power if term is None else series_mul(term, power)
         if term is None:  # the monomial 1, and Q(t) 1 = 1
             term = LaurentSeries.one()

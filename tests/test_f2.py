@@ -12,7 +12,7 @@ from dlash.f2 import (
     monomial_degree,
     sum_of_products,
 )
-from dlash.laurent import LaurentSeries, series_mul
+from dlash.laurent import LaurentSeries, Window, series_inverse, series_mul
 from dlash.steenrod import conjugate_zeta
 
 
@@ -236,6 +236,14 @@ class TestExponentOverflow:
         b = LaurentSeries.exact({(0, 0): half, (0, -1): F2Poly.one(), (1, 0): F2Poly.zeta(1)})
         with pytest.raises(ValueError, match="z3 "):
             series_mul(a, b)
+
+    def test_series_inverse(self):
+        # (1 + z1^(2^13) t)^-1 = sum_n z1^(2^13 n) t^n: c_4 = z1^(2^15)
+        # reaches the guard outside the window, and its square c_8 would
+        # carry into the field of z2
+        a = LaurentSeries.exact({(0, 0): F2Poly.one(), (0, 1): F2Poly.zeta(1, self.LIMIT // 4)})
+        with pytest.raises(ValueError, match=r"exponent of z1 reaches 2\^15"):
+            series_inverse(a, Window(0, 8, 8))
 
     def test_sum_that_cancels_an_overflow(self):
         # no carry leaves a field before the check, so a monomial past the

@@ -1085,32 +1085,16 @@ _KERNEL_MAP = st.dictionaries(
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(_KERNEL_MAP, _KERNEL_MAP), min_size=1, max_size=4),
-       st.booleans(), st.data())
-def test_map_product_matches_the_grouping_kernel(factor_pairs, repeat, data):
-    """The same map as the grouping kernel, with keep asked once per
-    distinct exponent and rejecting the same exponents.  A repeated pair
-    makes every sum it reaches cancel."""
+       st.booleans(), st.integers(-5, 1), st.integers(-7, 1),
+       st.one_of(st.none(), st.integers(-6, 6)))
+def test_map_product_matches_the_grouping_kernel(factor_pairs, repeat, min_s, min_t, max_total):
+    """The same map as the grouping kernel, on the same box.  A repeated
+    pair makes every sum it reaches cancel."""
     if repeat:
         factor_pairs = factor_pairs + factor_pairs[:1]
-    exponents = sorted(
-        (es1 + es2, et1 + et2)
-        for a, b in factor_pairs
-        for es1, et1 in a
-        for es2, et2 in b
-    )
-    rejects = data.draw(st.sets(st.sampled_from(exponents)) if exponents else st.just(set()))
-
-    def recording(asked):
-        def keep(es, et):
-            asked.append((es, et))
-            return (es, et) not in rejects
-        return keep
-
-    got_asked, want_asked = [], []
-    got = map_product(factor_pairs, recording(got_asked))
-    assert got == _product_by_groups(factor_pairs, recording(want_asked))
-    assert len(got_asked) == len(set(got_asked)) == len(set(exponents))
-    assert set(got_asked) & rejects == set(want_asked) & rejects
+    box = Window(min_s, min_t, None if max_total is None else max(max_total, min_s + min_t))
+    got = map_product(factor_pairs, box.min_s, box.min_t, box.max_total)
+    assert got == _product_by_groups(factor_pairs, box.contains)
     assert all(not p.is_zero() for p in got.values())
 
 
@@ -1266,9 +1250,25 @@ def _pow_from_one(a, k, window=None):
     return result if window is None else result.restricted(window)
 
 
+def _product_kept(a_coeffs, b_coeffs, keep):
+    """The product of two coefficient maps at the exponents keep admits,
+    one F2Poly product per pair of terms, with the sums that cancel
+    dropped."""
+    out: dict = {}
+    for (es1, et1), p1 in a_coeffs.items():
+        for (es2, et2), p2 in b_coeffs.items():
+            e = (es1 + es2, et1 + et2)
+            if keep(*e):
+                out[e] = out.get(e, F2Poly.zero()) + p1 * p2
+    return {e: p for e, p in out.items() if not p.is_zero()}
+
+
 def _inverse_from_one(a, window):
-    """series_inverse with its Frobenius product started from 1, and a
-    shifted to and from its lead even when the lead is (0, 0)."""
+    """series_inverse as the Frobenius product prod_k (1 + r^(2^k))
+    started from 1, with a shifted to and from its lead even when the
+    lead is (0, 0).  keep admits the positions that can still flow back
+    into the box, and honesty in t is lost when a position below the
+    t-axis is met, kept or not."""
     if window is None or window.max_total is None:
         raise NotInvertibleError("the inverse needs a finite window")
     if not a.honest_t:
@@ -1301,10 +1301,10 @@ def _inverse_from_one(a, window):
         lost_t = lost_t or et < box.min_t
         return False
 
-    acc = {(0, 0): ONE}
+    acc = {(0, 0): ONE} if keep(0, 0) else {}
     q = {e: p for e, p in r.items() if keep(*e)}
     while q:
-        acc = map_product(((acc, {(0, 0): ONE, **q}),), keep)
+        acc = _product_kept(acc, {(0, 0): ONE, **q}, keep)
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
     lost_t = lost_t or any(et < box.min_t for _, et in acc)
     c = _known(
@@ -1379,6 +1379,22 @@ def test_inverse_matches_the_product_from_one_on_drawn_units(case):
     assert _outcome(series_inverse, a, window) == _outcome(_inverse_from_one, a, window)
 
 
+@settings(deadline=None, max_examples=300)
+@given(_INVERSE_CASES)
+def test_inverse_honesty_in_t_has_a_closed_form(case):
+    """An inverse is honest in t exactly when no term of a lies below its
+    lead in t and the window, moved to the lead, reaches e_t = 0, where
+    the relative inverse holds 1; the product from one finds the same."""
+    (a, _), window = case
+    try:
+        got = series_inverse(a, window)
+    except NotInvertibleError:
+        return
+    lead = min(a.coeffs)
+    closed = window.min_t + lead[1] <= 0 and all(et >= lead[1] for _, et in a.coeffs)
+    assert got.honest_t == closed == _inverse_from_one(a, window).honest_t
+
+
 @pytest.mark.parametrize(
     "a",
     [
@@ -1403,10 +1419,10 @@ def _count_products(monkeypatch):
     """Every map_product call the laurent layer makes, as its pair list."""
     calls = []
 
-    def counted(factor_pairs, keep):
+    def counted(factor_pairs, *box):
         factor_pairs = list(factor_pairs)
         calls.append(factor_pairs)
-        return map_product(factor_pairs, keep)
+        return map_product(factor_pairs, *box)
 
     monkeypatch.setattr(laurent, "map_product", counted)
     return calls
@@ -1427,25 +1443,31 @@ _BARE_ONE = {(0, 0): ONE}
 
 
 def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
-    """No product that q_op or series_inverse makes has the bare one map
-    as a factor, and none that series_compose makes has it as its power of
-    u; a row of a that is 1 is a's own coefficient, not a chain's seed."""
+    """No product that q_op makes has the bare one map as a factor, and
+    none that series_compose makes has it as its power of u or as its row
+    of a: a row that is 1 adds its power of u as it is.  series_inverse
+    makes no product through the kernel at all."""
     calls = _count_products(monkeypatch)
     z = F2Poly.zeta
     for i, m in [(3, ONE), (5, z(1)), (9, z(1) * z(2, 2)), (12, z(1, 2) * z(2) * z(3))]:
         q_op(i, m, 40)
+    assert calls and not any(_BARE_ONE in pair for pairs in calls for pair in pairs)
+    calls.clear()
     for u, window in [
         (exact((0, 0), (0, 1)), Window(0, 0, 20)),
         (exact((0, 0), (1, -1)), Window(0, -8, 6)),
         (zeta_series(34), Window(0, -1, 32)),
     ]:
         series_inverse(u, window)
-    assert calls and not any(_BARE_ONE in pair for pairs in calls for pair in pairs)
-    calls.clear()
+    assert calls == []
     zbar = series_reversion(zeta_series(20))
     series_compose(_identity1_rhs(8), zbar, Window(0, -9, 8))
+    # row t^1 of z(t) is the bare 1
     series_compose(zeta_series(20), zbar, Window(0, -9, 20))
-    assert calls and not any(power == _BARE_ONE for pairs in calls for power, _ in pairs)
+    series_compose(exact((0, 1), (0, 3)), zbar, Window(0, -9, 20))
+    assert calls and not any(
+        _BARE_ONE in (power, row) for pairs in calls for power, row in pairs
+    )
 
 
 def test_inverse_shifts_only_a_lead_off_the_origin(monkeypatch):

@@ -293,6 +293,25 @@ def test_q_op_matches_the_product_from_one(a):
             assert _q_op_outcome(q_op, i, a, max_total) == want, (i, max_total)
 
 
+@pytest.mark.parametrize("n, calls_made", [(4, 13), (6, 43)])
+def test_q_op_forms_each_factor_power_once(monkeypatch, n, calls_made):
+    """zbar_n is homogeneous, so every factor z_i of its monomials is cut to
+    one bound, and q_op(2^n, zbar_n) forms one power per distinct z_i^e:
+    the 13 factors of zbar_4 are distinct, and the 66 of zbar_6 are 43."""
+    zbar = conjugate_zeta(n)[n - 1]
+    calls = []
+    power = steenrod.series_pow
+
+    def counted(a, k, window=None):
+        calls.append(k)
+        return power(a, k, window)
+
+    monkeypatch.setattr(steenrod, "series_pow", counted)
+    got = q_op(2**n, zbar)
+    assert len(calls) == len({f for m in zbar.monomials for f in factors(m)}) == calls_made
+    assert got == _q_op_from_one(2**n, zbar, 2**n + 1)
+
+
 def test_q_op_squaring():
     # Q^{deg a}(a) = a^2
     z2 = F2Poly.zeta(2)
