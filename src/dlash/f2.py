@@ -117,16 +117,13 @@ def _terms(coeffs: dict) -> list:
     ]
 
 
-def map_product(
-    factor_pairs: Iterable[tuple], min_s: int, min_t: int, max_total: int | None
-) -> dict:
+def map_product(factor_pairs: Iterable[tuple], max_total: int | None) -> dict:
     """The sum of the products of the coefficient maps in each (a, b) of
     factor_pairs, maps from exponents (e_s, e_t) to nonzero polynomials,
-    at the exponents of the box e_s >= min_s, e_t >= min_t and
-    e_s + e_t <= max_total (None: no bound on the total).
+    at the exponents of total e_s + e_t <= max_total (None: no bound).
 
     Each output coefficient is formed in one set as the pairs arrive, and
-    a pair outside the box forms no product; a sum that cancels is
+    a pair past max_total forms no product; a sum that cancels is
     dropped."""
     if max_total is None:
         max_total = inf
@@ -136,7 +133,7 @@ def map_product(
         for es1, et1, ps, m1 in _terms(a):
             for es2, et2, qs, m2 in rows:
                 es, et = es1 + es2, et1 + et2
-                if es < min_s or et < min_t or es + et > max_total:
+                if es + et > max_total:
                     continue
                 acc = sums.get((es, et))
                 if acc is None:

@@ -32,15 +32,17 @@ A series stores no key outside its window and no zero coefficient; the
 constructor trusts its caller, and each producer makes both once.
 truncated (so also _known) drops zeros and keys outside the window, exact
 and map_coeffs drop zeros, f2.map_product drops the sums that cancel and
-the exponents outside its box, and the other operations build clean maps.
+the exponents past its total bound, and the other operations build clean
+maps.
 
 f2.map_product is the one product kernel: it sums the products of pairs
-of coefficient maps at the exponents of a box (e_s >= min_s, e_t >= min_t,
-e_s + e_t <= max_total), tested before a product is formed, and forms
-each output coefficient in one set as the pairs arrive.  No product chain
+of coefficient maps up to a bound on the total e_s + e_t, tested before a
+product is formed, and forms each output coefficient in one set as the
+pairs arrive.  Every product of two keys lies on or above the sum of
+their series' axes, so no lower bound is tested.  No product chain
 starts from 1: series_pow and the powers of u in series_compose start
-from their first factor.  series_mul passes map_product one pair on its
-window, and series_compose makes one call with the pair (u^i, row i) for
+from their first factor.  series_mul passes map_product one pair, to its
+window's max_total, and series_compose makes one call with the pair (u^i, row i) for
 every row i of a that is neither row 0 nor the bare 1, on a total bound,
 and adds row 0 and the u^i of each bare 1 row to it as they are.
 series_reversion's column recurrence sums its coefficient products with
@@ -414,7 +416,8 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
         _add_total(wb.max_total, a.certified_min_total()),
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
-    return LaurentSeries(w, map_product(((a.coeffs, b.coeffs),), w.min_s, w.min_t, w.max_total))
+    # every product of keys lies on or above the summed axes of w
+    return LaurentSeries(w, map_product(((a.coeffs, b.coeffs),), w.max_total))
 
 
 def series_pow(a: LaurentSeries, k: int, window: Window | None = None) -> LaurentSeries:
@@ -609,7 +612,7 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     else:
         # every product lies on or above the axes of w
         limit = _min_total(w.max_total, window.max_total)
-        coeffs = map_product(pairs, w.min_s, w.min_t, limit)
+        coeffs = map_product(pairs, limit)
         for addend in addends:
             for e, c in addend.items():
                 if e[0] + e[1] <= limit:
