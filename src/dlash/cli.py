@@ -56,13 +56,13 @@ def _within_limit(command: str, bound: int, limit: int) -> int:
 
 def _emit(ctx, payload, text_lines):
     """Print the JSON payload() or the text_lines(), whichever the options
-    ask for: only that one is built, and under --quiet alone neither."""
+    ask for: only that one is built, and under --quiet alone neither.  The
+    lines, never none, go out in one write, each ended by a newline."""
     opts = ctx.obj
     if opts["json"]:
         click.echo(json.dumps({"schema": SCHEMA, **payload()}, sort_keys=True))
     elif not opts["quiet"]:
-        for line in text_lines():
-            click.echo(line)
+        click.echo("\n".join(text_lines()))
 
 
 def _series_json(series) -> dict:

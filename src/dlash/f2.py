@@ -76,18 +76,8 @@ def factors(m: Monomial) -> tuple:
     return tuple(out)
 
 
-def _factors_degree(fs: tuple) -> int:
-    return sum(((1 << i) - 1) * e for i, e in fs)
-
-
 def monomial_degree(m: Monomial) -> int:
-    return _factors_degree(factors(m))
-
-
-def _factors_str(fs: tuple) -> str:
-    if not fs:
-        return "1"
-    return " ".join(f"z{i}" if e == 1 else f"z{i}^{e}" for i, e in fs)
+    return sum(((1 << i) - 1) * e for i, e in factors(m))
 
 
 def _checked(monomials: set) -> "F2Poly":
@@ -323,9 +313,22 @@ class F2Poly:
     def __str__(self) -> str:
         if not self.monomials:
             return "0"
-        # each monomial unpacked once, ordered by degree and then factors
-        keyed = sorted((_factors_degree(fs), fs) for fs in map(factors, self.monomials))
-        return " + ".join(_factors_str(fs) for _, fs in keyed)
+        # one pass over each monomial's fields gives its degree, its sort
+        # key (i1, e1, i2, e2, ...), which orders as its factors do, and
+        # its text
+        keyed = []
+        for m in self.monomials:
+            degree, key, text, i = 0, [], [], 1
+            while m:
+                e = m & _FIELD
+                if e:
+                    degree += ((1 << i) - 1) * e
+                    key += (i, e)
+                    text.append(f"z{i}" if e == 1 else f"z{i}^{e}")
+                m, i = m >> _W, i + 1
+            keyed.append((degree, key, " ".join(text) or "1"))
+        keyed.sort()
+        return " + ".join(text for _, _, text in keyed)
 
     def __repr__(self) -> str:
         return f"F2Poly({self})"

@@ -16,8 +16,19 @@ so the coefficients c_k of z(t)^{-1} = sum_{k>=-1} c_k t^k obey
 and each comes from squares of earlier ones (an odd k from the one
 square c_{(k-1)/2}^2).  They are kept in one append-only list, grown as
 far as any request has asked, which both zeta_inverse and the closed
-form read.  This module holds only the algebra: the checks of the
-paper's identities against it live in ``verify``.
+form read.
+
+Q^i(a) is the t^i coefficient of Q(t) a, and for a monomial m it needs
+only t^{|m|} .. t^i of each factor (Q(t) z_n)^e, all in t alone.  So q_op
+forms no Laurent series: each factor, power and product is a list of
+coefficients in t from its valuation, formed as far as the read reaches,
+with three integers (lo, hi, lead) for the window that series_mul and
+series_pow would certify for it.  A square is the Frobenius of the list
+and each other product one sum_of_products per offset; the answer is
+read inside the window, or refused naming it.  The tests keep the
+Laurent product chain as the oracle of q_op.  This module holds only the
+algebra: the checks of the paper's identities against it live in
+``verify``.
 """
 
 from __future__ import annotations
@@ -25,14 +36,9 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .f2 import F2Poly, factors, monomial_degree, sum_of_products
-from .laurent import (
-    LaurentSeries,
-    Window,
-    WindowMissError,
-    series_mul,
-    series_pow,
-    series_reversion,
-)
+from .laurent import LaurentSeries, Window, WindowMissError, series_reversion
+
+_ZERO, _ONE = F2Poly.zero(), F2Poly.one()
 
 
 def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
@@ -154,35 +160,117 @@ def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
     return LaurentSeries(Window(0, 2**n - 1, max_total), coeffs)
 
 
+def _factor(n: int, bound: int, top: int) -> tuple:
+    """Q(t) z_n cut at total bound, as the truncated series (lo, hi, lead,
+    coeffs): known on lo <= e_t <= hi, zero below lo, with its least nonzero
+    coefficient at lead (None: none is known), and coeffs its coefficients
+    at t^lo .. t^{lo + top}, as far as hi.  Read off the cached closed form,
+    whose coefficients past bound it does not hold."""
+    total = q_total_on_zeta(n, bound)
+    lo, hi = total.window.min_t, total.window.max_total
+    coeffs = [total.coeffs.get((0, lo + k), _ZERO) for k in range(min(top, hi - lo) + 1)]
+    # z_n^2 at t^{2^n - 1} leads every factor cut at or above it
+    return lo, hi, (lo if total.coeffs else None), coeffs
+
+
+def _square(x: tuple, top: int) -> tuple:
+    """The Frobenius of x: offset k goes to 2k, squared, and the square
+    is known one total further than twice x's, where odd totals vanish."""
+    lo, hi, lead, c = x
+    hi = 2 * hi + 1
+    coeffs = [
+        c[k >> 1].square() if k % 2 == 0 else _ZERO for k in range(min(top, hi - 2 * lo) + 1)
+    ]
+    return 2 * lo, hi, None if lead is None else 2 * lead, coeffs
+
+
+def _product_window(x: tuple, y: tuple) -> tuple:
+    """(lo, hi, lead) of x y, as series_mul certifies it: each factor's
+    unknown terms begin past its hi, and the other's known terms vanish
+    below its cert, its lead (or everything it knows, hi + 1, when it has
+    none).  F2[z1, z2, ...] has no zero divisors, so the leads multiply
+    to the product's lead, when the product is known that far."""
+    (lo1, hi1, lead1, _), (lo2, hi2, lead2, _) = x, y
+    cert1 = hi1 + 1 if lead1 is None else lead1
+    cert2 = hi2 + 1 if lead2 is None else lead2
+    hi = min(hi1 + cert2, hi2 + cert1)
+    lead = None if lead1 is None or lead2 is None or lead1 + lead2 > hi else lead1 + lead2
+    return lo1 + lo2, hi, lead
+
+
+def _offset(a: list, b: list, k: int) -> F2Poly:
+    """Offset k of the product of two coefficient lists, from the pairs
+    both hold: every other pair meets a term the product window certifies
+    zero."""
+    pairs = range(max(k - len(b) + 1, 0), min(k, len(a) - 1) + 1)
+    return sum_of_products((a[j], b[k - j]) for j in pairs)
+
+
+def _product(x: tuple, y: tuple, top: int) -> tuple:
+    """x y, formed to offset top."""
+    lo, hi, lead = _product_window(x, y)
+    a, b = x[3], y[3]
+    return lo, hi, lead, [_offset(a, b, k) for k in range(min(top, hi - lo) + 1)]
+
+
+def _power(n: int, bound: int, e: int, top: int) -> tuple:
+    """(Q(t) z_n)^e from the factor cut at bound, formed to offset top by
+    the square-and-multiply chain of series_pow, which starts from its
+    first factor, so that the windows are the ones it certifies."""
+    x, result = _factor(n, bound, top), None
+    while e:
+        if e & 1:
+            result = x if result is None else _product(result, x, top)
+        e >>= 1
+        if e:
+            x = _square(x, top)
+    return result
+
+
 def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
     """Q^i(a): the t^i coefficient of the total operation on a.
 
     Q(t)(xy) = (Q(t)x)(Q(t)y), and Q(t) z_n vanishes below t^{2^n - 1}: so
     for a monomial m, each factor is needed only to its valuation plus
-    i - |m|, and the windows of the product certify the answer, or raise
-    WindowMissError naming t^i and the window it lies outside.  The
-    product starts from the first factor's power, and Q(t) 1 = 1.  Each
-    power (Q(t) z_n)^e is formed once per call at each bound, which the
-    monomials of a homogeneous a share."""
+    i - |m|, and only at t^{2^n - 1} and above.  Each factor, each power
+    (Q(t) z_n)^e and each product is a list of coefficients in t from the
+    series' valuation, formed no further than the offset i - |m| that the
+    read reaches, and the last product forms that offset alone.  Each
+    carries the window series_mul and series_pow would certify for it,
+    three integers that the products and squares combine: the answer is
+    certified on it, or WindowMissError names t^i and the window it lies
+    outside.  The product starts from the first factor's power, and
+    Q(t) 1 = 1.  Each power is formed once per call for each (n, e) and
+    offset i - |m|, which the monomials of a homogeneous a share."""
     if max_total is None:
         max_total = max(i, 0) + 1
-    result = F2Poly.zero()
+    result = _ZERO
     powers: dict = {}
     for monomial in a.monomials:
-        slack = max(i - monomial_degree(monomial), 0)
-        term = None
+        top = i - monomial_degree(monomial)
+        terms = []
         for n, e in factors(monomial):
-            bound = min(max_total, (1 << n) - 1 + slack)
-            power = powers.get((n, bound, e))
+            power = powers.get((n, e, top))
             if power is None:
-                power = powers[(n, bound, e)] = series_pow(q_total_on_zeta(n, bound), e)
-            term = power if term is None else series_mul(term, power)
-        if term is None:  # the monomial 1, and Q(t) 1 = 1
-            term = LaurentSeries.one()
-        try:
-            result = result + term.coefficient(0, i)
-        except WindowMissError:
+                bound = min(max_total, (1 << n) - 1 + max(top, 0))
+                power = powers[(n, e, top)] = _power(n, bound, e, top)
+            terms.append(power)
+        if not terms:  # the monomial 1, and Q(t) 1 = 1
+            if i == 0:
+                result = result + _ONE
+            continue
+        term = terms[0]
+        for power in terms[1:-1]:
+            term = _product(term, power, top)
+        last = terms[-1]
+        lo, hi, lead = _product_window(term, last) if len(terms) > 1 else term[:3]
+        if i > hi:
             raise WindowMissError(
-                f"t^{i} outside the guaranteed window {term.window.describe()}"
-            ) from None
+                f"t^{i} outside the guaranteed window {Window(0, lo, hi).describe()}"
+            )
+        # a term with a lead starts at t^{|m|}, so i - lo is top, the
+        # offset every list was formed to
+        if lead is not None and i >= lead:
+            k = i - lo
+            result = result + (_offset(term[3], last[3], k) if len(terms) > 1 else term[3][k])
     return result

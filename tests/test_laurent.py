@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from dlash.dyer_lashof import DLMonomial, DLSum, GradedClass
 from dlash.f2 import F2Poly, map_product, sum_of_products
-from dlash import laurent
+from dlash import laurent, steenrod
 from dlash.laurent import (
     _cap_unknown_tail,
     _known,
@@ -1443,16 +1443,35 @@ _BARE_ONE = {(0, 0): ONE}
 
 
 def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
-    """No product that q_op makes has the bare one map as a factor, and
-    none that series_compose makes has it as its power of u or as its row
-    of a: a row that is 1 adds its power of u as it is.  series_inverse
-    makes no product through the kernel at all."""
+    """q_op makes no Laurent product, and its chain of truncated products
+    starts from the first factor's power: the monomial 1 and a single
+    z_n^e with e a power of 2 take no product, and every other factor one.
+    No product that series_compose makes has the bare one map as its power
+    of u or as its row of a: a row that is 1 adds its power of u as it is.
+    series_inverse makes no product through the kernel at all."""
     calls = _count_products(monkeypatch)
+    products = []
+    product_window = steenrod._product_window
+
+    def counted(x, y):
+        products.append((x, y))
+        return product_window(x, y)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("q_op formed a Laurent product")
+
     z = F2Poly.zeta
-    for i, m in [(3, ONE), (5, z(1)), (9, z(1) * z(2, 2)), (12, z(1, 2) * z(2) * z(3))]:
-        q_op(i, m, 40)
-    assert calls and not any(_BARE_ONE in pair for pairs in calls for pair in pairs)
-    calls.clear()
+    made = []
+    with monkeypatch.context() as patched:
+        patched.setattr(steenrod, "_product_window", counted)
+        for name in ("series_mul", "series_pow"):
+            patched.setattr(laurent, name, refused)
+            patched.setattr(steenrod, name, refused, raising=False)
+        for i, m in [(3, ONE), (5, z(1)), (9, z(1) * z(2, 2)), (12, z(1, 2) * z(2) * z(3))]:
+            products.clear()
+            q_op(i, m, 40)
+            made.append(len(products))
+    assert made == [0, 0, 1, 2] and calls == []
     for u, window in [
         (exact((0, 0), (0, 1)), Window(0, 0, 20)),
         (exact((0, 0), (1, -1)), Window(0, -8, 6)),

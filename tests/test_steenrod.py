@@ -293,23 +293,72 @@ def test_q_op_matches_the_product_from_one(a):
             assert _q_op_outcome(q_op, i, a, max_total) == want, (i, max_total)
 
 
+def _milnor_monomial(rng, degree):
+    """A random monomial of the given degree in z1..z5, or None if the
+    draw misses it."""
+    exps, rest = {}, degree
+    for n in rng.sample(range(1, 6), 5):
+        e = rng.randint(0, rest // ((1 << n) - 1))
+        exps[n], rest = e, rest - e * ((1 << n) - 1)
+    if rest:
+        return None
+    m = F2Poly.one()
+    for n, e in exps.items():
+        m = m * _Z(n, e)
+    return m
+
+
+def test_q_op_matches_the_product_from_one_over_the_milnor_range():
+    """Three monomials in z1..z5 of each degree 8 to 48, each t^i from
+    |m| - 3 to |m| + 4, known to i - 3, i, i + 1 or the default: the same
+    answer as the Laurent product chain, or the same window named."""
+    rng = random.Random("q_op/milnor")
+    for degree in range(8, 49):
+        monomials = set()
+        while len(monomials) < 3:
+            monomials.add(_milnor_monomial(rng, degree))
+            monomials.discard(None)
+        for m in sorted(monomials, key=str):
+            for i in range(degree - 3, degree + 5):
+                for max_total in (i - 3, i, i + 1, None):
+                    want = _q_op_outcome(
+                        _q_op_from_one, i, m, i + 1 if max_total is None else max_total
+                    )
+                    assert _q_op_outcome(q_op, i, m, max_total) == want, (str(m), i, max_total)
+
+
+def _refuse_laurent_products(monkeypatch):
+    """Make series_mul, series_pow and map_product raise wherever
+    steenrod or laurent would reach them."""
+
+    def refused(*args, **kwargs):
+        raise AssertionError("q_op formed a Laurent product")
+
+    for name in ("series_mul", "series_pow", "map_product"):
+        monkeypatch.setattr(laurent, name, refused)
+        monkeypatch.setattr(steenrod, name, refused, raising=False)
+
+
 @pytest.mark.parametrize("n, calls_made", [(4, 13), (6, 43)])
 def test_q_op_forms_each_factor_power_once(monkeypatch, n, calls_made):
     """zbar_n is homogeneous, so every factor z_i of its monomials is cut to
-    one bound, and q_op(2^n, zbar_n) forms one power per distinct z_i^e:
-    the 13 factors of zbar_4 are distinct, and the 66 of zbar_6 are 43."""
+    one bound, and q_op(2^n, zbar_n) forms one truncated power per distinct
+    z_i^e: the 13 factors of zbar_4 are distinct, and the 66 of zbar_6 are
+    43.  It makes no Laurent product on the way."""
     zbar = conjugate_zeta(n)[n - 1]
+    want = _q_op_from_one(2**n, zbar, 2**n + 1)
     calls = []
-    power = steenrod.series_pow
+    power = steenrod._power
 
-    def counted(a, k, window=None):
-        calls.append(k)
-        return power(a, k, window)
+    def counted(n, bound, e, top):
+        calls.append(e)
+        return power(n, bound, e, top)
 
-    monkeypatch.setattr(steenrod, "series_pow", counted)
+    monkeypatch.setattr(steenrod, "_power", counted)
+    _refuse_laurent_products(monkeypatch)
     got = q_op(2**n, zbar)
     assert len(calls) == len({f for m in zbar.monomials for f in factors(m)}) == calls_made
-    assert got == _q_op_from_one(2**n, zbar, 2**n + 1)
+    assert got == want
 
 
 def test_q_op_squaring():
