@@ -242,7 +242,7 @@ def _report_command(ctx, command: str, extra: dict, records: list, suites: bool 
 
 
 @main.command()
-@click.argument("max_i", type=click.IntRange(min=2, max=9))
+@click.argument("max_i", type=click.IntRange(min=2, max=10))
 @click.pass_context
 def steinberger(ctx, max_i):
     """Check the conjugate and successor formulas up to index MAX_I."""

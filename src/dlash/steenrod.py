@@ -14,9 +14,11 @@ so the coefficients c_k of z(t)^{-1} = sum_{k>=-1} c_k t^k obey
     c_k = sum_{i>=0, k - 2^i even} z_i c_{(k - 2^i)/2}^2    (z_0 = c_{-1} = 1)
 
 and each comes from squares of earlier ones (an odd k from the one
-square c_{(k-1)/2}^2).  They are kept in one append-only list, grown as
-far as any request has asked, which both zeta_inverse and the closed
-form read.
+square c_{(k-1)/2}^2).  zeta_inverse_coefficient(k) gives c_k and
+q_total_coefficient(n, m) the t^m coefficient of Q(t) z_n, each memoized
+by its position, so a request forms only the coefficients it reads and
+those they recurse on; the series zeta_inverse and q_total_on_zeta are
+read off them.
 
 Q^i(a) is the t^i coefficient of Q(t) a, and for a monomial m it needs
 only t^{|m|} .. t^i of each factor (Q(t) z_n)^e, all in t alone.  So q_op
@@ -33,7 +35,7 @@ algebra: the checks of the paper's identities against it live in
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import cache
 
 from .f2 import F2Poly, factors, monomial_degree, sum_of_products
 from .laurent import LaurentSeries, Window, WindowMissError, series_reversion
@@ -54,37 +56,32 @@ def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
     return LaurentSeries(w, terms)
 
 
-# c_{-1}, c_0, c_1, ...: the coefficients of z(t)^{-1} formed so far
-_inverse: list = []
-
-
-def _inverse_coefficients(max_total: int) -> list:
-    """The list c_{-1}, c_0, ..., grown by the recurrence in the module
-    docstring until it holds c_{max_total}, so c_k is at index k + 1."""
-    c = _inverse
-    for k in range(len(c) - 1, max_total + 1):
-        c.append(
-            F2Poly.one() if k < 0 else sum_of_products(
-                (F2Poly.zeta(i) if i else F2Poly.one(), c[(k - 2**i) // 2 + 1].square())
-                for i in range((k + 2).bit_length())
-                if (k - 2**i) % 2 == 0
-            )
-        )
-    return c
+@cache
+def zeta_inverse_coefficient(k: int) -> F2Poly:
+    """c_k, the t^k coefficient of z(t)^{-1}: c_{-1} = 1, zero below, and
+    above from the squares c_{(k - 2^i)/2}^2 by the recurrence in the
+    module docstring.  Memoized by k, so a request forms only the
+    positions its recursion reaches, about log2 k deep."""
+    if k < 0:
+        return _ONE if k == -1 else _ZERO
+    return sum_of_products(
+        (F2Poly.zeta(i) if i else _ONE, zeta_inverse_coefficient((k - 2**i) // 2).square())
+        for i in range((k + 2).bit_length())
+        if (k - 2**i) % 2 == 0
+    )
 
 
 def zeta_inverse(max_total: int) -> LaurentSeries:
     """z(t)^{-1} = t^{-1} + z1 + z1^2 t + (z1^3 + z2) t^2 + ..., known to
     total max_total.
 
-    Every coefficient is read off the list, which holds exactly the true
-    ones, so the result does not depend on what ran before.  The inverse
-    of z(t), a series in t alone with positive exponents, is honest in
-    both axes."""
-    window = Window(0, -1, max_total)
-    c = _inverse_coefficients(max_total)
-    return LaurentSeries(
-        window, {(0, k): c[k + 1] for k in range(-1, max_total + 1) if not c[k + 1].is_zero()}
+    Every coefficient is read off zeta_inverse_coefficient, which gives
+    exactly the true one, so the result does not depend on what ran
+    before.  The inverse of z(t), a series in t alone with positive
+    exponents, is honest in both axes."""
+    return LaurentSeries.truncated(
+        {(0, k): zeta_inverse_coefficient(k) for k in range(-1, max_total + 1)},
+        Window(0, -1, max_total),
     )
 
 
@@ -120,57 +117,57 @@ def _conjugates_by_recursion(max_i: int) -> list:
 
 
 def q_total_on_zeta(n: int, max_total: int) -> LaurentSeries:
-    """Q(t) z_n as a series in t with coefficients in F2[z1, z2, ...]."""
+    """Q(t) z_n as a series in t with coefficients in F2[z1, z2, ...],
+    read off q_total_coefficient on e_t >= 2^n - 1, below which it
+    vanishes."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n >= 1 and max(max_total + 1, 0).bit_length() <= n:
+    if n == 0:
+        return LaurentSeries.one()
+    if max(max_total + 1, 0).bit_length() <= n:
         # 2^n - 1 > max_total (tested without forming 2^n): every
         # requested coefficient lies below the instability line
         return LaurentSeries.truncated({}, Window(0, max_total, max_total))
-    return LaurentSeries.one() if n == 0 else _q_total_closed_form(n, max_total)
+    return LaurentSeries.truncated(
+        {(0, m): q_total_coefficient(n, m) for m in range(2**n - 1, max_total + 1)},
+        Window(0, 2**n - 1, max_total),
+    )
 
 
-# 128 entries hold every (n, max_total) one command asks for (verify-all
-# asks for 41 at bound 32 and 44 at its limit 192), and cache_info()
-# reports hits and size
-@lru_cache(maxsize=128)
-def _q_total_closed_form(n: int, max_total: int) -> LaurentSeries:
-    """Q(t) z_n for n >= 1 and max_total >= 2^n - 1, from the closed form
-    in the module docstring read at each t^m: with p = m + 2^n,
+@cache
+def q_total_coefficient(n: int, m: int) -> F2Poly:
+    """[t^m] Q(t) z_n for n >= 1, from the closed form in the module
+    docstring: with p = m + 2^n,
 
         [t^m] Q(t) z_n = [z_j if p = 2^j] + sum_{j>=n} z_j^2 c_{p - 2^{j+1}}
 
-    (p >= 2^{n+1} - 1, so p = 2^j has j > n), on e_t >= 2^n - 1, below
-    which Q(t) z_n vanishes."""
-    # (2^{j+1}, z_j^2) for every j whose term reaches t^max_total
-    squares = [
-        (2 ** (j + 1), F2Poly.zeta(j, 2))
-        for j in range(n, (max_total + 2**n + 1).bit_length() - 1)
+    on m >= 2^n - 1 (so p = 2^j has j > n), and zero below.  Memoized by
+    (n, m)."""
+    if m < 2**n - 1:
+        return _ZERO
+    p = m + 2**n
+    # z_j^2 c_{p - 2^{j+1}} for every j with p - 2^{j+1} >= -1
+    pairs = [
+        (F2Poly.zeta(j, 2), zeta_inverse_coefficient(p - 2 ** (j + 1)))
+        for j in range(n, (p + 1).bit_length() - 1)
     ]
-    c = _inverse_coefficients(max_total - 2**n)
-    coeffs = {}
-    for m in range(2**n - 1, max_total + 1):
-        p = m + 2**n
-        pairs = [(sq, c[p - e + 1]) for e, sq in squares if e <= p + 1]
-        if p & (p - 1) == 0:
-            pairs.append((F2Poly.zeta(p.bit_length() - 1), F2Poly.one()))
-        coeff = sum_of_products(pairs)
-        if not coeff.is_zero():
-            coeffs[(0, m)] = coeff
-    return LaurentSeries(Window(0, 2**n - 1, max_total), coeffs)
+    if p & (p - 1) == 0:
+        pairs.append((F2Poly.zeta(p.bit_length() - 1), _ONE))
+    return sum_of_products(pairs)
 
 
 def _factor(n: int, bound: int, top: int) -> tuple:
     """Q(t) z_n cut at total bound, as the truncated series (lo, hi, lead,
     coeffs): known on lo <= e_t <= hi, zero below lo, with its least nonzero
     coefficient at lead (None: none is known), and coeffs its coefficients
-    at t^lo .. t^{lo + top}, as far as hi.  Read off the cached closed form,
-    whose coefficients past bound it does not hold."""
-    total = q_total_on_zeta(n, bound)
-    lo, hi = total.window.min_t, total.window.max_total
-    coeffs = [total.coeffs.get((0, lo + k), _ZERO) for k in range(min(top, hi - lo) + 1)]
-    # z_n^2 at t^{2^n - 1} leads every factor cut at or above it
-    return lo, hi, (lo if total.coeffs else None), coeffs
+    at t^lo .. t^{lo + top}, as far as hi, read off q_total_coefficient.
+    Cut at or above t^{2^n - 1}, it is led there by z_n^2; cut below, it
+    is known to vanish through bound.  A negative top forms no
+    coefficient."""
+    lo = 2**n - 1
+    if bound < lo:
+        return bound, bound, None, [_ZERO] if top >= 0 else []
+    return lo, bound, lo, [q_total_coefficient(n, lo + k) for k in range(min(top, bound - lo) + 1)]
 
 
 def _square(x: tuple, top: int) -> tuple:

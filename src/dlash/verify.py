@@ -50,8 +50,10 @@ from .dyer_lashof import (
 from .steenrod import (
     conjugate_zeta,
     q_op,
+    q_total_coefficient,
     q_total_on_zeta,
     zeta_inverse,
+    zeta_inverse_coefficient,
     zeta_series,
 )
 
@@ -98,14 +100,12 @@ def _fold(name: str, records: list, detail: str) -> dict:
 
 def verify_steinberger_conjugate(i_max: int, zbars: list) -> list:
     """Q^{2^i - 2} z_1 = zbar_i for 2 <= i <= i_max, via both the total
-    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt; zbars
-    is conjugate_zeta(k) for some k >= i_max.
+    operation on z_1 and the residue of t^{-2^i + 1} z(t)^{-1} dt, each
+    read at t^{2^i - 2} alone; zbars is conjugate_zeta(k) for some
+    k >= i_max.
     """
     if i_max < 2:
         raise ValueError("i_max must be >= 2")
-    max_total = 2**i_max
-    zinv = zeta_inverse(max_total)
-    qz1 = q_total_on_zeta(1, max_total)
     records = []
     for i in range(2, i_max + 1):
         k = 2**i - 2
@@ -115,9 +115,9 @@ def verify_steinberger_conjugate(i_max: int, zbars: list) -> list:
                 f"Q^(2^{i}-2) z1 = zbar_{i}",
                 f"i = {i}",
                 Window(0, k, k),
-                qz1,
+                LaurentSeries.monomial(0, k, q_total_coefficient(1, k)),
                 LaurentSeries.monomial(0, k, zbars[i - 1]),
-                zinv,
+                LaurentSeries.monomial(0, k, zeta_inverse_coefficient(k)),
             )
         )
     return records
@@ -500,11 +500,12 @@ def run_all(degree_bound: int = 16) -> list:
     """Run every acceptance suite; identity suites honour degree_bound,
     refused before any suite runs when their box is empty.
 
-    Each coefficient of z(t)^{-1} is formed once, whatever order the
-    suites ask for them in.  The right side of identity (1) is formed
-    once, by the first identity suite, and the other reads it from
-    _identity1_rhs's cache; if forming it raises, nothing is cached and
-    each of the two suites fails with that error."""
+    Each coefficient of z(t)^{-1} and of each Q(t) z_n is formed once,
+    whatever order the suites ask for them in, and kept in its memo.  The
+    right side of identity (1) is formed once, by the first identity
+    suite, and the other reads it from _identity1_rhs's cache; if forming
+    it raises, nothing is cached and each of the two suites fails with
+    that error."""
     _identity_box(degree_bound)  # an empty box raises here, not as a suite's record
     reports = []
     for name, suite in [

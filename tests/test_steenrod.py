@@ -19,8 +19,10 @@ from dlash.laurent import (
 from dlash.steenrod import (
     conjugate_zeta,
     q_op,
+    q_total_coefficient,
     q_total_on_zeta,
     zeta_inverse,
+    zeta_inverse_coefficient,
     zeta_series,
 )
 from dlash.verify import (
@@ -133,39 +135,56 @@ def test_q_total_below_instability_line_matches_closed_form():
 
 
 def test_q_total_above_instability_line_matches_the_product():
-    """The closed form read coefficient by coefficient off z(t)^{-1}'s
-    list equals the closed form's product, window and honesty in t
-    included: from the instability line to 64 past t^{2^n} (which covers
-    every t^m with m + 2^n a power of 2 up to there), and at 128 and 256."""
+    """The closed form read coefficient by coefficient off z(t)^{-1}
+    equals the closed form's product, window and honesty in t included:
+    from the instability line to 64 past t^{2^n} (which covers every t^m
+    with m + 2^n a power of 2 up to there), and at 128 and 256.  For
+    n <= 5, q_total_coefficient(n, m) alone is the product's t^m
+    coefficient."""
     for n in range(1, 8):
         for m in list(range(2**n - 1, 2**n + 65)) + [128, 256]:
-            got = steenrod._q_total_closed_form(n, m)
+            got = q_total_on_zeta(n, m)
             want = _closed_form_by_product(n, m)
             assert got == want, (n, m)
             assert repr(got) == repr(want), (n, m)
+            if n <= 5:
+                assert q_total_coefficient(n, m) == want.coefficient(0, m), (n, m)
+
+
+def _clear_memos():
+    zeta_inverse_coefficient.cache_clear()
+    q_total_coefficient.cache_clear()
 
 
 def test_closed_form_cache_is_bounded():
-    steenrod._q_total_closed_form.cache_clear()
+    """Each (n, m) is formed once, however many series read it: the memo
+    holds one entry per position asked, t^{2^n - 1} .. t^{2^n + 48}."""
+    _clear_memos()
     for n in range(1, 5):
         for m in range(2**n - 1, 2**n + 49):
             q_total_on_zeta(n, m)
-    info = steenrod._q_total_closed_form.cache_info()
-    assert info.misses == 200 and info.currsize <= 128
-    assert q_total_on_zeta(4, 64) is q_total_on_zeta(4, 64)
+    info = q_total_coefficient.cache_info()
+    assert info.misses == info.currsize == 4 * 50
+    assert q_total_on_zeta(4, 64) == q_total_on_zeta(4, 64)
+    assert q_total_coefficient.cache_info().misses == 200
 
 
 @pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
 def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
-    """Each answer, read off z(t)^{-1}'s list however far it has grown, is
-    the inverse formed directly to that total, window and honesty included,
-    and the list holds exactly c_{-1} .. c_M for the largest M asked."""
+    """Each coefficient, asked alone from cold memos, and each series,
+    read off them however many have been formed, is the inverse formed
+    directly to that total, window and honesty included; the series read
+    leave exactly c_{-1} .. c_M in the memo for the largest M asked."""
     totals = list(range(-1, 41)) + [62, 128, 130]
     if order == "descending":
         totals.reverse()
     elif order == "shuffled":
         random.Random(19).shuffle(totals)
-    steenrod._inverse.clear()
+    _clear_memos()
+    for k in totals:
+        want = series_inverse(zeta_series(k + 2), Window(0, -1, k))
+        assert zeta_inverse_coefficient(k) == want.coefficient(0, k), k
+    _clear_memos()
     largest = -2
     for m in totals:
         got = zeta_inverse(m)
@@ -173,7 +192,7 @@ def test_zeta_inverse_does_not_depend_on_what_ran_before(order):
         assert got == want, m
         assert got.honest_t == want.honest_t, m
         largest = max(largest, m)
-        assert len(steenrod._inverse) == largest + 2, m
+        assert zeta_inverse_coefficient.cache_info().currsize == largest + 2, m
 
 
 @pytest.mark.parametrize(
@@ -311,7 +330,9 @@ def _milnor_monomial(rng, degree):
 def test_q_op_matches_the_product_from_one_over_the_milnor_range():
     """Three monomials in z1..z5 of each degree 8 to 48, each t^i from
     |m| - 3 to |m| + 4, known to i - 3, i, i + 1 or the default: the same
-    answer as the Laurent product chain, or the same window named."""
+    answer as the Laurent product chain, or the same window named.  On
+    the zero slots i < |m|, where the windows alone decide, q_op forms no
+    coefficient, even from cold memos."""
     rng = random.Random("q_op/milnor")
     for degree in range(8, 49):
         monomials = set()
@@ -321,10 +342,16 @@ def test_q_op_matches_the_product_from_one_over_the_milnor_range():
         for m in sorted(monomials, key=str):
             for i in range(degree - 3, degree + 5):
                 for max_total in (i - 3, i, i + 1, None):
+                    if i < degree:
+                        _clear_memos()
+                    got = _q_op_outcome(q_op, i, m, max_total)
+                    if i < degree:
+                        assert zeta_inverse_coefficient.cache_info().misses == 0
+                        assert q_total_coefficient.cache_info().misses == 0
                     want = _q_op_outcome(
                         _q_op_from_one, i, m, i + 1 if max_total is None else max_total
                     )
-                    assert _q_op_outcome(q_op, i, m, max_total) == want, (str(m), i, max_total)
+                    assert got == want, (str(m), i, max_total)
 
 
 def _refuse_laurent_products(monkeypatch):
@@ -438,7 +465,7 @@ def test_steinberger_checks_reverse_z_once(monkeypatch):
 
 def _counted_inversions(monkeypatch) -> list:
     """The totals of the z(t) series that series_inverse is handed from
-    now on, with the closed-form cache and z(t)^{-1}'s list emptied."""
+    now on, with the memos of z(t)^{-1} and Q(t) z_n emptied."""
     inverted = []
 
     def counted(a, window):
@@ -449,34 +476,56 @@ def _counted_inversions(monkeypatch) -> list:
 
     monkeypatch.setattr(laurent, "series_inverse", counted)
     monkeypatch.setattr(verify, "series_inverse", counted)
-    steenrod._q_total_closed_form.cache_clear()
-    steenrod._inverse.clear()
+    _clear_memos()
     verify._identity1_rhs.cache_clear()
     return inverted
 
 
+def _steinberger_closure(i_max):
+    """The k whose c_k steinberger i_max forms: c_{2^i - 2} for the
+    residue and c_{2^i - 2^j}, 2 <= j <= i, for Q^{2^i - 2} z_1, closed
+    under the recurrence's k -> (k - 2^l)/2.  The closure holds c_0 and
+    c_{-1}, all that the successor checks read."""
+    todo = [2**i - 2**j for i in range(2, i_max + 1) for j in range(1, i + 1)]
+    seen = set()
+    while todo:
+        k = todo.pop()
+        if k not in seen:
+            seen.add(k)
+            todo += [(k - 2**l) // 2 for l in range((k + 2).bit_length()) if (k - 2**l) % 2 == 0]
+    return seen
+
+
 def test_steinberger_inverts_z_once(monkeypatch):
-    """steinberger grows z(t)^{-1}'s list to the largest total it asks
-    for, 2^4 (c_{-1} .. c_16), and hands z(t) to no series_inverse."""
+    """From cold memos, steinberger forms exactly the coefficients of
+    z(t)^{-1} that its reads recurse on, each once, and hands z(t) to no
+    series_inverse."""
     from click.testing import CliRunner
 
     from dlash.cli import main
 
-    inverted = _counted_inversions(monkeypatch)
-    r = CliRunner().invoke(main, ["steinberger", "4"])
-    assert r.exit_code == 0
-    assert len(steenrod._inverse) == 18
-    assert inverted == []
+    for i_max, size in [(4, 11), (9, 142)]:
+        inverted = _counted_inversions(monkeypatch)
+        r = CliRunner().invoke(main, ["steinberger", str(i_max)])
+        assert r.exit_code == 0
+        info = zeta_inverse_coefficient.cache_info()
+        assert info.currsize == info.misses == size
+        closure = _steinberger_closure(i_max)
+        assert len(closure) == size and max(closure) == 2**i_max - 2
+        for k in closure:  # each is held: none is formed anew
+            zeta_inverse_coefficient(k)
+        assert zeta_inverse_coefficient.cache_info().misses == size
+        assert inverted == []
 
 
 @pytest.mark.parametrize("bound", [8, 16])
 def test_verify_all_inverts_z_once(monkeypatch, bound):
-    """verify-all grows z(t)^{-1}'s list to the total the Steinberger
-    suite needs at these bounds, 32 (c_{-1} .. c_32), and hands z(t) to no
-    series_inverse."""
+    """verify-all forms each coefficient of z(t)^{-1} it reads once, 20
+    at bound 8 and 21 at 16, and hands z(t) to no series_inverse."""
     inverted = _counted_inversions(monkeypatch)
     assert all(r["passed"] for r in verify.run_all(bound))
-    assert len(steenrod._inverse) == 34
+    info = zeta_inverse_coefficient.cache_info()
+    assert info.currsize == info.misses == {8: 20, 16: 21}[bound]
     assert inverted == []
 
 
@@ -517,8 +566,7 @@ def test_the_cached_identity_right_side_is_the_one_formed_afresh(d):
     verify._identity1_rhs.cache_clear()
     cached = verify._identity1_rhs(d)
     assert verify._identity1_rhs(d) is cached
-    steenrod._q_total_closed_form.cache_clear()
-    steenrod._inverse.clear()
+    _clear_memos()
     fresh = verify._identity1_rhs.__wrapped__(d)
     assert fresh is not cached
     assert fresh.coeffs == cached.coeffs
