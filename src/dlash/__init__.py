@@ -1,5 +1,8 @@
 """Mod-2 power operations: Adem relations, windowed Laurent series,
-and the action on the dual Steenrod algebra."""
+and the action on the dual Steenrod algebra.
+
+A Dyer-Lashof element is a DLSum of words over one GradedClass, read
+from text by parse_sum."""
 
 from .f2 import F2Poly, binom_mod2
 from .laurent import (
@@ -14,14 +17,13 @@ from .laurent import (
 )
 from .dyer_lashof import (
     AdemRelation,
-    DLMonomial,
     DLSum,
     GradedClass,
     adem_relation,
     reduce_to_admissible,
     symmetry_extract_relations,
 )
-from .parser import ParseError, parse_monomial, parse_sum
+from .parser import ParseError, parse_sum
 from .steenrod import (
     conjugate_zeta,
     q_op,
@@ -42,14 +44,12 @@ __all__ = [
     "series_pow",
     "series_reversion",
     "AdemRelation",
-    "DLMonomial",
     "DLSum",
     "GradedClass",
     "adem_relation",
     "reduce_to_admissible",
     "symmetry_extract_relations",
     "ParseError",
-    "parse_monomial",
     "parse_sum",
     "conjugate_zeta",
     "q_op",

@@ -1,18 +1,19 @@
 """Power-operation calculus on graded classes.
 
-Words Q^{i1}...Q^{ik} applied to a graded class symbol, with F2 sums,
-instability (Q^i y = 0 for i < |y|), the Adem relations derived from the
-residue formula, rewriting to admissible normal form, and an independent
-oracle that re-derives the relations from the symmetry of the two-variable
+A Dyer-Lashof element is a DLSum: an F2 sum of words Q^{i1}...Q^{ik}
+applied to one graded class symbol, kept as the set of its words, so
+that adding a word twice cancels it.  The module gives instability
+(Q^i y = 0 for i < |y|), the Adem relations derived from the residue
+formula, rewriting to admissible normal form, and an independent oracle
+that re-derives the relations from the symmetry of the two-variable
 iterated total operation, read straight from the words that land in each
 bidegree.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .f2 import binom_mod2
 from .laurent import Window
 
 
@@ -39,8 +40,7 @@ def _unstable(word: tuple, degree: int) -> bool:
     return False
 
 
-@dataclass(frozen=True, order=True)
-class GradedClass:
+class GradedClass(NamedTuple):
     name: str
     degree: int
 
@@ -48,36 +48,16 @@ class GradedClass:
         return f"{self.name}[{self.degree}]"
 
 
-@dataclass(frozen=True, order=True)
-class DLMonomial:
-    """A word of operations applied to a class: Q^{i1}...Q^{ik} x."""
-
-    word: tuple
-    klass: GradedClass
-
-    def degree(self) -> int:
-        return self.klass.degree + sum(self.word)
-
-    def is_admissible(self) -> bool:
-        return all(self.word[j] <= 2 * self.word[j + 1] for j in range(len(self.word) - 1))
-
-    def is_instability_zero(self) -> bool:
-        """True if some suffix applies Q^i to a class of degree > i."""
-        return _unstable(self.word, self.klass.degree)
-
-    def __str__(self) -> str:
-        ops = " ".join(f"Q^{i}" for i in self.word)
-        return f"{ops} {self.klass}" if ops else str(self.klass)
-
-
 class DLSum:
-    """F2-sum of monomials over a common class; set semantics gives cancellation."""
+    """F2-sum of words over a common class; set semantics gives cancellation.
+
+    Each word is a tuple (i1, ..., ik) standing for Q^{i1}...Q^{ik} x."""
 
     __slots__ = ("klass", "words")
 
     def __init__(self, klass: GradedClass, words=()):
-        object.__setattr__(self, "klass", klass)
-        object.__setattr__(self, "words", frozenset(words))
+        _set_klass(self, klass)
+        _set_words(self, frozenset(words))
 
     def __setattr__(self, name, value):
         raise AttributeError("DLSum is immutable")
@@ -85,21 +65,6 @@ class DLSum:
     def __reduce__(self):
         # copy and pickle rebuild a sum through __init__, past __setattr__
         return DLSum, (self.klass, self.words)
-
-    @staticmethod
-    def of(*monomials: DLMonomial) -> "DLSum":
-        if not monomials:
-            raise ValueError("use DLSum(klass) for the zero sum")
-        klass = monomials[0].klass
-        words: frozenset = frozenset()
-        for m in monomials:
-            if m.klass != klass:
-                raise ValueError("monomials lie over different classes")
-            words = words ^ {m.word}
-        return DLSum(klass, words)
-
-    def monomials(self):
-        return [DLMonomial(w, self.klass) for w in sorted(self.words)]
 
     def is_zero(self) -> bool:
         return not self.words
@@ -122,16 +87,22 @@ class DLSum:
         return hash(self.words)
 
     def __str__(self) -> str:
+        """The words in sorted order, each as Q^{i1} ... Q^{ik} x[n]; 0 when empty."""
         if not self.words:
             return "0"
-        return " + ".join(str(m) for m in self.monomials())
+        klass = str(self.klass)
+        terms = (" ".join([*(f"Q^{i}" for i in w), klass]) for w in sorted(self.words))
+        return " + ".join(terms)
 
     def __repr__(self) -> str:
         return f"DLSum({self})"
 
 
-@dataclass(frozen=True)
-class AdemRelation:
+_set_klass = DLSum.klass.__set__
+_set_words = DLSum.words.__set__
+
+
+class AdemRelation(NamedTuple):
     """Rewriting rule Q^i Q^j -> sum of Q^{i+j-l} Q^l for a non-admissible pair."""
 
     lhs: tuple
@@ -218,14 +189,12 @@ def _reduce_word(word: tuple, degree: int, budget: list, memo: dict) -> frozense
     return result
 
 
-def reduce_to_admissible(m, step_limit: int = 2_000_000) -> DLSum:
+def reduce_to_admissible(m: DLSum, step_limit: int = 2_000_000) -> DLSum:
     """Admissible normal form: rightmost non-admissible pair first, memoized.
 
     The normal form is unique, so the order of rewriting changes only the
     work, not the answer.
     """
-    if isinstance(m, DLMonomial):
-        m = DLSum.of(m)
     # the memo lives for this call only, so step_limit counts the same
     # words whatever the process reduced before
     budget, memo = [step_limit], {}
@@ -242,10 +211,11 @@ def symmetry_extract_relations(x: GradedClass, window: Window) -> list:
 
     Q(t)Q(s)x = sum over i, j of (Q^i Q^j x)(s + s^2 t^{-1})^j t^i, so
     the stable word (i, j) lands in bidegree (j + k, i - k) for every k
-    with C(j, k) odd.  Symmetry makes the words landing at (a, b) and
-    (b, a) sum to zero; for every off-diagonal pair with both bidegrees
-    in the window, a nonzero sum is a relation among length-2 words.
-    The relations are read from the words; no table of bidegrees is built.
+    with C(j, k) odd, that is (Lucas) every submask k of j.  Symmetry
+    makes the words landing at (a, b) and (b, a) sum to zero; for every
+    off-diagonal pair with both bidegrees in the window, a nonzero sum is
+    a relation among length-2 words.  The relations are read from the
+    words; no table of bidegrees is built.
     """
     if window.max_total is None:
         raise ValueError("symmetry relations need a finite window")
@@ -255,11 +225,14 @@ def symmetry_extract_relations(x: GradedClass, window: Window) -> list:
     low = max(window.min_s, window.min_t)
     sums: dict = {}
     for j in range(max(n, 0), top - low + 1):
+        submasks = [k for k in range(j + 1) if k & j == k]
         for i in range(max(n + j, low), top - j + 1):
-            for k in range(j + 1):
-                a, b = j + k, i - k
-                if (a != b and window.contains(a, b) and window.contains(b, a)
-                        and binom_mod2(j, k)):
+            # a = j + k >= low, b = i - k >= low, and off the diagonal a != b
+            for k in submasks:
+                if k > i - low:
+                    break
+                if k >= low - j and 2 * k != i - j:
+                    a, b = j + k, i - k
                     words = sums.setdefault((min(a, b), max(a, b)), set())
                     words ^= {(i, j)}
     return [DLSum(x, words) for words in sums.values() if words]

@@ -1,4 +1,4 @@
-"""Parser for Dyer-Lashof monomial expressions.
+"""Parser for Dyer-Lashof sums.
 
 Grammar (whitespace-insensitive):
 
@@ -6,14 +6,16 @@ Grammar (whitespace-insensitive):
     term  := ('Q^' int)+ class
     class := ident '[' int ']'
 
-Examples: ``Q^6 Q^2 x[2]`` or ``Q^3 x[1] + Q^2 Q^1 x[1]``.
+Examples: ``Q^6 Q^2 x[2]`` or ``Q^3 x[1] + Q^2 Q^1 x[1]``.  A sum parses
+to a DLSum: each term's word is added over F2, so a word written twice
+cancels, and every term must name the same class.
 """
 
 from __future__ import annotations
 
 import re
 
-from .dyer_lashof import DLMonomial, DLSum, GradedClass
+from .dyer_lashof import DLSum, GradedClass
 
 
 class ParseError(ValueError):
@@ -80,19 +82,19 @@ class _Parser:
             self.i += 1
             terms.append(self.parse_term())
         self.expect("EOF", ("'+'", "end of input"))
-        klass = terms[0].klass
-        for t in terms[1:]:
-            if t.klass != klass:
+        klass = terms[0][1]
+        words: set = set()
+        for word, k in terms:
+            if k != klass:
                 raise ParseError(
                     "mixed generator classes in one sum", self.text,
                     len(self.text), ("matching class",),
                 )
-        total = DLSum(klass, frozenset())
-        for t in terms:
-            total = total + DLSum.of(t)
-        return total
+            words ^= {word}
+        return DLSum(klass, words)
 
-    def parse_term(self) -> DLMonomial:
+    def parse_term(self) -> tuple:
+        """(word, class) of one term Q^{i1}...Q^{ik} x[n]."""
         word = []
         # IDENT with no Q^ prefix would be a bare class; require at least one Q
         tok = self.peek()
@@ -102,7 +104,7 @@ class _Parser:
             self.i += 1
             num = self.expect("INT", ("integer",))
             word.append(int(num[1]))
-        return DLMonomial(tuple(word), self.parse_class())
+        return tuple(word), self.parse_class()
 
     def parse_class(self) -> GradedClass:
         name = self.expect("IDENT", ("identifier",))
@@ -110,13 +112,6 @@ class _Parser:
         deg = self.expect("INT", ("integer",))
         self.expect("RBRACK", ("']'",))
         return GradedClass(name[1], int(deg[1]))
-
-
-def parse_monomial(text: str) -> DLMonomial:
-    p = _Parser(text)
-    m = p.parse_term()
-    p.expect("EOF", ("end of input",))
-    return m
 
 
 def parse_sum(text: str) -> DLSum:

@@ -43,14 +43,19 @@ from .laurent import LaurentSeries, Window, WindowMissError, series_reversion
 _ZERO, _ONE = F2Poly.zero(), F2Poly.one()
 
 
+@cache
+def _zeta(i: int, e: int = 1) -> F2Poly:
+    """z_i^e with z_0 = 1, formed once for every coefficient that reads it."""
+    return F2Poly.zeta(i, e) if i else _ONE
+
+
 def zeta_series(max_total: int, var: str = "t") -> LaurentSeries:
     """z(v) = v + z1 v^2 + z2 v^4 + ... truncated at the given total degree."""
     terms = {}
     i = 0
     while 2**i <= max_total:
-        poly = F2Poly.one() if i == 0 else F2Poly.zeta(i)
         e = 2**i
-        terms[(e, 0) if var == "s" else (0, e)] = poly
+        terms[(e, 0) if var == "s" else (0, e)] = _zeta(i)
         i += 1
     w = Window(1 if var == "s" else 0, 1 if var == "t" else 0, max_total)
     return LaurentSeries(w, terms)
@@ -65,7 +70,7 @@ def zeta_inverse_coefficient(k: int) -> F2Poly:
     if k < 0:
         return _ONE if k == -1 else _ZERO
     return sum_of_products(
-        (F2Poly.zeta(i) if i else _ONE, zeta_inverse_coefficient((k - 2**i) // 2).square())
+        (_zeta(i), zeta_inverse_coefficient((k - 2**i) // 2).square())
         for i in range((k + 2).bit_length())
         if (k - 2**i) % 2 == 0
     )
@@ -148,11 +153,11 @@ def q_total_coefficient(n: int, m: int) -> F2Poly:
     p = m + 2**n
     # z_j^2 c_{p - 2^{j+1}} for every j with p - 2^{j+1} >= -1
     pairs = [
-        (F2Poly.zeta(j, 2), zeta_inverse_coefficient(p - 2 ** (j + 1)))
+        (_zeta(j, 2), zeta_inverse_coefficient(p - 2 ** (j + 1)))
         for j in range(n, (p + 1).bit_length() - 1)
     ]
     if p & (p - 1) == 0:
-        pairs.append((F2Poly.zeta(p.bit_length() - 1), _ONE))
+        pairs.append((_zeta(p.bit_length() - 1), _ONE))
     return sum_of_products(pairs)
 
 

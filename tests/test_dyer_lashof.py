@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 from dlash.dyer_lashof import (
     ADEM_INDEX_BOUND,
     AlreadyAdmissibleError,
-    DLMonomial,
     DLSum,
     GradedClass,
     RewriteLimitError,
+    _unstable,
     adem_relation,
     derive_relations_by_elimination,
     reduce_to_admissible,
@@ -94,22 +94,27 @@ def test_adem_refuses_indices_past_bound(i, j):
         adem_relation(j, i)
 
 
+def _admissible(word: tuple) -> bool:
+    return all(a <= 2 * b for a, b in zip(word, word[1:]))
+
+
 def test_monomial_admissibility_and_degree():
-    m = DLMonomial((5, 3), X2)
-    assert m.is_admissible()
-    assert m.degree() == 10
-    assert not DLMonomial((6, 2), X2).is_admissible()
+    assert _admissible((5, 3))
+    assert not _admissible((6, 2))
+    # Q^6 Q^2 x[2] rewrites to Q^5 Q^3 x[2], of the same degree 10
+    (word,) = reduce_to_admissible(DLSum(X2, {(6, 2)})).words
+    assert _admissible(word) and X2.degree + sum(word) == 10
 
 
 def test_instability_suffix():
     # Q^1 on a degree-2 class dies; anything stacked on top dies too
-    assert DLMonomial((1,), X2).is_instability_zero()
-    assert DLMonomial((9, 1), X2).is_instability_zero()
-    assert not DLMonomial((2,), X2).is_instability_zero()
+    for word, dies in (((1,), True), ((9, 1), True), ((2,), False)):
+        assert _unstable(word, X2.degree) is dies
+        assert reduce_to_admissible(DLSum(X2, {word})).is_zero() is dies
 
 
 def test_reduce_single_step():
-    out = reduce_to_admissible(DLMonomial((6, 2), X2))
+    out = reduce_to_admissible(DLSum(X2, {(6, 2)}))
     assert out.words == frozenset({(5, 3)})
 
 
@@ -117,20 +122,19 @@ def test_reduce_is_idempotent():
     rng = random.Random(5)
     for _ in range(120):
         word = tuple(rng.randint(0, 24) for _ in range(rng.randint(1, 4)))
-        m = DLMonomial(word, GradedClass("x", rng.randint(0, 3)))
-        once = reduce_to_admissible(m)
+        once = reduce_to_admissible(DLSum(GradedClass("x", rng.randint(0, 3)), {word}))
         assert reduce_to_admissible(once).words == once.words
         for w in once.words:
-            assert DLMonomial(w, m.klass).is_admissible()
+            assert _admissible(w)
 
 
 def test_reduce_terminates_on_large_indices():
     rng = random.Random(17)
     for _ in range(40):
         word = tuple(rng.randint(0, 64) for _ in range(rng.randint(2, 4)))
-        out = reduce_to_admissible(DLMonomial(word, X0))
+        out = reduce_to_admissible(DLSum(X0, {word}))
         for w in out.words:
-            assert DLMonomial(w, X0).is_admissible()
+            assert _admissible(w)
 
 
 def test_rewrite_limit_does_not_depend_on_earlier_calls():
@@ -184,13 +188,13 @@ def _stable_words(draw):
 @given(_stable_words())
 def test_reduce_matches_leftmost_first_reference(case):
     word, degree = case
-    out = reduce_to_admissible(DLMonomial(word, GradedClass("x", degree)))
+    out = reduce_to_admissible(DLSum(GradedClass("x", degree), {word}))
     assert out.words == _reduce_leftmost_first(word, degree, {})
 
 
 def test_sum_cancellation():
-    m = DLMonomial((5, 3), X2)
-    assert (DLSum.of(m) + DLSum.of(m)).is_zero()
+    m = DLSum(X2, {(5, 3)})
+    assert (m + m).is_zero()
 
 
 def _relations_by_table(x, window):
@@ -276,7 +280,10 @@ def test_elimination_matches_adem():
 
 
 def test_str_round_shapes():
-    m = DLMonomial((6, 2), X2)
-    assert str(m) == "Q^6 Q^2 x[2]"
+    assert str(DLSum(X2, {(6, 2)})) == "Q^6 Q^2 x[2]"
+    # the words print sorted, not in the set's order (5, 3), (6, 2), (4, 4)
+    assert str(DLSum(X2, {(6, 2), (5, 3), (4, 4)})) == "Q^4 Q^4 x[2] + Q^5 Q^3 x[2] + Q^6 Q^2 x[2]"
+    assert str(DLSum(X2)) == "0" and str(DLSum(X2, {()})) == "x[2]"
+    assert str(X2) == "x[2]" and repr(X2) == "GradedClass(name='x', degree=2)"
     assert str(adem_relation(6, 2)) == "Q^6 Q^2 = Q^5 Q^3"
     assert str(adem_relation(5, 2)) == "Q^5 Q^2 = 0"

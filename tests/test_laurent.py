@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from dlash.dyer_lashof import DLMonomial, DLSum, GradedClass
+from dlash.dyer_lashof import DLSum, GradedClass, adem_relation
 from dlash.f2 import F2Poly, map_product, sum_of_products
 from dlash import laurent, steenrod
 from dlash.laurent import (
@@ -1538,8 +1538,9 @@ _X = GradedClass("x", 2)
         F2Poly.zeta(1) * F2Poly.zeta(2) + ONE,
         # not honest in t; == compares the flag, and so does the check below
         _T_PLUS_S_INVERSE,
-        DLMonomial((6, 2), _X),
-        DLSum.of(DLMonomial((6, 2), _X), DLMonomial((5, 3), _X)),
+        _X,
+        adem_relation(6, 2),
+        DLSum(_X, {(6, 2), (5, 3)}),
     ],
     ids=lambda v: type(v).__name__,
 )

@@ -2,23 +2,24 @@ import random
 
 import pytest
 
-from dlash.dyer_lashof import DLMonomial, DLSum, GradedClass
-from dlash.parser import ParseError, parse_monomial, parse_sum
+from dlash.dyer_lashof import DLSum, GradedClass
+from dlash.parser import ParseError, parse_sum
 
 
 def test_basic_monomial():
-    m = parse_monomial("Q^6 Q^2 x[2]")
-    assert m.word == (6, 2)
+    m = parse_sum("Q^6 Q^2 x[2]")
+    assert m.words == frozenset({(6, 2)})
     assert m.klass == GradedClass("x", 2)
 
 
 def test_whitespace_insensitive():
-    assert parse_monomial("Q^6Q^2x[2]") == parse_monomial("  Q^6  Q^2  x[ 2 ] ")
+    assert parse_sum("Q^6Q^2x[2]") == parse_sum("  Q^6  Q^2  x[ 2 ] ")
 
 
 def test_char2_cancellation():
     s = parse_sum("Q^3 x[1] + Q^3 x[1]")
     assert s.is_zero()
+    assert parse_sum("Q^3 x[1] + Q^2 x[1] + Q^3 x[1]").words == frozenset({(2,)})
 
 
 def test_sum_of_distinct_terms():
@@ -45,8 +46,12 @@ def test_error_on_trailing_plus():
 
 
 def test_error_on_mixed_classes():
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="mixed generator classes") as exc:
         parse_sum("Q^3 x[1] + Q^3 y[1]")
+    assert exc.value.pos == len("Q^3 x[1] + Q^3 y[1]")
+    # a syntax error later in the text is reported first
+    with pytest.raises(ParseError, match="syntax error"):
+        parse_sum("Q^3 x[1] + Q^3 y[1] Q^2")
 
 
 def test_error_on_garbage():
@@ -57,11 +62,10 @@ def test_error_on_garbage():
 
 def _random_sum(rng):
     klass = GradedClass(rng.choice("xyz"), rng.randint(0, 5))
-    monos = []
+    words: set = set()
     for _ in range(rng.randint(1, 4)):
-        word = tuple(rng.randint(0, 40) for _ in range(rng.randint(1, 4)))
-        monos.append(DLMonomial(word, klass))
-    return DLSum.of(*monos)
+        words ^= {tuple(rng.randint(0, 40) for _ in range(rng.randint(1, 4)))}
+    return DLSum(klass, words)
 
 
 def test_round_trip_on_random_sums():
@@ -76,4 +80,7 @@ def test_round_trip_on_random_sums():
         assert back.words == s.words
         assert back.klass == s.klass
         assert str(back) == str(s)  # printing is idempotent
+        # the words print in sorted order
+        terms = [next(iter(parse_sum(t).words)) for t in str(s).split(" + ")]
+        assert terms == sorted(s.words)
     assert seen > 900
