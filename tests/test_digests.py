@@ -47,9 +47,23 @@ ARGVS = [
     ["symmetry", "1", "256"],
     ["symmetry", "--", "-1000", "256"],
     ["--json", "--degree-bound", "16", "verify-all"],
+    ["--json", "steinberger", "2"],
+    ["--json", "steinberger", "5"],
+    ["--json", "steinberger", "9"],
+    ["--json", "steinberger", "10"],
+    ["steinberger", "11"],
+    ["--json", "--degree-bound", "8", "verify-all"],
+    ["--json", "--degree-bound", "32", "verify-all"],
+    ["--json", "--degree-bound", "192", "verify-all"],
+    ["--degree-bound", "12", "nishida"],
+    ["--json", "--degree-bound", "96", "nishida"],
 ]
 # entries that take well over 0.3 s; only the script replays them
-SLOW = [["symmetry", "1", "256"], ["symmetry", "--", "-1000", "256"]]
+SLOW = [
+    ["symmetry", "1", "256"],
+    ["symmetry", "--", "-1000", "256"],
+    ["--json", "--degree-bound", "192", "verify-all"],
+]
 
 
 def _sha(data: bytes) -> str:
