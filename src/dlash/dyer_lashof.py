@@ -235,7 +235,9 @@ def symmetry_extract_relations(x: GradedClass, window: Window) -> list:
                     a, b = j + k, i - k
                     words = sums.setdefault((min(a, b), max(a, b)), set())
                     words ^= {(i, j)}
-    return [DLSum(x, words) for words in sums.values() if words]
+    # each working set is freed as its DLSum is made, so no relation is
+    # held twice
+    return [DLSum(x, words) for key in list(sums) if (words := sums.pop(key))]
 
 
 def derive_relations_by_elimination(x: GradedClass, degree_bound: int) -> dict:

@@ -42,9 +42,10 @@ pairs arrive.  Every product of two keys lies on or above the sum of
 their series' axes, so no lower bound is tested.  No product chain
 starts from 1: series_pow and the powers of u in series_compose start
 from their first factor.  series_mul passes map_product one pair, to its
-window's max_total, and series_compose makes one call with the pair (u^i, row i) for
-every row i of a that is neither row 0 nor the bare 1, on a total bound,
-and adds row 0 and the u^i of each bare 1 row to it as they are.
+window's max_total, and series_compose makes one call with the pair
+(u^i, row i) for every row i of a, on a total bound; a factor that is the
+constant 1, as u^0 and a row that is 1 are, costs map_product one set
+XOR and no monomial product.
 series_reversion's column recurrence sums its coefficient products with
 one f2.sum_of_products call per output coefficient.  A coefficient that
 cancels is dropped.  _window builds the derived windows of sums,
@@ -509,10 +510,6 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     return c if lead == (0, 0) else c.shift(-lead[0], -lead[1])
 
 
-# a row of a that is the constant 1, whose product by u^i is u^i itself
-_BARE_ONE = {(0, 0): F2Poly.one()}
-
-
 def _cap_unknown_tail(
     result: LaurentSeries, a: LaurentSeries, u: LaurentSeries
 ) -> LaurentSeries:
@@ -588,21 +585,14 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
         pows[i] = p = p.restricted(window)
         return p
 
-    # One product sums u^i times row i over the rows i that are neither
-    # row 0 nor the bare 1, and row 0 (times u^0 = 1) and the u^i of a bare
-    # 1 row are added to it as they are, on the window that series_add
-    # gives the series_mul terms in row order: a term's is u^i's shifted by
-    # s^lo, lo the least e_s of its row.  No product past its max_total or
-    # the target window's is formed.
-    pairs, addends, w = [], [], None
+    # One product sums u^i times row i over every row i, on the window
+    # that series_add gives the series_mul terms in row order: a term's is
+    # u^i's shifted by s^lo, lo the least e_s of its row.  No product past
+    # its max_total or the target window's is formed.
+    pairs, w = [], None
     for i in sorted(rows):
         p, row = power(i), rows[i]
-        if row == _BARE_ONE:
-            addends.append(p.coeffs)
-        elif i == 0:
-            addends.append(row)
-        else:
-            pairs.append((p.coeffs, row))
+        pairs.append((p.coeffs, row))
         lo = min(es for es, _ in row)
         pw = p.window
         term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
@@ -612,14 +602,7 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     else:
         # every product lies on or above the axes of w
         limit = _min_total(w.max_total, window.max_total)
-        coeffs = map_product(pairs, limit)
-        for addend in addends:
-            for e, c in addend.items():
-                if e[0] + e[1] <= limit:
-                    c += coeffs.pop(e, F2Poly.zero())
-                    if not c.is_zero():
-                        coeffs[e] = c
-        result = LaurentSeries(_window(w.min_s, w.min_t, limit), coeffs)
+        result = LaurentSeries(_window(w.min_s, w.min_t, limit), map_product(pairs, limit))
     if a.window.max_total is not None:
         result = _cap_unknown_tail(result, a, u)
     return result.restricted(window)

@@ -22,15 +22,12 @@ read off them.
 
 Q^i(a) is the t^i coefficient of Q(t) a, and for a monomial m it needs
 only t^{|m|} .. t^i of each factor (Q(t) z_n)^e, all in t alone.  So q_op
-forms no Laurent series: each factor, power and product is a list of
-coefficients in t from its valuation, formed as far as the read reaches,
-with three integers (lo, hi, lead) for the window that series_mul and
-series_pow would certify for it.  A square is the Frobenius of the list
-and each other product one sum_of_products per offset; the answer is
-read inside the window, or refused naming it.  The tests keep the
-Laurent product chain as the oracle of q_op.  This module holds only the
-algebra: the checks of the paper's identities against it live in
-``verify``.
+forms no Laurent series: each factor, power and product is a list of its
+exact coefficients in t from its valuation to offset i - |m|.  A square
+is the Frobenius of the list and each other product one sum_of_products
+per offset.  The tests keep the Laurent product chain as the oracle of
+q_op.  This module holds only the algebra: the checks of the paper's
+identities against it live in ``verify``.
 """
 
 from __future__ import annotations
@@ -38,7 +35,7 @@ from __future__ import annotations
 from functools import cache
 
 from .f2 import F2Poly, factors, monomial_degree, sum_of_products
-from .laurent import LaurentSeries, Window, WindowMissError, series_reversion
+from .laurent import LaurentSeries, Window, series_reversion
 
 _ZERO, _ONE = F2Poly.zero(), F2Poly.one()
 
@@ -161,65 +158,34 @@ def q_total_coefficient(n: int, m: int) -> F2Poly:
     return sum_of_products(pairs)
 
 
-def _factor(n: int, bound: int, top: int) -> tuple:
-    """Q(t) z_n cut at total bound, as the truncated series (lo, hi, lead,
-    coeffs): known on lo <= e_t <= hi, zero below lo, with its least nonzero
-    coefficient at lead (None: none is known), and coeffs its coefficients
-    at t^lo .. t^{lo + top}, as far as hi, read off q_total_coefficient.
-    Cut at or above t^{2^n - 1}, it is led there by z_n^2; cut below, it
-    is known to vanish through bound.  A negative top forms no
-    coefficient."""
+def _factor(n: int, top: int) -> list:
+    """Q(t) z_n at t^{2^n - 1} .. t^{2^n - 1 + top}, its coefficients from
+    its valuation, read off q_total_coefficient."""
     lo = 2**n - 1
-    if bound < lo:
-        return bound, bound, None, [_ZERO] if top >= 0 else []
-    return lo, bound, lo, [q_total_coefficient(n, lo + k) for k in range(min(top, bound - lo) + 1)]
+    return [q_total_coefficient(n, lo + k) for k in range(top + 1)]
 
 
-def _square(x: tuple, top: int) -> tuple:
-    """The Frobenius of x: offset k goes to 2k, squared, and the square
-    is known one total further than twice x's, where odd totals vanish."""
-    lo, hi, lead, c = x
-    hi = 2 * hi + 1
-    coeffs = [
-        c[k >> 1].square() if k % 2 == 0 else _ZERO for k in range(min(top, hi - 2 * lo) + 1)
-    ]
-    return 2 * lo, hi, None if lead is None else 2 * lead, coeffs
-
-
-def _product_window(x: tuple, y: tuple) -> tuple:
-    """(lo, hi, lead) of x y, as series_mul certifies it: each factor's
-    unknown terms begin past its hi, and the other's known terms vanish
-    below its cert, its lead (or everything it knows, hi + 1, when it has
-    none).  F2[z1, z2, ...] has no zero divisors, so the leads multiply
-    to the product's lead, when the product is known that far."""
-    (lo1, hi1, lead1, _), (lo2, hi2, lead2, _) = x, y
-    cert1 = hi1 + 1 if lead1 is None else lead1
-    cert2 = hi2 + 1 if lead2 is None else lead2
-    hi = min(hi1 + cert2, hi2 + cert1)
-    lead = None if lead1 is None or lead2 is None or lead1 + lead2 > hi else lead1 + lead2
-    return lo1 + lo2, hi, lead
+def _square(c: list, top: int) -> list:
+    """The Frobenius of c to offset top: offset k goes to 2k, squared, and
+    odd offsets vanish."""
+    return [c[k >> 1].square() if k % 2 == 0 else _ZERO for k in range(top + 1)]
 
 
 def _offset(a: list, b: list, k: int) -> F2Poly:
-    """Offset k of the product of two coefficient lists, from the pairs
-    both hold: every other pair meets a term the product window certifies
-    zero."""
-    pairs = range(max(k - len(b) + 1, 0), min(k, len(a) - 1) + 1)
-    return sum_of_products((a[j], b[k - j]) for j in pairs)
+    """Offset k of the product of two coefficient lists, both formed to k
+    or further."""
+    return sum_of_products((a[j], b[k - j]) for j in range(k + 1))
 
 
-def _product(x: tuple, y: tuple, top: int) -> tuple:
-    """x y, formed to offset top."""
-    lo, hi, lead = _product_window(x, y)
-    a, b = x[3], y[3]
-    return lo, hi, lead, [_offset(a, b, k) for k in range(min(top, hi - lo) + 1)]
+def _product(a: list, b: list, top: int) -> list:
+    """a b, formed to offset top."""
+    return [_offset(a, b, k) for k in range(top + 1)]
 
 
-def _power(n: int, bound: int, e: int, top: int) -> tuple:
-    """(Q(t) z_n)^e from the factor cut at bound, formed to offset top by
-    the square-and-multiply chain of series_pow, which starts from its
-    first factor, so that the windows are the ones it certifies."""
-    x, result = _factor(n, bound, top), None
+def _power(n: int, e: int, top: int) -> list:
+    """(Q(t) z_n)^e formed to offset top by square-and-multiply, starting
+    from its first factor."""
+    x, result = _factor(n, top), None
     while e:
         if e & 1:
             result = x if result is None else _product(result, x, top)
@@ -229,50 +195,36 @@ def _power(n: int, bound: int, e: int, top: int) -> tuple:
     return result
 
 
-def q_op(i: int, a: F2Poly, max_total: int | None = None) -> F2Poly:
+def q_op(i: int, a: F2Poly) -> F2Poly:
     """Q^i(a): the t^i coefficient of the total operation on a.
 
     Q(t)(xy) = (Q(t)x)(Q(t)y), and Q(t) z_n vanishes below t^{2^n - 1}: so
-    for a monomial m, each factor is needed only to its valuation plus
-    i - |m|, and only at t^{2^n - 1} and above.  Each factor, each power
-    (Q(t) z_n)^e and each product is a list of coefficients in t from the
-    series' valuation, formed no further than the offset i - |m| that the
-    read reaches, and the last product forms that offset alone.  Each
-    carries the window series_mul and series_pow would certify for it,
-    three integers that the products and squares combine: the answer is
-    certified on it, or WindowMissError names t^i and the window it lies
-    outside.  The product starts from the first factor's power, and
-    Q(t) 1 = 1.  Each power is formed once per call for each (n, e) and
-    offset i - |m|, which the monomials of a homogeneous a share."""
-    if max_total is None:
-        max_total = max(i, 0) + 1
+    for a monomial m the t^i coefficient lies at offset top = i - |m| from
+    the valuation t^{|m|} of Q(t) m, and is zero when top < 0, which forms
+    nothing.  Each factor, each power (Q(t) z_n)^e and each product is a
+    list of its coefficients in t from its valuation to offset top, each
+    one exact, and the last product forms offset top alone.  The product
+    starts from the first factor's power, and Q(t) 1 = 1.  Each power is
+    formed once per call for each (n, e) and offset top, which the
+    monomials of a homogeneous a share."""
     result = _ZERO
     powers: dict = {}
     for monomial in a.monomials:
         top = i - monomial_degree(monomial)
+        if top < 0:
+            continue
         terms = []
         for n, e in factors(monomial):
             power = powers.get((n, e, top))
             if power is None:
-                bound = min(max_total, (1 << n) - 1 + max(top, 0))
-                power = powers[(n, e, top)] = _power(n, bound, e, top)
+                power = powers[(n, e, top)] = _power(n, e, top)
             terms.append(power)
         if not terms:  # the monomial 1, and Q(t) 1 = 1
-            if i == 0:
+            if top == 0:
                 result = result + _ONE
             continue
         term = terms[0]
         for power in terms[1:-1]:
             term = _product(term, power, top)
-        last = terms[-1]
-        lo, hi, lead = _product_window(term, last) if len(terms) > 1 else term[:3]
-        if i > hi:
-            raise WindowMissError(
-                f"t^{i} outside the guaranteed window {Window(0, lo, hi).describe()}"
-            )
-        # a term with a lead starts at t^{|m|}, so i - lo is top, the
-        # offset every list was formed to
-        if lead is not None and i >= lead:
-            k = i - lo
-            result = result + (_offset(term[3], last[3], k) if len(terms) > 1 else term[3][k])
+        result = result + (_offset(term, terms[-1], top) if len(terms) > 1 else term[top])
     return result

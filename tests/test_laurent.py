@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dlash.dyer_lashof import DLSum, GradedClass, adem_relation
-from dlash.f2 import F2Poly, map_product, sum_of_products
+from dlash.f2 import F2Poly, map_product, monomial_degree, sum_of_products
 from dlash import laurent, steenrod
 from dlash.laurent import (
     _cap_unknown_tail,
@@ -1439,23 +1439,21 @@ def test_pow_makes_a_product_only_past_its_first_factor(monkeypatch):
     assert counts == [0, 0, 0, 1, 0, 1]
 
 
-_BARE_ONE = {(0, 0): ONE}
-
-
 def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
     """q_op makes no Laurent product, and its chain of truncated products
     starts from the first factor's power: the monomial 1 and a single
-    z_n^e with e a power of 2 take no product, and every other factor one.
-    No product that series_compose makes has the bare one map as its power
-    of u or as its row of a: a row that is 1 adds its power of u as it is.
-    series_inverse makes no product through the kernel at all."""
+    z_n^e with e a power of 2 take no product, and every other factor one,
+    each of which forms the offset i - |m| once, the last that offset
+    alone.  series_inverse makes no product through the kernel at all, and
+    series_compose sums its rows in one product, with a pair for every row
+    of a: row 0 and the rows that are the bare 1 included."""
     calls = _count_products(monkeypatch)
-    products = []
-    product_window = steenrod._product_window
+    offsets = []
+    offset = steenrod._offset
 
-    def counted(x, y):
-        products.append((x, y))
-        return product_window(x, y)
+    def counted(a, b, k):
+        offsets.append(k)
+        return offset(a, b, k)
 
     def refused(*args, **kwargs):
         raise AssertionError("q_op formed a Laurent product")
@@ -1463,14 +1461,15 @@ def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
     z = F2Poly.zeta
     made = []
     with monkeypatch.context() as patched:
-        patched.setattr(steenrod, "_product_window", counted)
+        patched.setattr(steenrod, "_offset", counted)
         for name in ("series_mul", "series_pow"):
             patched.setattr(laurent, name, refused)
             patched.setattr(steenrod, name, refused, raising=False)
         for i, m in [(3, ONE), (5, z(1)), (9, z(1) * z(2, 2)), (12, z(1, 2) * z(2) * z(3))]:
-            products.clear()
-            q_op(i, m, 40)
-            made.append(len(products))
+            offsets.clear()
+            q_op(i, m)
+            top = i - max(map(monomial_degree, m.monomials))
+            made.append(offsets.count(top))
     assert made == [0, 0, 1, 2] and calls == []
     for u, window in [
         (exact((0, 0), (0, 1)), Window(0, 0, 20)),
@@ -1480,13 +1479,19 @@ def test_no_chain_multiplies_by_the_bare_one(monkeypatch):
         series_inverse(u, window)
     assert calls == []
     zbar = series_reversion(zeta_series(20))
-    series_compose(_identity1_rhs(8), zbar, Window(0, -9, 8))
-    # row t^1 of z(t) is the bare 1
-    series_compose(zeta_series(20), zbar, Window(0, -9, 20))
-    series_compose(exact((0, 1), (0, 3)), zbar, Window(0, -9, 20))
-    assert calls and not any(
-        _BARE_ONE in (power, row) for pairs in calls for power, row in pairs
-    )
+    for a, window in [
+        (_identity1_rhs(8), Window(0, -9, 8)),
+        # row t^1 of z(t) is the bare 1
+        (zeta_series(20), Window(0, -9, 20)),
+        (exact((0, 0), (1, 0), (0, 1), (0, 3)), Window(0, -9, 20)),
+    ]:
+        calls.clear()
+        series_compose(a, zbar, window)
+        rows = {}
+        for (es, et), p in a.coeffs.items():
+            rows.setdefault(et, {})[(es, 0)] = p
+        # odd powers of u come from series_mul first; the rows come last
+        assert [row for _, row in calls[-1]] == [rows[i] for i in sorted(rows)]
 
 
 def test_inverse_shifts_only_a_lead_off_the_origin(monkeypatch):

@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dlash import laurent, steenrod, verify
-from dlash.f2 import F2Poly, factors
+from dlash.f2 import F2Poly, factors, monomial_degree
 from dlash.laurent import (
-    LaurentError,
     LaurentSeries,
     Window,
     WindowMissError,
@@ -241,8 +240,7 @@ _exponents = st.tuples(st.integers(0, 5), st.integers(0, 2), st.integers(0, 1), 
 @given(st.lists(_exponents, min_size=1, max_size=3), st.data())
 def test_q_op_matches_full_width_factors(monomials, data):
     """Reading t^i with each factor cut to its valuation plus i - |m| gives
-    what full-width factors give, and raises exactly where they cannot
-    reach t^i, also for max_total below i."""
+    what factors formed out to any total that reaches t^i give."""
     a = F2Poly.zero()
     for exps in monomials:
         m = F2Poly.one()
@@ -251,13 +249,10 @@ def test_q_op_matches_full_width_factors(monomials, data):
         a = a + m
     degree = data.draw(st.sampled_from([_degree(exps) for exps in monomials]))
     i = degree + data.draw(st.integers(-3, 4))
-    max_total = i + data.draw(st.integers(-4, 3))
+    max_total = max(i, 0) + data.draw(st.integers(1, 4))
     want = _q_op_at_full_width(i, a, max_total) if a.monomials else F2Poly.zero()
-    try:
-        got = q_op(i, a, max_total)
-    except WindowMissError:
-        got = None
-    assert got == want
+    assert want is not None
+    assert q_op(i, a) == want
 
 
 def _q_op_from_one(i, a, max_total):
@@ -280,13 +275,6 @@ def _degree_of(monomial):
     return sum(((1 << n) - 1) * e for n, e in factors(monomial))
 
 
-def _q_op_outcome(q, i, a, max_total):
-    try:
-        return q(i, a, max_total)
-    except WindowMissError as e:
-        return e.args[0].rsplit("window ", 1)[-1]
-
-
 _Z = F2Poly.zeta
 
 
@@ -304,12 +292,12 @@ _Z = F2Poly.zeta
     ids=["1", "z1", "z3^2", "z1^3 z2", "z2^2 z3", "z1 z2^2 z3", "sum"],
 )
 def test_q_op_matches_the_product_from_one(a):
-    """Monomials of 0 to 3 factors: the same answer, and the same window
-    named when t^i lies outside it."""
+    """Monomials of 0 to 3 factors: the same answer as the Laurent product
+    chain with each factor known to total i + 1, or to 40."""
     for i in range(-2, 30, 3):
-        for max_total in (i - 3, i, i + 1, 40):
-            want = _q_op_outcome(_q_op_from_one, i, a, max_total)
-            assert _q_op_outcome(q_op, i, a, max_total) == want, (i, max_total)
+        got = q_op(i, a)
+        for max_total in (max(i, 0) + 1, 40):
+            assert got == _q_op_from_one(i, a, max_total), (i, max_total)
 
 
 def _milnor_monomial(rng, degree):
@@ -329,10 +317,9 @@ def _milnor_monomial(rng, degree):
 
 def test_q_op_matches_the_product_from_one_over_the_milnor_range():
     """Three monomials in z1..z5 of each degree 8 to 48, each t^i from
-    |m| - 3 to |m| + 4, known to i - 3, i, i + 1 or the default: the same
-    answer as the Laurent product chain, or the same window named.  On
-    the zero slots i < |m|, where the windows alone decide, q_op forms no
-    coefficient, even from cold memos."""
+    |m| - 3 to |m| + 4: the same answer as the Laurent product chain with
+    each factor known to total i + 1.  On the zero slots i < |m| q_op
+    forms no coefficient, even from cold memos."""
     rng = random.Random("q_op/milnor")
     for degree in range(8, 49):
         monomials = set()
@@ -341,17 +328,14 @@ def test_q_op_matches_the_product_from_one_over_the_milnor_range():
             monomials.discard(None)
         for m in sorted(monomials, key=str):
             for i in range(degree - 3, degree + 5):
-                for max_total in (i - 3, i, i + 1, None):
-                    if i < degree:
-                        _clear_memos()
-                    got = _q_op_outcome(q_op, i, m, max_total)
-                    if i < degree:
-                        assert zeta_inverse_coefficient.cache_info().misses == 0
-                        assert q_total_coefficient.cache_info().misses == 0
-                    want = _q_op_outcome(
-                        _q_op_from_one, i, m, i + 1 if max_total is None else max_total
-                    )
-                    assert got == want, (str(m), i, max_total)
+                if i < degree:
+                    _clear_memos()
+                got = q_op(i, m)
+                if i < degree:
+                    assert got.is_zero()
+                    assert zeta_inverse_coefficient.cache_info().misses == 0
+                    assert q_total_coefficient.cache_info().misses == 0
+                assert got == _q_op_from_one(i, m, max(i, 0) + 1), (str(m), i)
 
 
 def _refuse_laurent_products(monkeypatch):
@@ -368,18 +352,18 @@ def _refuse_laurent_products(monkeypatch):
 
 @pytest.mark.parametrize("n, calls_made", [(4, 13), (6, 43)])
 def test_q_op_forms_each_factor_power_once(monkeypatch, n, calls_made):
-    """zbar_n is homogeneous, so every factor z_i of its monomials is cut to
-    one bound, and q_op(2^n, zbar_n) forms one truncated power per distinct
-    z_i^e: the 13 factors of zbar_4 are distinct, and the 66 of zbar_6 are
-    43.  It makes no Laurent product on the way."""
+    """zbar_n is homogeneous, so every factor z_i of its monomials is formed
+    to one offset, and q_op(2^n, zbar_n) forms one truncated power per
+    distinct z_i^e: the 13 factors of zbar_4 are distinct, and the 66 of
+    zbar_6 are 43.  It makes no Laurent product on the way."""
     zbar = conjugate_zeta(n)[n - 1]
     want = _q_op_from_one(2**n, zbar, 2**n + 1)
     calls = []
     power = steenrod._power
 
-    def counted(n, bound, e, top):
+    def counted(n, e, top):
         calls.append(e)
-        return power(n, bound, e, top)
+        return power(n, e, top)
 
     monkeypatch.setattr(steenrod, "_power", counted)
     _refuse_laurent_products(monkeypatch)
@@ -391,43 +375,32 @@ def test_q_op_forms_each_factor_power_once(monkeypatch, n, calls_made):
 def test_q_op_squaring():
     # Q^{deg a}(a) = a^2
     z2 = F2Poly.zeta(2)
-    assert q_op(3, z2, 8) == z2.square()
+    assert q_op(3, z2) == z2.square()
     m = F2Poly.zeta(1) * F2Poly.zeta(2)
-    assert q_op(4, m, 10) == m.square()
+    assert q_op(4, m) == m.square()
 
 
 def test_q_op_instability_zeros():
     for n in range(1, 6):
         for i in range(1, 2**n - 1):
-            assert q_op(i, F2Poly.zeta(n), 2**n + 2).is_zero()
+            assert q_op(i, F2Poly.zeta(n)).is_zero()
 
 
 def test_q_op_additivity():
     a = F2Poly.zeta(1, 2)
     b = F2Poly.zeta(2)
     for i in range(0, 7):
-        assert q_op(i, a + b, 8) == q_op(i, a, 8) + q_op(i, b, 8)
-
-
-def test_q_op_window_guard():
-    """A t^i past the product's window is refused with a window miss, a
-    LaurentError, that names t^i and the window."""
-    with pytest.raises(WindowMissError) as refused:
-        q_op(40, F2Poly.zeta(1), 4)
-    assert isinstance(refused.value, LaurentError)
-    assert str(refused.value) == (
-        "t^40 outside the guaranteed window " + q_total_on_zeta(1, 4).window.describe()
-    )
+        assert q_op(i, a + b) == q_op(i, a) + q_op(i, b)
 
 
 def test_cartan_on_a_product():
     a = F2Poly.zeta(1)
     b = F2Poly.zeta(2)
     n = 5
-    lhs = q_op(n, a * b, n + 1)
+    lhs = q_op(n, a * b)
     rhs = F2Poly.zero()
     for i in range(0, n + 1):
-        rhs = rhs + q_op(i, a, n + 1) * q_op(n - i, b, n + 1)
+        rhs = rhs + q_op(i, a) * q_op(n - i, b)
     assert lhs == rhs
 
 
@@ -584,13 +557,16 @@ def test_an_identity_right_side_that_raises_fails_both_identity_suites(monkeypat
 
 
 def test_a_q_op_past_its_window_fails_only_the_suite_that_asks(monkeypatch):
-    """The Cartan law asks each product at t^n to total n + 1; asked to
-    total n - 1 instead, q_op refuses with a window miss, which fails the
-    property-laws suite alone."""
+    """Only the Cartan law asks q_op for a t^i more than one past the degree
+    of a; a stub that refuses those with a window miss fails the
+    property-laws suite alone, and run_all records the error."""
     q = verify.q_op
 
-    def short(i, a, max_total=None):
-        return q(i, a, i - 1 if max_total == i + 1 else max_total)
+    def short(i, a):
+        if i > max(map(monomial_degree, a.monomials), default=0) + 1:
+            window = Window(0, 0, i - 1).describe()
+            raise WindowMissError(f"t^{i} outside the guaranteed window {window}")
+        return q(i, a)
 
     monkeypatch.setattr(verify, "q_op", short)
     records = verify.run_all(8)
