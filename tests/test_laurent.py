@@ -653,6 +653,7 @@ _KERNEL_UNIT = LaurentSeries.exact(
 # r = t + s^2 t^-3: t^4 lies above the box's total 3, and t^4 s^2 t^-3
 # inside it, so the inverse is refused
 _TOTAL_DROP_UNIT = exact((0, 0), (0, 1), (2, -3))
+_NEGATIVE_T_UNIT = exact((0, 0), (1, -1), (0, 1))  # 1 + s t^-1 + t
 
 
 def _has_a_term_below_its_lead(a):
@@ -668,6 +669,9 @@ def _has_a_term_below_its_lead(a):
 # a window above e_s = 0: the inverse, 1, is honest in s only if its window
 # reaches down to e_s = 0
 @example(((LaurentSeries.one(), LaurentSeries.one()), Window(1, 0, 1)))
+# a term of negative e_t: the inverse holds s^8 t^-2 in the box's last row
+# e_s = max_total - min_t = 8, which a row bound one short would leave out
+@example(((_NEGATIVE_T_UNIT, _NEGATIVE_T_UNIT), Window(0, -2, 6)))
 def test_inverse_window_sound_by_completion(case):
     """Every coefficient an inverse claims, inside its window or below an
     honest axis up to its max_total, is the coefficient of the exact
@@ -805,6 +809,12 @@ UNARY_OPS = {
 @settings(deadline=None, max_examples=200)
 @pytest.mark.parametrize("op", sorted(UNARY_OPS))
 @given(x=_summand_and_completion(), window=_target_window())
+# s^-1 + O(total 3), completed by s^-1 t^4: the residue knows t^0 .. t^3
+# and must leave t^4 unclaimed
+@example(
+    x=(LaurentSeries.truncated({(-1, 0): ONE}, Window(-1, 0, 2)), {(-1, 0): ONE, (-1, 4): ONE}),
+    window=Window(0, 0, 0),
+)
 def test_unary_window_sound_by_completion(op, x, window):
     """Every coefficient square, shift, restricted, residue and augmentation
     claim, in the window or below an honest axis up to max_total, is that
