@@ -70,7 +70,8 @@ def _series_json(series) -> dict:
         "window": {
             "min_s": series.window.min_s,
             "min_t": series.window.min_t,
-            "max_total": series.window.max_total,
+            # JSON has no infinity: an exact window's max_total is null
+            "max_total": None if series.is_exact() else series.window.max_total,
         },
         "terms": series.to_json_terms(),
     }

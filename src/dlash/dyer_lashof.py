@@ -12,6 +12,7 @@ bidegree.
 
 from __future__ import annotations
 
+from math import inf
 from typing import NamedTuple
 
 from .laurent import Window
@@ -217,7 +218,7 @@ def symmetry_extract_relations(x: GradedClass, window: Window) -> list:
     a relation among length-2 words.  The relations are read from the
     words; no table of bidegrees is built.
     """
-    if window.max_total is None:
+    if window.max_total == inf:
         raise ValueError("symmetry relations need a finite window")
     n, top = x.degree, window.max_total
     # both bidegrees lie in the window only if a, b >= low, and a >= j,

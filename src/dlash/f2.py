@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import reduce
 from itertools import chain
-from math import comb, factorial, inf
+from math import comb, factorial
 from operator import or_
 from typing import Iterable
 
@@ -107,16 +107,14 @@ def _terms(coeffs: dict) -> list:
     ]
 
 
-def map_product(factor_pairs: Iterable[tuple], max_total: int | None) -> dict:
+def map_product(factor_pairs: Iterable[tuple], max_total: int | float) -> dict:
     """The sum of the products of the coefficient maps in each (a, b) of
     factor_pairs, maps from exponents (e_s, e_t) to nonzero polynomials,
-    at the exponents of total e_s + e_t <= max_total (None: no bound).
+    at the exponents of total e_s + e_t <= max_total (inf: no bound).
 
     Each output coefficient is formed in one set as the pairs arrive, and
     a pair past max_total forms no product; a sum that cancels is
     dropped."""
-    if max_total is None:
-        max_total = inf
     sums: dict = {}
     for a, b in factor_pairs:
         rows = _terms(b)

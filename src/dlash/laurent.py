@@ -16,8 +16,9 @@ describing where its coefficients are guaranteed exact:
     negative t-exponents, so they are exact inside their window but not
     honest in t.
 
-max_total = None means the series is exact (known in full).  An inverse
-or a composite is formed on a finite window only: series_inverse and
+max_total = inf (math.inf) means the series is exact (known in full);
+JSON, which has no infinity, prints it as null.  An inverse or a
+composite is formed on a finite window only: series_inverse and
 series_compose take one, and series_pow takes one for a negative power.
 
 coefficient, shift, square, restricted, map_coeffs and residue take a
@@ -65,6 +66,8 @@ it is known to.
 
 from __future__ import annotations
 
+from math import inf
+
 from .f2 import F2Poly, map_inverse, map_product, sum_of_products
 
 
@@ -92,30 +95,16 @@ class WindowMissError(LaurentError):
     pass
 
 
-def _min_total(m1, m2):
-    if m1 is None:
-        return m2
-    if m2 is None:
-        return m1
-    return min(m1, m2)
-
-
-def _add_total(m1, m2):
-    if m1 is None or m2 is None:
-        return None
-    return m1 + m2
-
-
 class Window:
-    """Exactness region: e_s >= min_s, e_t >= min_t, e_s + e_t <= max_total.
+    """Exactness region: e_s >= min_s, e_t >= min_t, e_s + e_t <= max_total,
+    where max_total inf bounds no total.
 
     An immutable value, equal and hashed by its three fields."""
 
     __slots__ = ("min_s", "min_t", "max_total")
 
-    def __init__(self, min_s: int, min_t: int, max_total: int | None = None):
-        # max_total None: exact series
-        if max_total is not None and min_s + min_t > max_total:
+    def __init__(self, min_s: int, min_t: int, max_total: int | float = inf):
+        if min_s + min_t > max_total:
             raise EmptyWindowError(
                 f"empty window: min_s={min_s}, min_t={min_t}, max_total={max_total}"
             )
@@ -145,16 +134,13 @@ class Window:
         return Window, self._fields()
 
     def contains(self, es: int, et: int) -> bool:
-        if es < self.min_s or et < self.min_t:
-            return False
-        return self.max_total is None or es + et <= self.max_total
+        return es >= self.min_s and et >= self.min_t and es + et <= self.max_total
 
     def shifted(self, ds: int, dt: int) -> "Window":
-        return Window(self.min_s + ds, self.min_t + dt, _add_total(self.max_total, ds + dt))
+        return Window(self.min_s + ds, self.min_t + dt, self.max_total + ds + dt)
 
     def describe(self) -> str:
-        mx = "inf" if self.max_total is None else str(self.max_total)
-        return f"[e_s>={self.min_s}, e_t>={self.min_t}, e_s+e_t<={mx}]"
+        return f"[e_s>={self.min_s}, e_t>={self.min_t}, e_s+e_t<={self.max_total}]"
 
 
 class LaurentSeries:
@@ -186,11 +172,11 @@ class LaurentSeries:
             return LaurentSeries.zero()
         min_s = min(es for es, _ in nz)
         min_t = min(et for _, et in nz)
-        return LaurentSeries(Window(min_s, min_t, None), nz)
+        return LaurentSeries(Window(min_s, min_t), nz)
 
     @staticmethod
     def zero() -> "LaurentSeries":
-        return LaurentSeries(Window(0, 0, None), {})
+        return LaurentSeries(Window(0, 0), {})
 
     @staticmethod
     def one() -> "LaurentSeries":
@@ -208,7 +194,7 @@ class LaurentSeries:
         return LaurentSeries(window, kept, honest_t)
 
     def is_exact(self) -> bool:
-        return self.window.max_total is None
+        return self.window.max_total == inf
 
     # -- queries --------------------------------------------------------
 
@@ -218,21 +204,16 @@ class LaurentSeries:
     def certified_min_total(self):
         """A lower bound for the total degree of the true series.
 
-        Everything below it is known to vanish; None means the series is
+        Everything below it is known to vanish; inf means the series is
         zero in full.  Valid only for series honest in t.
         """
-        supp_min = min((es + et for es, et in self.coeffs), default=None)
-        if supp_min is not None:
-            return supp_min
-        if self.window.max_total is None:
-            return None
-        return self.window.max_total + 1
+        return min((es + et for es, et in self.coeffs), default=self.window.max_total + 1)
 
     def coefficient(self, es: int, et: int) -> F2Poly:
         if not self.window.contains(es, et):
             w = self.window
             below_axis = es < w.min_s or (self.honest_t and et < w.min_t)
-            if below_axis and (w.max_total is None or es + et <= w.max_total):
+            if below_axis and es + et <= w.max_total:
                 return F2Poly.zero()  # certified vanishing below an honest axis
             raise WindowMissError(
                 f"({es},{et}) outside guaranteed window {self.window.describe()}"
@@ -243,11 +224,7 @@ class LaurentSeries:
         """Whether coefficient answers at every position of box: each lies
         in the window, or below an honest axis up to its max_total."""
         w = self.window
-        return (
-            (w.max_total is None
-             or box.max_total is not None and box.max_total <= w.max_total)
-            and (self.honest_t or w.min_t <= box.min_t)
-        )
+        return box.max_total <= w.max_total and (self.honest_t or w.min_t <= box.min_t)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -266,9 +243,7 @@ class LaurentSeries:
         # Frobenius: cross terms cancel in pairs, so (sum)^2 = sum of squares
         # and the square is exact out to 2*max_total + 1 (odd totals vanish).
         w = self.window
-        new_w = Window(
-            2 * w.min_s, 2 * w.min_t, _add_total(_add_total(w.max_total, w.max_total), 1)
-        )
+        new_w = Window(2 * w.min_s, 2 * w.min_t, 2 * w.max_total + 1)
         coeffs = {(2 * es, 2 * et): p.square() for (es, et), p in self.coeffs.items()}
         return LaurentSeries(new_w, coeffs, self.honest_t)
 
@@ -281,7 +256,7 @@ class LaurentSeries:
             self.coeffs,
             w.min_s,
             w.min_t if self.honest_t else max(w.min_t, window.min_t),
-            _min_total(w.max_total, window.max_total),
+            min(w.max_total, window.max_total),
             self.honest_t,
         )
 
@@ -356,20 +331,20 @@ _set_coeffs = LaurentSeries.coeffs.__set__
 _set_honest_t = LaurentSeries.honest_t.__set__
 
 
-def _window(min_s: int, min_t: int, max_total: int | None) -> Window:
+def _window(min_s: int, min_t: int, max_total: int | float) -> Window:
     """The window [min_s, min_t, max_total] of a series.
 
     When that window is empty, the s-axis is lowered until the window
     holds one position: every series is honest in s, so each coefficient
     below its s-axis is a known zero, and this claims nothing new.
     """
-    if max_total is not None and min_s + min_t > max_total:
+    if min_s + min_t > max_total:
         min_s = max_total - min_t
     return Window(min_s, min_t, max_total)
 
 
 def _known(
-    coeffs: dict, min_s: int, min_t: int, max_total: int | None, honest_t: bool = True
+    coeffs: dict, min_s: int, min_t: int, max_total: int | float, honest_t: bool = True
 ) -> LaurentSeries:
     """The series known to be coeffs on the window [min_s, min_t, max_total]."""
     return LaurentSeries.truncated(coeffs, _window(min_s, min_t, max_total), honest_t)
@@ -384,11 +359,9 @@ def _sum_window(wa: Window, wb: Window) -> Window:
     """The window of the sum of two honest series on wa and wb: both vanish
     below their axes, so the sum does below the lesser ones, and it is known
     to the lesser max_total.  When both are exact, the sum's window follows
-    its support instead, and only its max_total None is meaningful."""
+    its support instead, and only its max_total inf is meaningful."""
     return Window(
-        min(wa.min_s, wb.min_s),
-        min(wa.min_t, wb.min_t),
-        _min_total(wa.max_total, wb.max_total),
+        min(wa.min_s, wb.min_s), min(wa.min_t, wb.min_t), min(wa.max_total, wb.max_total)
     )
 
 
@@ -399,7 +372,7 @@ def series_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     for e in a.coeffs.keys() & b.coeffs.keys():
         coeffs[e] = a.coeffs[e] + b.coeffs[e]  # may cancel to zero
     w = _sum_window(a.window, b.window)
-    if w.max_total is None:
+    if w.max_total == inf:
         # a sum that cancels is the exact zero
         return LaurentSeries.exact(coeffs)
     return LaurentSeries.truncated(coeffs, w)
@@ -412,9 +385,8 @@ def series_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
     if any(x.is_exact() and not x.coeffs for x in (a, b)):
         return LaurentSeries.zero()
     wa, wb = a.window, b.window
-    max_total = _min_total(
-        _add_total(wa.max_total, b.certified_min_total()),
-        _add_total(wb.max_total, a.certified_min_total()),
+    max_total = min(
+        wa.max_total + b.certified_min_total(), wb.max_total + a.certified_min_total()
     )
     w = Window(wa.min_s + wb.min_s, wa.min_t + wb.min_t, max_total)
     # every product of keys lies on or above the summed axes of w
@@ -468,7 +440,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     lead, reaches down to e_t = 0, where c holds 1: a term of negative e_t
     has e_s >= 1, and its powers fall ever lower in t.
     """
-    if window is None or window.max_total is None:
+    if window is None or window.max_total == inf:
         raise NotInvertibleError("the inverse needs a finite window")
     if not a.honest_t:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -487,7 +459,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
     if any(es + et < 0 for es, et in r):
         raise NotInvertibleError("a term has a lower total than the leading term")
-    if a.window.max_total is not None and a.window.min_s < lead[0]:
+    if a.window.max_total < inf and a.window.min_s < lead[0]:
         # an unknown term of lower e_s, above max_total, would lead instead
         raise NotInvertibleError("leading term is not minimal in the s-small order")
 
@@ -498,7 +470,7 @@ def series_inverse(a: LaurentSeries, window: Window) -> LaurentSeries:
     min_s = min(box.min_s, 0)
     bs = box.max_total - box.min_t  # largest e_s in the box
     # a product with an unknown term of r lies above rel's max_total
-    max_total = _min_total(box.max_total, rel.window.max_total)
+    max_total = min(box.max_total, rel.window.max_total)
     # c holds 1 at (0, 0); a term of r with negative e_t has e_s >= 1, and
     # its powers fall ever lower in t, below any t-axis
     honest_t = box.min_t <= 0 and not any(et < 0 for _, et in r)
@@ -521,12 +493,13 @@ def _cap_unknown_tail(
     lands at totals > M.  An i < 0 only occurs for v_min < 0; there u, a
     series in t alone, is t^L (1 + r) with L = val(u) and r of positive
     total, so the tail lands at totals >= k + i L > M + v_min (L - 1).
+    An exact a has no tail: M is inf, and so is the cap.
     """
     w = result.window
     cap, v_min = a.window.max_total, a.window.min_t
     if v_min < 0:
         cap += v_min * (u.certified_min_total() - 1)
-    return _known(result.coeffs, w.min_s, w.min_t, _min_total(w.max_total, cap))
+    return _known(result.coeffs, w.min_s, w.min_t, min(w.max_total, cap))
 
 
 def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> LaurentSeries:
@@ -544,14 +517,14 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     leaves it not honest in t: when the window lies above the power's lead
     t^(i val(u)) in t.
     """
-    if window.max_total is None:
+    if window.max_total == inf:
         raise NonComposableError("composition needs a finite window")
     if not (a.honest_t and u.honest_t):
         raise NonComposableError("composition needs series honest in t")
     if any(es for es, _ in u.coeffs):
         raise NonComposableError("the substituted series must be a series in t alone")
     mt_u = u.certified_min_total()
-    if mt_u is not None and mt_u < 1:
+    if mt_u < 1:
         raise NonComposableError(
             f"substituted series has total valuation {mt_u} < 1; "
             "powers would not be summable"
@@ -593,24 +566,21 @@ def series_compose(a: LaurentSeries, u: LaurentSeries, window: Window) -> Lauren
     for i in sorted(rows):
         p, row = power(i), rows[i]
         pairs.append((p.coeffs, row))
-        lo = min(es for es, _ in row)
-        pw = p.window
-        term = Window(pw.min_s + lo, pw.min_t, _add_total(pw.max_total, lo))
+        term = p.window.shifted(min(es for es, _ in row), 0)
         w = term if w is None else _sum_window(w, term)
     if w is None:  # no coefficient of a is known
         result = LaurentSeries.zero()
     else:
         # every product lies on or above the axes of w
-        limit = _min_total(w.max_total, window.max_total)
+        limit = min(w.max_total, window.max_total)
         result = LaurentSeries(_window(w.min_s, w.min_t, limit), map_product(pairs, limit))
-    if a.window.max_total is not None:
-        result = _cap_unknown_tail(result, a, u)
-    return result.restricted(window)
+    return _cap_unknown_tail(result, a, u).restricted(window)
 
 
-def series_reversion(a: LaurentSeries, max_total: int | None = None) -> LaurentSeries:
+def series_reversion(a: LaurentSeries, max_total: int | float = inf) -> LaurentSeries:
     """Compositional inverse b of an honest series a = t + (higher order)
-    in t alone, with a(b) = t.
+    in t alone, with a(b) = t, known to the lesser of a's max_total and
+    max_total; both inf, an exact a with no bound given, is refused.
 
     pows[j][n] is the t^n coefficient of b^j (pows[1] is b); for j >= 2 it
     needs only b_1 .. b_{n-1}.  As a starts with t and a(b) has no t^d term,
@@ -628,8 +598,8 @@ def series_reversion(a: LaurentSeries, max_total: int | None = None) -> LaurentS
         raise BadValuationError(
             "reversion needs a = t + higher terms with leading coefficient 1"
         )
-    m = _min_total(a.window.max_total, max_total)
-    if m is None:
+    m = min(a.window.max_total, max_total)
+    if m == inf:
         raise BadValuationError("reversion of an exact series needs an explicit max_total")
 
     # the powers b^j that the b_d read, and those they are formed from: an
@@ -671,5 +641,5 @@ def residue(a: LaurentSeries) -> LaurentSeries:
     if w.min_s > -1:
         raise WindowMissError("exponent -1 in s lies outside the window")
     coeffs = {(0, et): p for (es, et), p in a.coeffs.items() if es == -1}
-    new_w = Window(0, w.min_t, _add_total(w.max_total, 1))
+    new_w = Window(0, w.min_t, w.max_total + 1)
     return LaurentSeries(new_w, coeffs, honest_t=a.honest_t)

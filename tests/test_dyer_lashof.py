@@ -1,4 +1,5 @@
 import random
+from math import inf
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -202,7 +203,7 @@ def _relations_by_table(x, window):
     (e_s, e_t) of the window with e_s >= 0 collects the stable words
     (i, j) = (e_t + k, e_s - k) with k <= e_s / 2 and C(j, k) odd, and
     each cell is paired once with its mirror when that is in the window."""
-    if window.max_total is None:
+    if window.max_total == inf:
         raise ValueError("the table needs a finite window")
     n = x.degree
     table = {}

@@ -3,6 +3,7 @@ import pickle
 import random
 import re
 from functools import partial
+from math import inf
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -13,7 +14,6 @@ from dlash import laurent, steenrod
 from dlash.laurent import (
     _cap_unknown_tail,
     _known,
-    _min_total,
     BadValuationError,
     EmptyWindowError,
     LaurentError,
@@ -330,7 +330,7 @@ def _reversion_by_columns(a, max_total):
     of coefficients at a time: pows[j][n] is the t^n coefficient of b^j,
     and b_d = sum_{j>=2} a_j pows[j][d]."""
     coeffs = {et: p for (_, et), p in a.coeffs.items()}
-    m = min(x for x in (a.window.max_total, max_total) if x is not None)
+    m = min(a.window.max_total, max_total)
 
     def add(acc, e, p):
         q = acc.get(e, F2Poly.zero()) + p
@@ -358,12 +358,12 @@ def _reversion_by_columns(a, max_total):
 @given(
     st.lists(st.sampled_from(REVERSION_COEFFS + [F2Poly.zeta(1, 2) * F2Poly.zeta(3) + ONE]),
              max_size=19),
-    st.one_of(st.none(), st.integers(1, 20)),
-    st.one_of(st.none(), st.integers(1, 20)),
+    st.one_of(st.just(inf), st.integers(1, 20)),
+    st.one_of(st.just(inf), st.integers(1, 20)),
 )
 def test_reversion_matches_the_column_reference(cs, known, max_total):
-    """a = t + sum c_j t^j, exact (known None) or known to total known."""
-    assume(known is not None or max_total is not None)
+    """a = t + sum c_j t^j, exact (known inf) or known to total known."""
+    assume(min(known, max_total) < inf)
     terms = {(0, j): c for j, c in {1: ONE, **dict(enumerate(cs, 2))}.items()}
     a = LaurentSeries.truncated(terms, Window(0, 1, known))
     got = series_reversion(a, max_total=max_total)
@@ -412,10 +412,10 @@ def test_reversion_of_zeta_gives_the_conjugates_of_the_recursion():
 
 
 @settings(deadline=None, max_examples=200)
-@example({12: ONE}, None, 16)
+@example({12: ONE}, inf, 16)
 @given(
     st.dictionaries(st.integers(2, 32), st.sampled_from(REVERSION_COEFFS[1:]), max_size=4),
-    st.one_of(st.none(), st.integers(1, 32)),
+    st.one_of(st.just(inf), st.integers(1, 32)),
     st.integers(1, 32),
 )
 def test_reversion_of_sparse_series_matches_the_column_reference(cs, known, max_total):
@@ -433,7 +433,7 @@ def test_reversion_of_sparse_series_matches_the_column_reference(cs, known, max_
 @given(
     st.integers(1, 12),
     st.data(),
-    st.one_of(st.none(), st.integers(1, 14)),
+    st.one_of(st.just(inf), st.integers(1, 14)),
 )
 def test_reversion_window_sound_by_completion(known, data, max_total):
     """Every coefficient the reversion of a = t + O(total known + 1)
@@ -501,6 +501,16 @@ def test_inverse_of_truncated_unit_stops_at_its_window():
     assert inv.coefficient(0, 0) == ONE
 
 
+def test_inverse_of_an_exact_unit_below_its_s_axis_is_not_refused():
+    # s + t^2 known to total 1, from e_s = 0: an unknown t^2 may lead, so
+    # the inverse is refused; s known in full from e_s = 0 has no unknown
+    # term, and its lead s is the true one
+    with pytest.raises(NotInvertibleError, match="not minimal"):
+        series_inverse(LaurentSeries.truncated({(1, 0): ONE}, Window(0, 0, 1)), Window(-1, 0, 3))
+    inv = series_inverse(LaurentSeries.truncated({(1, 0): ONE}, Window(0, 0)), Window(-1, 0, 3))
+    assert inv.coeffs == {(-1, 0): ONE}
+
+
 def test_inverse_refuses_a_term_of_negative_total():
     # r = s^2 t^-3 has total -1: the powers of r fall back into the window
     # from above its total, so an inverse on a finite window is refused
@@ -525,7 +535,7 @@ def _summand_and_completion(draw, honesty=st.booleans()):
     it: random terms at positions it does not know, above its max_total
     or below a dishonest t-axis, and never below its s-axis."""
     min_s, min_t = draw(st.integers(-2, 1)), draw(st.integers(-2, 1))
-    w = Window(min_s, min_t, draw(st.one_of(st.none(), st.integers(min_s + min_t, 4))))
+    w = Window(min_s, min_t, draw(st.one_of(st.just(inf), st.integers(min_s + min_t, 4))))
     honest_t = draw(honesty)
     box = [(es, et) for es in range(-4, 7) for et in range(-4, 7)]
     inside = [e for e in box if w.contains(*e)]
@@ -1009,6 +1019,15 @@ def test_exact_zero_factor_gives_the_exact_zero(b):
     assert series_mul(b, LaurentSeries.zero()) == LaurentSeries.zero()
 
 
+def test_certified_min_total_of_a_zero_lies_past_its_window():
+    # O(total 3) times O(total 4) is O(total 7): each truncated zero
+    # vanishes to one past its max_total, so the product is known to 6
+    a = LaurentSeries.truncated({}, Window(0, 0, 2))
+    b = LaurentSeries.truncated({}, Window(0, 0, 3))
+    assert (a.certified_min_total(), LaurentSeries.zero().certified_min_total()) == (3, inf)
+    assert series_mul(a, b).window == Window(0, 0, 6)
+
+
 @st.composite
 def _mul_factor(draw):
     """An exact series (1 to 4 terms, or zero), (t + s)^-1, which is not
@@ -1095,7 +1114,7 @@ _KERNEL_MAP = st.dictionaries(
 
 @settings(deadline=None, max_examples=300)
 @given(st.lists(st.tuples(_KERNEL_MAP, _KERNEL_MAP), min_size=1, max_size=4),
-       st.booleans(), st.one_of(st.none(), st.integers(-6, 6)))
+       st.booleans(), st.one_of(st.just(inf), st.integers(-6, 6)))
 def test_map_product_matches_the_grouping_kernel(factor_pairs, repeat, max_total):
     """The same map as the grouping kernel, to the same total.  A repeated
     pair makes every sum it reaches cancel."""
@@ -1103,7 +1122,7 @@ def test_map_product_matches_the_grouping_kernel(factor_pairs, repeat, max_total
         factor_pairs = factor_pairs + factor_pairs[:1]
     got = map_product(factor_pairs, max_total)
     assert got == _product_by_groups(
-        factor_pairs, lambda es, et: max_total is None or es + et <= max_total
+        factor_pairs, lambda es, et: es + et <= max_total
     )
     assert all(not p.is_zero() for p in got.values())
 
@@ -1163,7 +1182,7 @@ def _compose_by_products(a, u, window, square=False):
         p = pows[i] if i >= 0 else series_pow(u, i, window).restricted(window)
         term = series_mul(p, LaurentSeries.exact(rows[i]))
         result = term if result is None else series_add(result, term)
-    if a.window.max_total is not None:
+    if a.window.max_total < inf:
         result = _cap_unknown_tail(result, a, u)
     return result.restricted(window)
 
@@ -1197,7 +1216,7 @@ _U_IN_T = _substitutable_series(in_t=st.just(True)).flatmap(
     )
 )
 # exact, and known in full below its support
-_T_ON_ITS_QUADRANT = LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0, None))
+_T_ON_ITS_QUADRANT = LaurentSeries.truncated({(0, 1): ONE}, Window(0, 0))
 
 
 @settings(deadline=None, max_examples=300)
@@ -1279,7 +1298,7 @@ def _inverse_from_one(a, window):
     lead is (0, 0).  keep admits the positions that can still flow back
     into the box, and honesty in t is lost when a position below the
     t-axis is met, kept or not."""
-    if window is None or window.max_total is None:
+    if window is None or window.max_total == inf:
         raise NotInvertibleError("the inverse needs a finite window")
     if not a.honest_t:
         raise NotInvertibleError("cannot invert a non-quadrant-bounded series")
@@ -1292,7 +1311,7 @@ def _inverse_from_one(a, window):
     r = {e: p for e, p in rel.coeffs.items() if e != (0, 0)}
     if any(es + et < 0 for es, et in r):
         raise NotInvertibleError("a term has a lower total than the leading term")
-    if a.window.max_total is not None and a.window.min_s < lead[0]:
+    if a.window.max_total < inf and a.window.min_s < lead[0]:
         raise NotInvertibleError("leading term is not minimal in the s-small order")
     box = window.shifted(lead[0], lead[1])
     min_s = min(box.min_s, 0)
@@ -1318,7 +1337,7 @@ def _inverse_from_one(a, window):
         q = {(2 * es, 2 * et): p.square() for (es, et), p in q.items() if keep(2 * es, 2 * et)}
     lost_t = lost_t or any(et < box.min_t for _, et in acc)
     c = _known(
-        acc, min_s, box.min_t, _min_total(box.max_total, rel.window.max_total), not lost_t
+        acc, min_s, box.min_t, min(box.max_total, rel.window.max_total), not lost_t
     )
     return c.shift(-lead[0], -lead[1]).restricted(window)
 
@@ -1528,8 +1547,8 @@ def test_window_is_an_immutable_value():
     assert w != Window(0, -8, 11) and w != (0, -8, 10)
     assert {w: "box"}[Window(0, -8, 10)] == "box"
     assert repr(w) == "Window(min_s=0, min_t=-8, max_total=10)"
-    assert Window(1, 2).max_total is None
-    assert repr(Window(1, 2)) == "Window(min_s=1, min_t=2, max_total=None)"
+    assert Window(1, 2).max_total == inf
+    assert repr(Window(1, 2)) == "Window(min_s=1, min_t=2, max_total=inf)"
     with pytest.raises(EmptyWindowError, match="min_s=1, min_t=2, max_total=2"):
         Window(1, 2, 2)
 
