@@ -3,14 +3,20 @@
 Every command prints the guaranteed window next to any truncated series,
 so partial output is never mistaken for an exact answer.  ``--json``
 switches to a versioned machine-readable rendering.
+
+Arguments are read by a small parser over the COMMANDS table, with the
+standard library alone.  Its usage and error text are byte for byte
+those of click 8.4, which the CLI was first written with, and ``main``
+keeps the calling shape of a click group, so click's CliRunner drives
+it in the tests.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-import click
+import sys
+from typing import Callable, NamedTuple
 
 from . import steenrod, verify
 from .dyer_lashof import (
@@ -37,32 +43,53 @@ IDENTITY_BOUND_LIMIT = 192
 ZETA_ACTION_BOUND_LIMIT = 256
 
 
+class _Refusal(Exception):
+    """A one-line ``Error: ...`` with exit status 1."""
+
+
+class _UsageError(Exception):
+    """A usage error, exit status 2.  The error follows the usage line of
+    `command` (None for dlash itself), unless `usage` is false."""
+
+    def __init__(self, message: str, command: str | None = None, usage: bool = True):
+        super().__init__(message)
+        self.command = command
+        self.usage = usage
+
+
+def _echo(text: str, err: bool = False) -> None:
+    """Write text and a newline to sys.stdout or sys.stderr, looked up
+    now, so output follows a caller that swaps them."""
+    stream = sys.stderr if err else sys.stdout
+    stream.write(f"{text}\n")
+    stream.flush()
+
+
 def _default_bound() -> int:
     env = os.environ.get("DLASH_DEGREE_BOUND")
     if env is not None:
         try:
             return int(env)
         except ValueError:
-            raise click.UsageError(f"DLASH_DEGREE_BOUND is not an integer: {env!r}")
+            raise _UsageError(f"DLASH_DEGREE_BOUND is not an integer: {env!r}")
     return DEFAULT_DEGREE_BOUND
 
 
 def _within_limit(command: str, bound: int, limit: int) -> int:
     """The bound, or a refusal before any work when it exceeds the limit."""
     if bound > limit:
-        raise click.ClickException(f"{command} bound {bound} exceeds the limit {limit}")
+        raise _Refusal(f"{command} bound {bound} exceeds the limit {limit}")
     return bound
 
 
-def _emit(ctx, payload, text_lines):
+def _emit(opts, payload, text_lines):
     """Print the JSON payload() or the text_lines(), whichever the options
     ask for: only that one is built, and under --quiet alone neither.  The
     lines, never none, go out in one write, each ended by a newline."""
-    opts = ctx.obj
     if opts["json"]:
-        click.echo(json.dumps({"schema": SCHEMA, **payload()}, sort_keys=True))
+        _echo(json.dumps({"schema": SCHEMA, **payload()}, sort_keys=True))
     elif not opts["quiet"]:
-        click.echo("\n".join(text_lines()))
+        _echo("\n".join(text_lines()))
 
 
 def _series_json(series) -> dict:
@@ -77,55 +104,18 @@ def _series_json(series) -> dict:
     }
 
 
-class _Main(click.Group):
-    """Turns window, parse and rewrite-limit errors into a one-line
-    ``Error: ...`` with exit status 1, however the group is entered."""
-
-    def invoke(self, ctx):
-        try:
-            return super().invoke(ctx)
-        except (LaurentError, ParseError, RewriteLimitError) as e:
-            raise click.ClickException(str(e)) from e
-
-
-@click.group(cls=_Main)
-@click.option("--json", "json_out", is_flag=True, help="emit JSON with a schema field")
-@click.option(
-    "--degree-bound",
-    type=int,
-    default=None,
-    help=f"truncation bound (default {DEFAULT_DEGREE_BOUND}, "
-    "or DLASH_DEGREE_BOUND)",
-)
-@click.option("--quiet", is_flag=True, help="suppress text output; exit status only")
-@click.pass_context
-def main(ctx, json_out, degree_bound, quiet):
-    """Mod-2 power operations: Adem relations, Laurent series windows,
-    and the dual Steenrod algebra action."""
-    ctx.obj = {
-        "json": json_out,
-        "quiet": quiet,
-        "bound": degree_bound if degree_bound is not None else _default_bound(),
-    }
-
-
-@main.command()
-@click.argument("i", type=click.IntRange(min=0))
-@click.argument("j", type=click.IntRange(min=0))
-@click.pass_context
-def adem(ctx, i, j):
-    """Print the Adem relation for a non-admissible pair Q^I Q^J."""
+def adem(opts, i, j):
     try:
         rel = adem_relation(i, j)
     except AlreadyAdmissibleError:
         _emit(
-            ctx,
+            opts,
             lambda: {"command": "adem", "i": i, "j": j, "admissible": True},
             lambda: [f"Q^{i} Q^{j} is already admissible"],
         )
         return
     _emit(
-        ctx,
+        opts,
         lambda: {
             "command": "adem",
             "i": i,
@@ -137,14 +127,10 @@ def adem(ctx, i, j):
     )
 
 
-@main.command()
-@click.argument("expr")
-@click.pass_context
-def reduce(ctx, expr):
-    """Rewrite EXPR (e.g. 'Q^6 Q^2 x[2]') to admissible normal form."""
+def reduce(opts, expr):
     out = reduce_to_admissible(parse_sum(expr))
     _emit(
-        ctx,
+        opts,
         lambda: {
             "command": "reduce",
             "input": expr,
@@ -155,14 +141,9 @@ def reduce(ctx, expr):
     )
 
 
-@main.command()
-@click.argument("degree", type=int)
-@click.argument("bound", type=int, required=False)
-@click.pass_context
-def symmetry(ctx, degree, bound):
-    """Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE."""
+def symmetry(opts, degree, bound):
     b = _within_limit(
-        "symmetry", bound if bound is not None else ctx.obj["bound"], SYMMETRY_BOUND_LIMIT
+        "symmetry", bound if bound is not None else opts["bound"], SYMMETRY_BOUND_LIMIT
     )
     x = GradedClass("x", degree)
     window = Window(0, -b, b)
@@ -181,7 +162,7 @@ def symmetry(ctx, degree, bound):
         ]
 
     _emit(
-        ctx,
+        opts,
         lambda: {
             "command": "symmetry",
             "degree": degree,
@@ -192,28 +173,20 @@ def symmetry(ctx, degree, bound):
     )
 
 
-@main.command("zeta-action")
-@click.argument("n", type=click.IntRange(min=0))
-@click.pass_context
-def zeta_action(ctx, n):
-    """The total operation Q(t) applied to the Milnor generator z_N."""
-    bound = _within_limit("zeta-action", ctx.obj["bound"], ZETA_ACTION_BOUND_LIMIT)
+def zeta_action(opts, n):
+    bound = _within_limit("zeta-action", opts["bound"], ZETA_ACTION_BOUND_LIMIT)
     series = steenrod.q_total_on_zeta(n, bound)
     _emit(
-        ctx,
+        opts,
         lambda: {"command": "zeta-action", "n": n, "series": _series_json(series)},
         lambda: [f"Q(t) z{n}  [{series.window.describe()}]", str(series)],
     )
 
 
-@main.command()
-@click.argument("max_i", type=click.IntRange(min=1, max=11))
-@click.pass_context
-def conjugate(ctx, max_i):
-    """Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators."""
+def conjugate(opts, max_i):
     zbars = steenrod.conjugate_zeta(max_i)
     _emit(
-        ctx,
+        opts,
         lambda: {
             "command": "conjugate",
             "max_i": max_i,
@@ -223,7 +196,7 @@ def conjugate(ctx, max_i):
     )
 
 
-def _report_command(ctx, command: str, extra: dict, records: list, suites: bool = False):
+def _report_command(opts, command: str, extra: dict, records: list, suites: bool = False):
     """Render verification records, checks or whole suites; exit 1 if any failed."""
     passed = all(r["passed"] for r in records)
     if suites:
@@ -237,39 +210,275 @@ def _report_command(ctx, command: str, extra: dict, records: list, suites: bool 
         lines = [f"{'ok' if r['passed'] else 'FAIL':4}  {r['name']}" for r in records]
         lines.append("passed" if passed else "FAILED")
         payload = {"report": {"passed": passed, "checks": records}}
-    _emit(ctx, lambda: {"command": command, **extra, **payload}, lambda: lines)
+    _emit(opts, lambda: {"command": command, **extra, **payload}, lambda: lines)
     if not passed:
-        ctx.exit(1)
+        raise SystemExit(1)
 
 
-@main.command()
-@click.argument("max_i", type=click.IntRange(min=2, max=10))
-@click.pass_context
-def steinberger(ctx, max_i):
-    """Check the conjugate and successor formulas up to index MAX_I."""
+def steinberger(opts, max_i):
     zbars = steenrod.conjugate_zeta(max_i + 1)
     records = verify.verify_steinberger_conjugate(max_i, zbars=zbars)
     records += verify.verify_steinberger_successor(max_i, zbars=zbars)
-    _report_command(ctx, "steinberger", {"max_i": max_i}, records)
+    _report_command(opts, "steinberger", {"max_i": max_i}, records)
 
 
-@main.command()
-@click.pass_context
-def nishida(ctx):
-    """Check the conjugate form of the coaction compatibility."""
-    bound = _within_limit("nishida", ctx.obj["bound"], IDENTITY_BOUND_LIMIT)
+def nishida(opts):
+    bound = _within_limit("nishida", opts["bound"], IDENTITY_BOUND_LIMIT)
     records = verify.verify_nishida_conjugate_form(bound)
-    _report_command(ctx, "nishida", {"degree_bound": bound}, records)
+    _report_command(opts, "nishida", {"degree_bound": bound}, records)
 
 
-@main.command("verify-all")
-@click.pass_context
-def verify_all(ctx):
-    """Run every acceptance suite; exit status 1 if any check fails."""
-    bound = _within_limit("verify-all", ctx.obj["bound"], IDENTITY_BOUND_LIMIT)
+def verify_all(opts):
+    bound = _within_limit("verify-all", opts["bound"], IDENTITY_BOUND_LIMIT)
     reports = verify.run_all(bound)
-    _report_command(ctx, "verify-all", {"degree_bound": bound}, reports, suites=True)
+    _report_command(opts, "verify-all", {"degree_bound": bound}, reports, suites=True)
 
+
+# -- the command table and its parser ---------------------------------------
+
+
+class _Arg(NamedTuple):
+    """A positional argument: `kind` is str, int, or an integer range
+    (min, max) with None for no maximum."""
+
+    name: str
+    kind: object
+    required: bool = True
+
+
+class _Command(NamedTuple):
+    """A command: its handler, called with the options of dlash and the
+    values of `args`, its positional arguments and its one-line help."""
+
+    handler: Callable
+    args: tuple
+    help: str
+
+
+COMMANDS = {
+    "adem": _Command(
+        adem,
+        (_Arg("I", (0, None)), _Arg("J", (0, None))),
+        "Print the Adem relation for a non-admissible pair Q^I Q^J.",
+    ),
+    "conjugate": _Command(
+        conjugate,
+        (_Arg("MAX_I", (1, 11)),),
+        "Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators.",
+    ),
+    "nishida": _Command(
+        nishida, (), "Check the conjugate form of the coaction compatibility."
+    ),
+    "reduce": _Command(
+        reduce,
+        (_Arg("EXPR", str),),
+        "Rewrite EXPR (e.g. 'Q^6 Q^2 x[2]') to admissible normal form.",
+    ),
+    "steinberger": _Command(
+        steinberger,
+        (_Arg("MAX_I", (2, 10)),),
+        "Check the conjugate and successor formulas up to index MAX_I.",
+    ),
+    "symmetry": _Command(
+        symmetry,
+        (_Arg("DEGREE", int), _Arg("BOUND", int, required=False)),
+        "Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE.",
+    ),
+    "verify-all": _Command(
+        verify_all, (), "Run every acceptance suite; exit status 1 if any check fails."
+    ),
+    "zeta-action": _Command(
+        zeta_action,
+        (_Arg("N", (0, None)),),
+        "The total operation Q(t) applied to the Milnor generator z_N.",
+    ),
+}
+
+# each option of dlash itself, and whether it takes a value
+_OPTIONS = {"--json": False, "--degree-bound": True, "--quiet": False, "--help": False}
+_ABOUT = """\
+  Mod-2 power operations: Adem relations, Laurent series windows, and the dual
+  Steenrod algebra action.
+
+Options:
+  --json                  emit JSON with a schema field
+  --degree-bound INTEGER  truncation bound (default {}, or DLASH_DEGREE_BOUND)
+  --quiet                 suppress text output; exit status only
+  --help                  Show this message and exit.""".format(DEFAULT_DEGREE_BOUND)
+
+
+def _metavar(arg: _Arg) -> str:
+    return arg.name if arg.required else f"[{arg.name}]"
+
+
+def _usage(prog: str, command: str | None) -> str:
+    if command is None:
+        return f"Usage: {prog} [OPTIONS] COMMAND [ARGS]..."
+    metavars = "".join(f" {_metavar(a)}" for a in COMMANDS[command].args)
+    return f"Usage: {prog} {command} [OPTIONS]{metavars}"
+
+
+def _help(prog: str, command: str | None) -> str:
+    if command is not None:
+        return (
+            f"{_usage(prog, command)}\n\n  {COMMANDS[command].help}\n\n"
+            "Options:\n  --help  Show this message and exit."
+        )
+    width = max(map(len, COMMANDS)) + 2
+    rows = "".join(f"\n  {name:<{width}}{c.help}" for name, c in sorted(COMMANDS.items()))
+    return f"{_usage(prog, None)}\n\n{_ABOUT}\n\nCommands:{rows}"
+
+
+def _did_you_mean(name: str, choices) -> str:
+    """click's suggestion of the close matches to a mistyped name."""
+    from difflib import get_close_matches
+
+    close = sorted(get_close_matches(name, choices))
+    listed = ", ".join(map(repr, close))
+    if len(close) > 1:
+        return f" (Did you mean one of: {listed}?)"
+    return f" Did you mean {listed}?" if close else ""
+
+
+def _parse(args: list, options: dict, command: str | None) -> tuple:
+    """The options given in args (the last value of each) and the
+    positional arguments.  Options stop at "--"; for dlash itself they
+    also stop at its first positional argument, the command name."""
+    given, positional = {}, []
+    rest = list(args)
+    while rest:
+        arg = rest.pop(0)
+        if arg == "--":
+            break
+        if arg[:1] != "-" or len(arg) == 1:
+            if command is None:
+                rest.insert(0, arg)
+                break
+            positional.append(arg)
+            continue
+        name, eq, value = arg.partition("=")
+        if name not in options:
+            # "-x..." is read as the short option -x, and there are none
+            if arg[:2] != "--":
+                raise _UsageError(f"No such option {arg[:2]!r}.", command)
+            raise _UsageError(f"No such option {name!r}.{_did_you_mean(name, options)}", command)
+        if not options[name]:
+            if eq:
+                raise _UsageError(f"Option {name!r} does not take a value.", usage=False)
+            value = True
+        elif not eq:
+            if not rest:
+                raise _UsageError(f"Option {name!r} requires an argument.", usage=False)
+            value = rest.pop(0)
+        given[name] = value
+    return given, positional + rest
+
+
+def _convert(arg: _Arg, value: str | None, command: str | None):
+    """The value of a command's argument, or, with command None, of an
+    option of dlash itself."""
+    hint = f"'{_metavar(arg)}'"
+    if value is None:
+        if arg.required:
+            raise _UsageError(f"Missing argument {hint}.", command)
+        return None
+    if arg.kind is str:
+        return value
+    try:
+        n = int(value)
+    except ValueError:
+        kind = "integer" if arg.kind is int else "integer range"
+        raise _UsageError(f"Invalid value for {hint}: {value!r} is not a valid {kind}.", command)
+    if arg.kind is not int:
+        lo, hi = arg.kind
+        if n < lo or (hi is not None and n > hi):
+            span = f"x>={lo}" if hi is None else f"{lo}<=x<={hi}"
+            raise _UsageError(f"Invalid value for {hint}: {n} is not in the range {span}.", command)
+    return n
+
+
+def _group_options(args: list, prog: str) -> tuple:
+    """The options given to dlash itself and the arguments after them;
+    --help prints the help and exits."""
+    given, rest = _parse(args, _OPTIONS, None)
+    if "--help" in given:
+        _echo(_help(prog, None))
+        raise SystemExit(0)
+    bound = given.get("--degree-bound")
+    if bound is not None:
+        bound = _convert(_Arg("--degree-bound", int), bound, None)
+    return given, bound, rest
+
+
+def _run(args: list, prog: str) -> None:
+    if not args:
+        _echo(_help(prog, None), err=True)
+        raise SystemExit(2)
+    given, bound, rest = _group_options(args, prog)
+    if not rest:
+        raise _UsageError("Missing command.")
+    name = rest[0]
+    command = COMMANDS.get(name)
+    if command is None:
+        if name.startswith("-"):
+            # an option after "--": read it as an option of dlash
+            _group_options(rest, prog)
+        raise _UsageError(f"No such command {name!r}.{_did_you_mean(name, COMMANDS)}")
+    opts = {
+        "json": "--json" in given,
+        "quiet": "--quiet" in given,
+        "bound": bound if bound is not None else _default_bound(),
+    }
+    asked, values = _parse(rest[1:], {"--help": False}, name)
+    if asked:
+        _echo(_help(prog, name))
+        raise SystemExit(0)
+    spec = command.args
+    converted = [_convert(a, v, name) for a, v in zip(spec, values + [None] * len(spec))]
+    extra = values[len(spec):]
+    if extra:
+        s = "s" if len(extra) > 1 else ""
+        raise _UsageError(f"Got unexpected extra argument{s} ({' '.join(extra)})", name)
+    command.handler(opts, *converted)
+
+
+class _Main:
+    """The dlash program.  ``main()``, as the installed script calls it,
+    reads sys.argv; ``main.main(args, prog_name)`` and
+    ``main(args, prog_name=...)`` take the arguments and the program name
+    to show in usage lines.  Either way it ends in SystemExit: 0 for an
+    answer, 1 for a one-line ``Error: ...`` (or a failed check), 2 for a
+    usage error.  Other keywords click passes a group's main are ignored."""
+
+    name = "main"
+
+    def main(self, args=None, prog_name=None, **_click_keywords):
+        prog = prog_name or os.path.basename(sys.argv[0])
+        try:
+            _run(list(sys.argv[1:] if args is None else args), prog)
+        except _UsageError as e:
+            if e.usage:
+                path = prog if e.command is None else f"{prog} {e.command}"
+                _echo(f"{_usage(prog, e.command)}\nTry '{path} --help' for help.\n", err=True)
+            _echo(f"Error: {e}", err=True)
+            raise SystemExit(2)
+        except (_Refusal, LaurentError, ParseError, RewriteLimitError) as e:
+            _echo(f"Error: {e}", err=True)
+            raise SystemExit(1)
+        except KeyboardInterrupt:
+            _echo("\nAborted!", err=True)
+            raise SystemExit(1)
+        except BrokenPipeError:
+            # the reader has gone: send what is left to /dev/null, so the
+            # flush at exit does not fail again, and exit 1
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            raise SystemExit(1)
+        raise SystemExit(0)
+
+    __call__ = main
+
+
+main = _Main()
 
 if __name__ == "__main__":
-    main()
+    main(prog_name="python -m dlash.cli")

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import time
 
 import pytest
@@ -16,6 +19,7 @@ from dlash.cli import (
 from dlash.dyer_lashof import ADEM_INDEX_BOUND
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+SRC = pathlib.Path(__file__).parents[1] / "src"
 
 
 @pytest.fixture
@@ -280,6 +284,66 @@ def test_usage_error_exits_2(runner):
 def test_unknown_command_exits_2(runner):
     r = invoke(runner, "bogus")
     assert r.exit_code == 2
+
+
+@pytest.mark.parametrize(
+    "spelled, plain",
+    [
+        (["adem", " 6", "2"], ["adem", "6", "2"]),
+        (["adem", "+6", "2"], ["adem", "6", "2"]),
+        (["adem", "1_0", "2"], ["adem", "10", "2"]),
+        (["symmetry", "+1", " 6"], ["symmetry", "1", "6"]),
+        (["symmetry", "1_0", "6"], ["symmetry", "10", "6"]),
+        (["--degree-bound", "+6", "zeta-action", "1_0"], ["--degree-bound", "6", "zeta-action", "10"]),
+    ],
+)
+def test_integer_spellings_answer_like_the_plain_integer(runner, spelled, plain):
+    """An integer argument is read by int(), so surrounding spaces, a sign
+    and underscores between digits are accepted."""
+    r = invoke(runner, *spelled)
+    assert r.exit_code == 0
+    assert r.output == invoke(runner, *plain).output
+
+
+def _python(code: str, *args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter running code, with this checkout's dlash first
+    on its path and no DLASH_DEGREE_BOUND."""
+    env = {k: v for k, v in os.environ.items() if k != "DLASH_DEGREE_BOUND"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env
+    )
+
+
+def test_importing_dlash_leaves_click_out():
+    r = _python("import sys, dlash, dlash.cli; print('click' in sys.modules)")
+    assert (r.returncode, r.stdout, r.stderr) == (0, "False\n", "")
+
+
+# `python -m dlash.cli` with click made unimportable
+_PYTHON_M_WITHOUT_CLICK = (
+    "import runpy, sys; sys.modules['click'] = None; "
+    "runpy.run_module('dlash.cli', run_name='__main__', alter_sys=True)"
+)
+
+
+@pytest.mark.parametrize(
+    "args, status",
+    [(["adem", "6", "2"], 0), (["adem", "99999999999999999999", "1"], 1), (["adem", "--", "3", "-1"], 2)],
+)
+def test_python_m_answers_without_click(args, status):
+    r = _python(_PYTHON_M_WITHOUT_CLICK, *args)
+    assert r.returncode == status
+    if status == 0:
+        assert (r.stdout, r.stderr) == ("Q^6 Q^2 = Q^5 Q^3\n", "")
+        return
+    assert r.stdout == ""
+    errors = [l for l in r.stderr.splitlines() if l.startswith("Error: ")]
+    assert len(errors) == 1
+    if status == 1:
+        assert r.stderr == errors[0] + "\n"
+    else:
+        assert r.stderr.startswith("Usage: python -m dlash.cli adem [OPTIONS] I J\n")
 
 
 def test_determinism(runner):

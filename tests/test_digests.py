@@ -3,11 +3,11 @@ sha256 of stderr and the exit status of one `dlash` run.
 
 The tests replay the entries that answer quickly in-process through
 click's CliRunner, with stderr kept apart, and parse the stdout of each
-`--json` entry as strict JSON, with no Infinity or NaN.  Run as a
-script, this file replays every entry as a subprocess of the `dlash`
-importable from the current PYTHONPATH and reports each one that
-differs or whose `--json` stdout is not strict JSON (``--write`` records
-the digests instead):
+entry that passes `--json` first as strict JSON, with no Infinity or
+NaN.  Run as a script, this file replays every entry as a subprocess of
+the `dlash` importable from the current PYTHONPATH and reports each one
+that differs or whose `--json` stdout is not strict JSON (``--write``
+records the digests instead):
 
     PYTHONPATH=src python tests/test_digests.py [--write]
 """
@@ -74,7 +74,7 @@ ARGVS = [
     ["--degree-bound", "192", "nishida"],
     ["conjugate", "0"],
     ["symmetry", "1", "24"],
-    # usage errors: each names its argument or option as click 8.4 did
+    # usage errors, in the words of click 8.4, which the CLI used before
     ["adem", "six", "2"],
     ["adem", "6"],
     ["adem", "6", "2", "7"],
@@ -85,6 +85,11 @@ ARGVS = [
     ["symmetry", "1", "x"],
     ["--degree-bound"],
     ["--degree-bound", "x", "adem", "6", "2"],
+    # help: each command's help line in full, where click cut it at its
+    # first period; no arguments prints the help on stderr with status 2
+    ["--help"],
+    ["adem", "--help"],
+    [],
 ]
 # entries that take well over 0.3 s; only the script replays them
 SLOW = [
@@ -130,7 +135,7 @@ def _invoke(argv: tuple):
 _FAST = [e for e in _entries() if e["argv"] not in SLOW]
 
 
-@pytest.mark.parametrize("entry", _FAST, ids=lambda e: " ".join(e["argv"]))
+@pytest.mark.parametrize("entry", _FAST, ids=lambda e: " ".join(e["argv"]) or "no arguments")
 def test_output_matches_its_digest(entry):
     r = _invoke(tuple(entry["argv"]))
     assert (_sha(r.stdout_bytes), _sha(r.stderr_bytes), r.exit_code) == (
