@@ -6,7 +6,8 @@ switches to a versioned machine-readable rendering.
 
 Arguments are read by a small parser over the COMMANDS table, with the
 standard library alone.  Its usage and error text are byte for byte
-those of click 8.4, which the CLI was first written with, and ``main``
+those of click 8.4, which the CLI was first written with; its help is
+too, but that it prints each command's help line in full.  ``main``
 keeps the calling shape of a click group, so click's CliRunner drives
 it in the tests.
 """
@@ -255,56 +256,37 @@ class _Command(NamedTuple):
     help: str
 
 
+_NATURAL = (0, None)
 COMMANDS = {
-    "adem": _Command(
-        adem,
-        (_Arg("I", (0, None)), _Arg("J", (0, None))),
-        "Print the Adem relation for a non-admissible pair Q^I Q^J.",
-    ),
-    "conjugate": _Command(
-        conjugate,
-        (_Arg("MAX_I", (1, 11)),),
-        "Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators.",
-    ),
-    "nishida": _Command(
-        nishida, (), "Check the conjugate form of the coaction compatibility."
-    ),
-    "reduce": _Command(
-        reduce,
-        (_Arg("EXPR", str),),
-        "Rewrite EXPR (e.g. 'Q^6 Q^2 x[2]') to admissible normal form.",
-    ),
-    "steinberger": _Command(
-        steinberger,
-        (_Arg("MAX_I", (2, 10)),),
-        "Check the conjugate and successor formulas up to index MAX_I.",
-    ),
-    "symmetry": _Command(
-        symmetry,
-        (_Arg("DEGREE", int), _Arg("BOUND", int, required=False)),
-        "Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE.",
-    ),
-    "verify-all": _Command(
-        verify_all, (), "Run every acceptance suite; exit status 1 if any check fails."
-    ),
-    "zeta-action": _Command(
-        zeta_action,
-        (_Arg("N", (0, None)),),
-        "The total operation Q(t) applied to the Milnor generator z_N.",
-    ),
+    "adem": _Command(adem, (_Arg("I", _NATURAL), _Arg("J", _NATURAL)),
+                     "Print the Adem relation for a non-admissible pair Q^I Q^J."),
+    "conjugate": _Command(conjugate, (_Arg("MAX_I", (1, 11)),),
+                          "Conjugates zbar_1 .. zbar_MAX_I of the Milnor generators."),
+    "nishida": _Command(nishida, (),
+                        "Check the conjugate form of the coaction compatibility."),
+    "reduce": _Command(reduce, (_Arg("EXPR", str),),
+                       "Rewrite EXPR (e.g. 'Q^6 Q^2 x[2]') to admissible normal form."),
+    "steinberger": _Command(steinberger, (_Arg("MAX_I", (2, 10)),),
+                            "Check the conjugate and successor formulas up to index MAX_I."),
+    "symmetry": _Command(symmetry, (_Arg("DEGREE", int), _Arg("BOUND", int, required=False)),
+                         "Relations forced by the symmetry of Q(t)Q(s)x on a class of DEGREE."),
+    "verify-all": _Command(verify_all, (),
+                           "Run every acceptance suite; exit status 1 if any check fails."),
+    "zeta-action": _Command(zeta_action, (_Arg("N", _NATURAL),),
+                            "The total operation Q(t) applied to the Milnor generator z_N."),
 }
 
 # each option of dlash itself, and whether it takes a value
 _OPTIONS = {"--json": False, "--degree-bound": True, "--quiet": False, "--help": False}
-_ABOUT = """\
+_ABOUT = f"""\
   Mod-2 power operations: Adem relations, Laurent series windows, and the dual
   Steenrod algebra action.
 
 Options:
   --json                  emit JSON with a schema field
-  --degree-bound INTEGER  truncation bound (default {}, or DLASH_DEGREE_BOUND)
+  --degree-bound INTEGER  truncation bound (default {DEFAULT_DEGREE_BOUND}, or DLASH_DEGREE_BOUND)
   --quiet                 suppress text output; exit status only
-  --help                  Show this message and exit.""".format(DEFAULT_DEGREE_BOUND)
+  --help                  Show this message and exit."""
 
 
 def _metavar(arg: _Arg) -> str:
@@ -331,7 +313,7 @@ def _help(prog: str, command: str | None) -> str:
 
 def _did_you_mean(name: str, choices) -> str:
     """click's suggestion of the close matches to a mistyped name."""
-    from difflib import get_close_matches
+    from difflib import get_close_matches  # only a mistyped name pays for it
 
     close = sorted(get_close_matches(name, choices))
     listed = ", ".join(map(repr, close))
@@ -443,12 +425,11 @@ def _run(args: list, prog: str) -> None:
 
 
 class _Main:
-    """The dlash program.  ``main()``, as the installed script calls it,
-    reads sys.argv; ``main.main(args, prog_name)`` and
-    ``main(args, prog_name=...)`` take the arguments and the program name
-    to show in usage lines.  Either way it ends in SystemExit: 0 for an
-    answer, 1 for a one-line ``Error: ...`` (or a failed check), 2 for a
-    usage error.  Other keywords click passes a group's main are ignored."""
+    """The dlash program, called as a click group is: ``main()`` reads
+    sys.argv, ``main(args, prog_name=...)`` or ``main.main(...)`` takes
+    the arguments and the name for usage lines, and other keywords are
+    ignored.  It always ends in SystemExit: 0 for an answer, 1 for a
+    one-line ``Error: ...`` or a failed check, 2 for a usage error."""
 
     name = "main"
 
