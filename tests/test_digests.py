@@ -90,6 +90,30 @@ ARGVS = [
     ["--help"],
     ["adem", "--help"],
     [],
+    # each parser error state: an unmatched character (reported before any
+    # syntax error), a missing token of each kind, and a syntax error after
+    # mixed classes (reported before the mixing)
+    ["reduce", "Q^3 x[2] @"],
+    ["reduce", "Q^3 Q^ x[1]"],
+    ["reduce", "Q^3 [2]"],
+    ["reduce", "Q^3 x 2]"],
+    ["reduce", "Q^3 x[]"],
+    ["reduce", "Q^3 x[2"],
+    ["reduce", "Q^3 x[2] Q^1"],
+    ["reduce", "Q^3 x[2] +"],
+    ["reduce", "Q^ x[2] $"],
+    ["reduce", "Q^3 x[1] + Q^3 y[1] Q^2"],
+    ["--json", "steinberger", "3"],
+    ["--json", "steinberger", "4"],
+    ["--json", "steinberger", "6"],
+    ["--json", "steinberger", "7"],
+    ["--json", "steinberger", "8"],
+    ["--json", "conjugate", "11"],
+    # one refusal past each limit
+    ["--degree-bound", "193", "nishida"],
+    ["--degree-bound", "193", "verify-all"],
+    ["--degree-bound", "257", "zeta-action", "1"],
+    ["conjugate", "12"],
 ]
 # entries that take well over 0.3 s; only the script replays them
 SLOW = [

@@ -415,6 +415,25 @@ def test_steinberger_successor_report():
     assert all(r["passed"] for r in records)
 
 
+def test_steinberger_checks_fail_only_where_a_conjugate_is_wrong():
+    zbars = conjugate_zeta(4)
+    zbars[2] = zbars[2] + F2Poly.one()  # zbar_3 + 1
+    failed = [r for r in verify_steinberger_conjugate(4, zbars) if not r["passed"]]
+    assert failed == [{
+        "name": "Q^(2^3-2) z1 = zbar_3",
+        "passed": False,
+        "detail": "i = 3; failures: [(0, 6)]",
+        "first_mismatch": (0, 6),
+    }]
+    failed = [r for r in verify_steinberger_successor(2, zbars) if not r["passed"]]
+    assert failed == [{
+        "name": "Q^(2^2) zbar_2 = zbar_3",
+        "passed": False,
+        "detail": "i = 2; failures: [(0, 4)]",
+        "first_mismatch": (0, 4),
+    }]
+
+
 def test_steinberger_checks_reverse_z_once(monkeypatch):
     from click.testing import CliRunner
 
