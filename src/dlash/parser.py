@@ -9,6 +9,10 @@ Grammar (whitespace-insensitive):
 Examples: ``Q^6 Q^2 x[2]`` or ``Q^3 x[1] + Q^2 Q^1 x[1]``.  A sum parses
 to a DLSum: each term's word is added over F2, so a word written twice
 cancels, and every term must name the same class.
+
+A malformed sum raises ParseError, reporting the first fault in this
+order: a character that no token matches, then the first token the
+grammar does not allow, then terms that name different classes.
 """
 
 from __future__ import annotations
@@ -60,59 +64,37 @@ def _tokenize(text: str):
     return tokens
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def expect(self, kind: str, expected: tuple[str, ...]):
-        tok = self.tokens[self.i]
-        if tok[0] != kind:
-            raise ParseError("syntax error", self.text, tok[2], expected)
-        self.i += 1
-        return tok
-
-    def parse_sum(self) -> DLSum:
-        terms = [self.parse_term()]
-        while self.peek()[0] == "PLUS":
-            self.i += 1
-            terms.append(self.parse_term())
-        self.expect("EOF", ("'+'", "end of input"))
-        klass = terms[0][1]
-        words: set = set()
-        for word, k in terms:
-            if k != klass:
-                raise ParseError(
-                    "mixed generator classes in one sum", self.text,
-                    len(self.text), ("matching class",),
-                )
-            words ^= {word}
-        return DLSum(klass, words)
-
-    def parse_term(self) -> tuple:
-        """(word, class) of one term Q^{i1}...Q^{ik} x[n]."""
-        word = []
-        # IDENT with no Q^ prefix would be a bare class; require at least one Q
-        tok = self.peek()
-        if tok[0] != "Q":
-            raise ParseError("syntax error", self.text, tok[2], ("Q^",))
-        while self.peek()[0] == "Q":
-            self.i += 1
-            num = self.expect("INT", ("integer",))
-            word.append(int(num[1]))
-        return tuple(word), self.parse_class()
-
-    def parse_class(self) -> GradedClass:
-        name = self.expect("IDENT", ("identifier",))
-        self.expect("LBRACK", ("'['",))
-        deg = self.expect("INT", ("integer",))
-        self.expect("RBRACK", ("']'",))
-        return GradedClass(name[1], int(deg[1]))
-
-
 def parse_sum(text: str) -> DLSum:
-    return _Parser(text).parse_sum()
+    tokens = _tokenize(text)
+    i = 0
+
+    def take(kind: str, expected: tuple[str, ...]) -> str:
+        nonlocal i
+        tok = tokens[i]
+        if tok[0] != kind:
+            raise ParseError("syntax error", text, tok[2], expected)
+        i += 1
+        return tok[1]
+
+    words: set = set()
+    classes = []
+    while True:
+        take("Q", ("Q^",))  # a bare class is not a term
+        word = [int(take("INT", ("integer",)))]
+        while tokens[i][0] == "Q":
+            i += 1
+            word.append(int(take("INT", ("integer",))))
+        name = take("IDENT", ("identifier",))
+        take("LBRACK", ("'['",))
+        classes.append(GradedClass(name, int(take("INT", ("integer",)))))
+        take("RBRACK", ("']'",))
+        words ^= {tuple(word)}
+        if tokens[i][0] != "PLUS":
+            break
+        i += 1
+    take("EOF", ("'+'", "end of input"))
+    if len(set(classes)) > 1:
+        raise ParseError(
+            "mixed generator classes in one sum", text, len(text), ("matching class",)
+        )
+    return DLSum(classes[0], words)
