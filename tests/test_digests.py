@@ -1,13 +1,16 @@
-"""Output digests: each manifest entry pins the sha256 of stdout, the
-sha256 of stderr and the exit status of one `dlash` run.
+"""Output digests: each argv entry of the manifest pins the sha256 of
+stdout, the sha256 of stderr and the exit status of one `dlash` run, and
+each expression entry pins the sha256 of the repr of one Python
+expression over the names `dlash` exports and its `verify` module.
 
-The tests replay the entries that answer quickly in-process through
-click's CliRunner, with stderr kept apart, and parse the stdout of each
-entry that passes `--json` first as strict JSON, with no Infinity or
-NaN.  Run as a script, this file replays every entry as a subprocess of
-the `dlash` importable from the current PYTHONPATH and reports each one
-that differs or whose `--json` stdout is not strict JSON (``--write``
-records the digests instead):
+The tests replay the entries that answer quickly in-process, the argv
+entries through click's CliRunner, with stderr kept apart, and parse the
+stdout of each entry that passes `--json` first as strict JSON, with no
+Infinity or NaN.  Run as a script, this file replays every entry, each
+argv as a subprocess of the `dlash` importable from the current
+PYTHONPATH and each expression in-process, and reports each one that
+differs or whose `--json` stdout is not strict JSON (``--write`` records
+the digests instead):
 
     PYTHONPATH=src python tests/test_digests.py [--write]
 """
@@ -23,6 +26,8 @@ import sys
 import pytest
 from click.testing import CliRunner
 
+import dlash
+from dlash import verify
 from dlash.cli import main
 
 MANIFEST = pathlib.Path(__file__).parent / "golden" / "digests.json"
@@ -115,13 +120,28 @@ ARGVS = [
     ["--degree-bound", "257", "zeta-action", "1"],
     ["conjugate", "12"],
 ]
+# the series kernels' results, each read by its repr: z(t)^{-1}, the
+# reversion of z(t), a bivariate inverse (its unit has a coefficient that
+# holds both 1 and z1, and it is not honest in t), a product, and a
+# composite that sums u^i times row i of a over many rows
+EXPRS = [
+    "zeta_inverse(512)",
+    "series_reversion(zeta_series(128))",
+    "series_inverse(LaurentSeries.exact({(0, 0): F2Poly.one(), (1, 0): F2Poly.one()"
+    " + F2Poly.zeta(1), (0, 1): F2Poly.zeta(2), (2, -1): F2Poly.one()}), Window(0, -12, 24))",
+    "verify._identity1_rhs(48)",
+    "series_compose(verify._identity1_rhs(48), series_reversion(zeta_series(100)),"
+    " Window(0, -49, 48))",
+]
 # entries that take well over 0.3 s; only the script replays them
 SLOW = [
     ["symmetry", "1", "256"],
     ["symmetry", "--", "-1000", "256"],
     ["--json", "--degree-bound", "192", "verify-all"],
     ["--degree-bound", "192", "nishida"],
+    "zeta_inverse(512)",
 ]
+_NAMESPACE = {**{name: getattr(dlash, name) for name in dlash.__all__}, "verify": verify}
 
 
 def _sha(data: bytes) -> str:
@@ -144,11 +164,20 @@ def _asks_json(argv: list) -> bool:
 
 
 def _entries() -> list:
-    return json.loads(MANIFEST.read_text())
+    """The argv entries of the manifest."""
+    return [e for e in json.loads(MANIFEST.read_text()) if "argv" in e]
+
+
+def _expr_entries() -> list:
+    return [e for e in json.loads(MANIFEST.read_text()) if "expr" in e]
 
 
 def test_manifest_lists_every_argv_once():
     assert [e["argv"] for e in _entries()] == ARGVS
+
+
+def test_manifest_lists_every_expression_once():
+    assert [e["expr"] for e in _expr_entries()] == EXPRS
 
 
 @functools.cache
@@ -174,6 +203,18 @@ def test_json_output_is_strict_json(argv):
     _strict_json(_invoke(tuple(argv)).stdout_bytes)
 
 
+def _evaluate(expr: str) -> dict:
+    """The digest record of one expression."""
+    return {"expr": expr, "repr": _sha(repr(eval(expr, _NAMESPACE)).encode())}
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in _expr_entries() if e["expr"] not in SLOW], ids=lambda e: e["expr"]
+)
+def test_expression_matches_its_digest(entry):
+    assert _evaluate(entry["expr"]) == entry
+
+
 def _run(argv: list) -> tuple:
     """The digest record of one run, and whether it printed strict JSON
     (always true without --json)."""
@@ -192,10 +233,12 @@ def _run(argv: list) -> tuple:
 
 if __name__ == "__main__":
     runs, strict = zip(*(_run(argv) for argv in ARGVS))
+    values = [_evaluate(expr) for expr in EXPRS]
     if sys.argv[1:] == ["--write"]:
-        MANIFEST.write_text(json.dumps(runs, indent=1) + "\n")
+        MANIFEST.write_text(json.dumps([*runs, *values], indent=1) + "\n")
     else:
         differ = [" ".join(r["argv"]) for r, e in zip(runs, _entries()) if r != e]
         differ += [" ".join(r["argv"]) + " (not strict JSON)" for r, ok in zip(runs, strict) if not ok]
-        print("\n".join(differ) or f"all {len(runs)} entries match")
+        differ += [v["expr"] for v, e in zip(values, _expr_entries()) if v != e]
+        print("\n".join(differ) or f"all {len(runs) + len(values)} entries match")
         sys.exit(bool(differ))
