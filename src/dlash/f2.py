@@ -9,26 +9,27 @@ coefficient ring for everything else in the package.
 from __future__ import annotations
 
 from functools import reduce
-from itertools import chain
 from math import comb, factorial
 from operator import or_
 from typing import Iterable
 
 # A monomial z1^e1 z2^e2 ... is one int whose bits [W(i-1), Wi) hold e_i
 # (0 is 1), so a product is an integer add and the Frobenius a one-bit
-# shift.  The top bit of each field is a guard: zeta, products and squares
-# refuse an exponent that reaches it, so no sum of two carries into the
-# next field.  Every exponent the CLI reaches is at most its degree bound
-# and every index about log2 of it, and no command answers in reasonable
-# time at a bound near 2^15, let alone 2^63.  Only this module looks
-# inside a monomial: other code reads it through ``factors`` and
-# ``monomial_degree``, and multiplies through ``sum_of_products``,
-# ``map_product`` and ``map_inverse``.  The first two check the guard once
-# per call: no factor's field reaches it, so nothing carries before the
-# check, and an overflow that cancels is no error.  map_inverse squares
-# what it forms and multiplies the squares, so it checks each coefficient
-# it forms, and each square before a product: a field whose bit below the
-# guard is set reaches the guard when squared.
+# shift.  The top bit of each field is a guard: zeta, the constructor,
+# products and squares refuse an exponent that reaches it, so no sum of
+# two carries into the next field.  Every exponent the CLI reaches is at
+# most its degree bound and every index about log2 of it, and no command
+# answers in reasonable time at a bound near 2^15, let alone 2^63.  Only
+# this module looks inside a monomial: other code reads it through
+# ``factors`` and ``monomial_degree``, and multiplies through
+# ``sum_of_products``, ``map_product`` and ``map_inverse``, which form
+# every product of two monomial sets in one step, ``_add_product``.  The
+# first two check each sum once, as its polynomial is made: no factor's
+# field reaches the guard, so nothing carries before the check, and an
+# overflow that cancels is no error.  map_inverse squares what it forms
+# and multiplies the squares, so it checks each coefficient it forms, and
+# each square before a product: a field whose bit below the guard is set
+# reaches the guard when squared.
 Monomial = int
 _W = 16
 _MAX_INDEX = 64
@@ -81,7 +82,8 @@ def monomial_degree(m: Monomial) -> int:
 
 
 def _checked(monomials: set) -> "F2Poly":
-    """The polynomial on these monomials, refused if a guard bit is set."""
+    """The polynomial on these monomials, refused if a guard bit is set,
+    as every one is in a negative int."""
     high = reduce(or_, monomials, 0) & _GUARD
     if high:
         i = (high & -high).bit_length() // _W
@@ -89,22 +91,25 @@ def _checked(monomials: set) -> "F2Poly":
     return _poly(frozenset(monomials))
 
 
+def _add_product(acc: set, ps: set, qs: set) -> None:
+    """XOR the product of the monomial sets ps and qs into acc, a row of
+    products per monomial of the smaller set; the monomial 1's row is the
+    other set itself."""
+    if len(ps) > len(qs):
+        ps, qs = qs, ps
+    for ma in ps:
+        if ma:
+            acc ^= {ma + mb for mb in qs}  # one row's products are distinct
+        else:
+            acc ^= qs
+
+
 def sum_of_products(pairs: Iterable[tuple]) -> "F2Poly":
     """The sum of p * q over the (p, q) pairs, formed in one set."""
     acc: set = set()
     for p, q in pairs:
-        qs = q.monomials
-        for ma in p.monomials:  # one row's products are distinct
-            acc ^= {ma + mb for mb in qs}
+        _add_product(acc, p.monomials, q.monomials)
     return _checked(acc)
-
-
-def _terms(coeffs: dict) -> list:
-    """(e_s, e_t, monomials, the one monomial or None) per coefficient."""
-    return [
-        (es, et, p.monomials, next(iter(p.monomials)) if len(p.monomials) == 1 else None)
-        for (es, et), p in coeffs.items()
-    ]
 
 
 def map_product(factor_pairs: Iterable[tuple], max_total: int | float) -> dict:
@@ -114,42 +119,21 @@ def map_product(factor_pairs: Iterable[tuple], max_total: int | float) -> dict:
 
     Each output coefficient is formed in one set as the pairs arrive, and
     a pair past max_total forms no product; a sum that cancels is
-    dropped."""
+    dropped, and the first sum past the guard is named."""
     sums: dict = {}
     for a, b in factor_pairs:
-        rows = _terms(b)
-        for es1, et1, ps, m1 in _terms(a):
-            for es2, et2, qs, m2 in rows:
+        for (es1, et1), p in a.items():
+            for (es2, et2), q in b.items():
                 es, et = es1 + es2, et1 + et2
                 if es + et > max_total:
                     continue
                 acc = sums.get((es, et))
                 if acc is None:
                     acc = sums[(es, et)] = set()
-                if m1 == 0:  # the constant 1
-                    acc ^= qs
-                elif m2 == 0:
-                    acc ^= ps
-                elif m1 is not None and m2 is not None:
-                    m = m1 + m2
-                    if m in acc:
-                        acc.remove(m)
-                    else:
-                        acc.add(m)
-                elif m1 is not None:
-                    acc ^= {m1 + mb for mb in qs}
-                elif m2 is not None:
-                    acc ^= {ma + m2 for ma in ps}
-                else:
-                    for ma in ps:  # one row's products are distinct
-                        acc ^= {ma + mb for mb in qs}
-    # one check over all sums; the first sum past the guard is named
-    if reduce(or_, chain.from_iterable(sums.values()), 0) & _GUARD:
-        for acc in sums.values():
-            _checked(acc)
+                _add_product(acc, p.monomials, q.monomials)
     # each set is freed as its polynomial is made, so no two copies of the
     # product are held at once
-    return {e: _poly(frozenset(acc)) for e in list(sums) if (acc := sums.pop(e))}
+    return {e: _checked(acc) for e in list(sums) if (acc := sums.pop(e))}
 
 
 def map_inverse(r: dict, max_s: int, min_t: int, max_total: int) -> dict:
@@ -175,9 +159,9 @@ def map_inverse(r: dict, max_s: int, min_t: int, max_total: int) -> dict:
     e_t >= min_t."""
     if max_s < 0 or max_total < 0:
         return {}
-    # (f_s, f_t, monomials, or None for the constant 1) by increasing f_s
+    # (f_s, f_t, monomials) by increasing f_s
     terms = sorted(
-        (fs, ft, None if p.is_one() else p.monomials)
+        (fs, ft, p.monomials)
         for (fs, ft), p in r.items()
         if fs <= max_s and fs + ft <= max_total
     )
@@ -210,12 +194,7 @@ def map_inverse(r: dict, max_s: int, min_t: int, max_total: int) -> dict:
                     break
                 if gs + gt + fs + ft > max_total:
                     continue
-                acc = rows[gs + fs].setdefault(gt + ft, set())
-                if ps is None:
-                    acc ^= sq
-                else:
-                    for ma in ps:  # one row's products are distinct
-                        acc ^= {ma + m for m in sq}
+                _add_product(rows[gs + fs].setdefault(gt + ft, set()), ps, sq)
     return out
 
 
@@ -229,7 +208,7 @@ class F2Poly:
     __slots__ = ("monomials",)
 
     def __init__(self, monomials: Iterable[Monomial] = ()):
-        _set_monomials(self, frozenset(monomials))
+        _set_monomials(self, _checked(frozenset(monomials)).monomials)
 
     def __setattr__(self, name, value):
         raise AttributeError("F2Poly is immutable")

@@ -44,9 +44,9 @@ their series' axes, so no lower bound is tested.  No product chain
 starts from 1: series_pow and the powers of u in series_compose start
 from their first factor.  series_mul passes map_product one pair, to its
 window's max_total, and series_compose makes one call with the pair
-(u^i, row i) for every row i of a, on a total bound; a factor that is the
-constant 1, as u^0 and a row that is 1 are, costs map_product one set
-XOR and no monomial product.
+(u^i, row i) for every row i of a, on a total bound; the monomial 1 of
+any coefficient, as in u^0 and in a row that is 1, costs map_product one
+set XOR and no monomial product.
 series_reversion's column recurrence sums its coefficient products with
 one f2.sum_of_products call per output coefficient.  A coefficient that
 cancels is dropped.  _window builds the derived windows of sums,

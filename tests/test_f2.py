@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -261,3 +263,19 @@ class TestExponentOverflow:
     def test_index(self):
         with pytest.raises(ValueError):
             F2Poly.zeta(f2._MAX_INDEX + 1)
+
+    def test_constructor(self):
+        # a monomial given as an int is refused as zeta refuses its
+        # exponents; a negative int sets every guard bit
+        with pytest.raises(ValueError, match="z1 "):
+            F2Poly([self.LIMIT])
+        with pytest.raises(ValueError, match="z2 "):
+            F2Poly([0, 1, self.LIMIT << f2._W])
+        with pytest.raises(ValueError, match="z1 "):
+            F2Poly([-1])
+        with pytest.raises(ValueError):
+            F2Poly([3, -(1 << (3 * f2._W))])
+        p = F2Poly([0, self.LIMIT - 1, (self.LIMIT - 1) << f2._W])
+        assert p == F2Poly.one() + F2Poly.zeta(1, self.LIMIT - 1) + F2Poly.zeta(2, self.LIMIT - 1)
+        for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert other == p and str(other) == str(p)
