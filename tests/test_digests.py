@@ -163,13 +163,9 @@ def _asks_json(argv: list) -> bool:
     return argv[:1] == ["--json"]
 
 
-def _entries() -> list:
-    """The argv entries of the manifest."""
-    return [e for e in json.loads(MANIFEST.read_text()) if "argv" in e]
-
-
-def _expr_entries() -> list:
-    return [e for e in json.loads(MANIFEST.read_text()) if "expr" in e]
+def _entries(kind: str = "argv") -> list:
+    """The manifest's entries of one kind, "argv" or "expr"."""
+    return [e for e in json.loads(MANIFEST.read_text()) if kind in e]
 
 
 def test_manifest_lists_every_argv_once():
@@ -177,7 +173,7 @@ def test_manifest_lists_every_argv_once():
 
 
 def test_manifest_lists_every_expression_once():
-    assert [e["expr"] for e in _expr_entries()] == EXPRS
+    assert [e["expr"] for e in _entries("expr")] == EXPRS
 
 
 @functools.cache
@@ -209,7 +205,7 @@ def _evaluate(expr: str) -> dict:
 
 
 @pytest.mark.parametrize(
-    "entry", [e for e in _expr_entries() if e["expr"] not in SLOW], ids=lambda e: e["expr"]
+    "entry", [e for e in _entries("expr") if e["expr"] not in SLOW], ids=lambda e: e["expr"]
 )
 def test_expression_matches_its_digest(entry):
     assert _evaluate(entry["expr"]) == entry
@@ -239,6 +235,6 @@ if __name__ == "__main__":
     else:
         differ = [" ".join(r["argv"]) for r, e in zip(runs, _entries()) if r != e]
         differ += [" ".join(r["argv"]) + " (not strict JSON)" for r, ok in zip(runs, strict) if not ok]
-        differ += [v["expr"] for v, e in zip(values, _expr_entries()) if v != e]
+        differ += [v["expr"] for v, e in zip(values, _entries("expr")) if v != e]
         print("\n".join(differ) or f"all {len(runs) + len(values)} entries match")
         sys.exit(bool(differ))
